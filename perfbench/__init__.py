@@ -1,0 +1,3 @@
+"""End-to-end and per-layer benchmark of the CDC engine and its operator
+library.  Entry point: ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>`` from the repository root."""
