@@ -1288,18 +1288,67 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # each round, the entries whose last driver-side oracle row is
     # OLDEST lead the dict, and the entries green in the immediately
     # preceding round's artifact sit in the tail.  That way the union of
-    # any two consecutive CORRECTNESS_r{N}.json artifacts covers all 72
-    # entries.  (Every entry is additionally sweep-checked each round by
-    # tests/test_ray_entry.py, which parametrizes over the whole dict.)
-    # Round-5 rotation: the 22 entries below were last driver-recorded
-    # in r2/r3 (they sat in the tail during r4); the 22 entries first
-    # recorded in r4 now hold the tail.
+    # any two consecutive CORRECTNESS_r{N}.json artifacts covers all 74
+    # entries (tests/test_round5.py checks this).  (Every entry is
+    # additionally sweep-checked each round by tests/test_ray_entry.py,
+    # which parametrizes over the whole dict.)
+    # Round-6 rotation: the 24 entries last driver-recorded in r4 (they
+    # sat in the tail during r5) lead; the 24 entries rotated into the
+    # r5 window now hold the tail.
     return {
-        # --- last driver rows in r2+r3; rotated into the r5 window ---
-        # (new-in-r5 entries lead so they get their first driver row
-        # now; join_semi moved to the tail — it holds r4's 50th green
-        # row — and resolve_fuzzy_documents, green in r4, absorbs the
-        # second displacement)
+        # --- last driver rows in r4; rotated into the r6 window ---
+        "ann_topk_lsh": _q_ann_lsh,
+        "ann_topk_ivf": _q_ann_ivf,
+        "cluster_threshold_embeddings": _q_cluster_threshold,
+        "link_resolve_documents": _q_link_resolve,
+        "embedding_blocked_join_embeddings": _q_embedding_blocked_join,
+        "multimodal_image_features": _q_multimodal_image,
+        "multimodal_audio_frames": _q_multimodal_audio,
+        "multimodal_video_keyframes": _q_multimodal_video,
+        "llm_map_documents": _q_llm_map,
+        "llm_map_gleaning_documents": _q_llm_map_gleaning,
+        "llm_filter_documents": _q_llm_filter,
+        "llm_reduce_lang_documents": _q_llm_reduce,
+        "rank_likert_documents": _q_rank_likert,
+        "llm_resolve_documents": _q_llm_resolve,
+        "llm_resolve_blocked_documents": _q_llm_resolve_blocked,
+        "condition_blocked_join_documents": _q_condition_blocked_join,
+        "gopher_quality_documents": _q_gopher_quality,
+        "repetition_stats_documents": _q_repetition_stats,
+        "pii_scrub_documents": _q_pii_scrub,
+        "url_normalize_documents": _q_url_normalize,
+        "host_stats_documents": _q_host_stats,
+        "paragraph_dedup_documents": _q_paragraph_dedup,
+        "rank_qurk_documents": _q_rank_qurk,
+        "join_semi_customers_with_orders": _q_join_semi,
+        # --- staples kept in the driver window (flagship / perf-tracked) ---
+        "map_filter_revenue": _q_map_filter_revenue,
+        "reduce_groupby_pricing": _q_reduce_groupby_pricing,
+        "reduce_global": _q_reduce_global,
+        "join_broadcast_customer_nation": _q_join_broadcast,
+        "join_hash_lineitem_orders": _q_join_hash,
+        "topk_orders": _q_topk_orders,
+        "dedup_exact_documents": _q_dedup_exact,
+        "split_documents_tokens": _q_split_tokens,
+        "token_count_documents": _q_token_count,
+        "cdc_lww_latest_events": _q_cdc_lww_latest,
+        "window_tumbling_events": _q_window_tumbling,
+        "ann_topk_bruteforce": _q_ann_bruteforce,
+        "rank_topk_orders": _q_rank_topk_orders,
+        "cdc_flagship_delta": _q_cdc_flagship_delta,
+        "incremental_dedup_documents": _q_incremental_dedup,
+        "asof_join_events": _q_asof_join,
+        "quantiles_lineitem": _q_quantiles,
+        "simhash_near_dedup_documents": _q_simhash_near_dedup,
+        "top_fts_documents": _q_top_fts,
+        "fuzzy_join_documents": _q_fuzzy_join,
+        "cdc_flagship": _q_cdc_flagship,
+        "gather_documents": _q_gather,
+        "minhash_dedup_documents": _q_minhash_dedup,
+        "simhash_documents": _q_simhash,
+        "embedding_dedup_embeddings": _q_embedding_dedup,
+        "resolve_fuzzy_documents": _q_resolve_fuzzy,
+        # --- tail: green driver rows in the round-5 artifact ---
         "moar_first_layer_documents": _q_moar_first_layer,
         "optimizer_chunking_decision": _q_optimizer_decision,
         "join_anti_customers_without_orders": _q_join_anti,
@@ -1324,61 +1373,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "quality_documents": _q_quality,
         "fingerprint_documents": _q_fingerprint,
         "resolve_embedding_blocked": _q_resolve_embedding_blocked,
-        # --- staples kept in the driver window (flagship / perf-tracked) ---
-        "map_filter_revenue": _q_map_filter_revenue,
-        "reduce_groupby_pricing": _q_reduce_groupby_pricing,
-        "reduce_global": _q_reduce_global,
-        "join_broadcast_customer_nation": _q_join_broadcast,
-        "join_hash_lineitem_orders": _q_join_hash,
-        "topk_orders": _q_topk_orders,
-        "dedup_exact_documents": _q_dedup_exact,
-        "split_documents_tokens": _q_split_tokens,
-        "token_count_documents": _q_token_count,
-        "cdc_lww_latest_events": _q_cdc_lww_latest,
-        "window_tumbling_events": _q_window_tumbling,
-        "ann_topk_bruteforce": _q_ann_bruteforce,
-        "rank_topk_orders": _q_rank_topk_orders,
-        "cdc_flagship_delta": _q_cdc_flagship_delta,
-        "incremental_dedup_documents": _q_incremental_dedup,
-        "asof_join_events": _q_asof_join,
-        "quantiles_lineitem": _q_quantiles,
-        "simhash_near_dedup_documents": _q_simhash_near_dedup,
-        # probabilistic-recall ops (rows-only; exact-path counterparts
-        # are oracle-checked — see PARITY.md) plus oracle-checked ops
-        # registered later in oracle_sql()
-        "top_fts_documents": _q_top_fts,
-        "fuzzy_join_documents": _q_fuzzy_join,
-        "cdc_flagship": _q_cdc_flagship,
-        "gather_documents": _q_gather,
-        "minhash_dedup_documents": _q_minhash_dedup,
-        "simhash_documents": _q_simhash,
-        "embedding_dedup_embeddings": _q_embedding_dedup,
-        "resolve_fuzzy_documents": _q_resolve_fuzzy,
-        "ann_topk_lsh": _q_ann_lsh,
-        # --- tail: green driver rows in the round-4 artifact ---
-        "ann_topk_ivf": _q_ann_ivf,
-        "cluster_threshold_embeddings": _q_cluster_threshold,
-        "link_resolve_documents": _q_link_resolve,
-        "embedding_blocked_join_embeddings": _q_embedding_blocked_join,
-        "multimodal_image_features": _q_multimodal_image,
-        "multimodal_audio_frames": _q_multimodal_audio,
-        "multimodal_video_keyframes": _q_multimodal_video,
-        "llm_map_documents": _q_llm_map,
-        "llm_map_gleaning_documents": _q_llm_map_gleaning,
-        "llm_filter_documents": _q_llm_filter,
-        "llm_reduce_lang_documents": _q_llm_reduce,
-        "rank_likert_documents": _q_rank_likert,
-        "llm_resolve_documents": _q_llm_resolve,
-        "llm_resolve_blocked_documents": _q_llm_resolve_blocked,
-        "condition_blocked_join_documents": _q_condition_blocked_join,
-        "gopher_quality_documents": _q_gopher_quality,
-        "repetition_stats_documents": _q_repetition_stats,
-        "pii_scrub_documents": _q_pii_scrub,
-        "url_normalize_documents": _q_url_normalize,
-        "host_stats_documents": _q_host_stats,
-        "paragraph_dedup_documents": _q_paragraph_dedup,
-        "rank_qurk_documents": _q_rank_qurk,
-        "join_semi_customers_with_orders": _q_join_semi,
     }
 
 

@@ -1,13 +1,17 @@
 """The CDC apply layer: WAL events -> keyed shuffle -> LWW upsert ->
 staged partition Parquet -> atomic manifest commit.
 
-Pipeline shape (all Ray Data, streaming, zero-copy Arrow batches)::
+Pipeline shape (streaming, zero-copy Arrow batches)::
 
     events (Dataset)
       | map_batches(partial_apply)      # extract text, drop html, per-batch
       |                                 # LWW winners per url, add part col
-      | groupby("part").map_groups(...) # final LWW merge + base-state merge,
-      |                                 # write staging parquet, emit lineage
+      | exchange_refs("part", _ApplyPartition)
+      |                                 # split tasks cut map output by part
+      |                                 # as it arrives; one reduce task per
+      |                                 # partition does the final LWW merge
+      |                                 # + base-state merge, writes staging
+      |                                 # parquet, emits a lineage row
       v
     lineage rows (tiny) -> driver -> LakeTable.commit(epoch, ...)  # atomic
 
@@ -181,18 +185,15 @@ def lww_latest(ds, key_col: str, order_cols):
         # whole-bucket LWW in one vectorized sort+filter — NOT per distinct
         # key: groupby(key).map_groups pays ~ms of task/pandas overhead per
         # key, which dominates on high-cardinality keys
-        if "_kbucket" in group.column_names:  # exchange drops it already
-            group = group.drop_columns(["_kbucket"])
+        group = group.drop_columns(["_kbucket"])
         return last_per_key(
             group.replace_schema_metadata(None), key_col, order_cols
         )
 
-    final.__name__ = "lww_final"
     pre = ds.map_batches(partial, batch_format="pyarrow")
     # the take()-based task exchange, not ds.groupby: Ray's sort shuffle
     # slices map blocks and sliced Arrow tables pickle their FULL parent
-    # buffers, so payload rows would ship ~num_buckets times (the same
-    # reason the CDC apply and asof_join use it)
+    # buffers, so payload rows would ship ~num_buckets times
     from ..stages.util_ray import exchange_map_groups
 
     return exchange_map_groups(pre, "_kbucket", num_buckets, final)
@@ -236,26 +237,17 @@ def _state_checksum(t: pa.Table) -> str:
     return hashlib.md5(f"{t.num_rows}:{total}".encode()).hexdigest()
 
 
-_LINEAGE_SCHEMA = pa.schema(
-    [
-        pa.field("pid", pa.int32()),
-        pa.field("path", pa.string()),
-        pa.field("rows", pa.int64()),
-        pa.field("live_rows", pa.int64()),
-        pa.field("lsn_min", pa.int64()),
-        pa.field("lsn_max", pa.int64()),
-        pa.field("checksum", pa.string()),
-        pa.field("append", pa.bool_()),
-    ]
-)
-
-
 class _ApplyPartition:
     """Per-partition final merge: staged write + lineage row.
 
-    Used via ``groupby("part").map_groups``; the current-manifest
-    partition->file map is broadcast once via ``ray.put`` and read
-    zero-copy in each task (no per-batch reshipping).
+    The reduce ``fn`` of ``util_ray.exchange_refs``; the
+    current-manifest partition->file map is broadcast once via
+    ``ray.put`` and read zero-copy in each task (no per-batch
+    reshipping).  Returns the partition's lineage rows as plain dicts —
+    one, or none for an empty partition, which writes no file.  (Dicts,
+    not an Arrow table: Ray's per-table serialization measured ~30 ms
+    per 16-partition epoch on one CPU, a fixed cost on every tail
+    epoch.)
     """
 
     __name__ = "apply_partition"
@@ -267,9 +259,11 @@ class _ApplyPartition:
         self.mode = mode
         self._map = None
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table) -> list[dict]:
         import ray
 
+        if group.num_rows == 0:
+            return []
         if self._map is None:
             self._map = ray.get(self._ref) if not isinstance(self._ref, dict) else self._ref
         pid = int(group["part"][0].as_py())
@@ -301,140 +295,18 @@ class _ApplyPartition:
 
         live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
         rel = os.path.join("epochs", f"epoch-{self.epoch:07d}", fname)
-        return pa.Table.from_pylist(
-            [
-                {
-                    "pid": pid,
-                    "path": rel,
-                    "rows": merged.num_rows,
-                    "live_rows": live,
-                    "lsn_min": lsn_min,
-                    "lsn_max": lsn_max,
-                    "checksum": _state_checksum(merged),
-                    "append": append,
-                }
-            ],
-            schema=_LINEAGE_SCHEMA,
-        )
-
-
-def _split_block(nparts: int, *blocks):
-    """Map side of the manual hash exchange: split a bundle of blocks into
-    nparts COMPACT per-partition tables.
-
-    Compactness matters: a sliced Arrow table pickles its FULL parent
-    buffers (measured: a 100-row slice of a 10 MB block serializes as
-    10 MB), which makes slice-based shuffles ship each block ~nparts
-    times — the reason Ray Data's sort shuffle degraded superlinearly on
-    payload-heavy rows here.  ``take`` materializes fresh buffers, so
-    each row is copied exactly once.
-    """
-    import pandas as pd
-
-    blocks = [
-        pa.Table.from_pandas(b, preserve_index=False) if isinstance(b, pd.DataFrame) else b
-        for b in blocks
-    ]
-    # Ray emits ZERO-COLUMN blocks for fully-filtered upstreams; mixing
-    # one into the unify would strip the bundle's schema (same defense
-    # as util_ray._split_by_part)
-    nonzero = [b for b in blocks if b.num_columns > 0]
-    if nonzero:
-        blocks = nonzero
-    block = unify_tables(blocks) if len(blocks) > 1 else blocks[0]
-    n = block.num_rows
-    empty = block.slice(0, 0).combine_chunks()
-    if n == 0:
-        return [empty] * nparts if nparts > 1 else empty
-    idx = pc.sort_indices(block, sort_keys=[("part", "ascending")])
-    s = block.take(idx)
-    parts = s["part"].to_numpy(zero_copy_only=False)
-    out = []
-    lo = 0
-    for pid in range(nparts):
-        hi = int(np.searchsorted(parts, pid, side="right"))
-        if hi > lo:
-            out.append(s.take(pa.array(np.arange(lo, hi))))
-        else:
-            out.append(empty)
-        lo = hi
-    return out if nparts > 1 else out[0]
-
-
-def _reduce_partition(apply_obj, *shards):
-    """Reduce side: concat this partition's shards and run the merge."""
-    tables = [t for t in shards if t.num_rows > 0]
-    if not tables:
-        return None
-    group = unify_tables(tables)
-    return apply_obj(group).to_pylist()[0]
-
-
-def _exchange_and_apply(partial_ds, nparts: int, apply_obj) -> list[dict]:
-    """Manual two-phase hash exchange (map: split by part; reduce: merge).
-
-    Used instead of ``groupby().map_groups`` for the apply because Ray
-    Data's sort-based shuffle ships payload-heavy blocks superlinearly
-    (see ``_split_block``).  Data crosses the object store exactly once;
-    map inputs are released before the reduce phase starts (bounded peak
-    memory ~2x the combined winners)."""
-    import ray
-
-    ncpus = int(ray.cluster_resources().get("CPU", 8))
-    # tasks are deterministic + idempotent (atomic file writes), so
-    # retrying application exceptions is safe; covers transient fs/oom
-    # hiccups in addition to Ray's default worker-crash retries
-    split = ray.remote(num_returns=nparts, max_retries=3, retry_exceptions=True)(
-        _split_block
-    )
-    # STREAM the map stage: launch a split task per accumulated chunk of
-    # map output as blocks arrive, so split overlaps map execution
-    # instead of waiting behind a full to_arrow_refs materialization
-    # (measured: map 34s + split 37s sequential at 10M events).  The
-    # chunk target starts small (parallelism for small epochs) and
-    # doubles every 2*ncpus launches so driver-side ref count stays
-    # ~O(nparts * ncpus * log(epoch_bytes)) — 33k flat refs at 256
-    # blocks x 128 parts was a fixed ~seconds of coordination.
-    split_rows: list = []
-    acc: list = []
-    acc_bytes = 0
-    target = 32 << 20
-
-    def flush():
-        nonlocal acc, acc_bytes, target
-        if not acc:
-            return
-        r = split.remote(nparts, *acc)
-        split_rows.append(r if nparts > 1 else [r])
-        acc, acc_bytes = [], 0
-        if len(split_rows) % (ncpus * 2) == 0:
-            target *= 2
-
-    # accumulate PER BLOCK, not per bundle: a materialized upstream can
-    # deliver the whole dataset as one ref bundle, and packing it into a
-    # single split task overflows Arrow's int32 string offsets (>2 GiB
-    # concat) besides serializing the split phase
-    for bundle in partial_ds.iter_internal_ref_bundles():
-        metas = getattr(bundle, "metadata", None) or [None] * len(bundle.block_refs)
-        for block_ref, meta in zip(bundle.block_refs, metas):
-            acc.append(block_ref)
-            sz = getattr(meta, "size_bytes", None) if meta is not None else None
-            acc_bytes += sz if sz else (8 << 20)  # unknown -> assume 8 MB
-            if acc_bytes >= target:
-                flush()
-    flush()
-    # wait for the split phase, then drop map inputs before reducing
-    # (bounds peak object-store footprint to ~2x the combined winners)
-    flat = [r for row in split_rows for r in row]
-    ray.wait(flat, num_returns=len(flat), fetch_local=False)
-    del partial_ds
-
-    reduce = ray.remote(max_retries=3, retry_exceptions=True)(_reduce_partition)
-    lineage_refs = [
-        reduce.remote(apply_obj, *[row[pid] for row in split_rows])
-        for pid in range(nparts)
-    ]
-    return [r for r in ray.get(lineage_refs) if r is not None]
+        return [
+            {
+                "pid": pid,
+                "path": rel,
+                "rows": merged.num_rows,
+                "live_rows": live,
+                "lsn_min": lsn_min,
+                "lsn_max": lsn_max,
+                "checksum": _state_checksum(merged),
+                "append": append,
+            }
+        ]
 
 
 AUTO_COMPACT_LEVELS = 4
@@ -443,7 +315,6 @@ AUTO_COMPACT_LEVELS = 4
 def apply_events(
     table: LakeTable, events, epoch: int, *, extract: bool = True,
     mode: str = "merge", compact_after: int | None | str = "auto",
-    exchange: str = "tasks",
 ) -> dict:
     """Apply one WAL segment (a Dataset of event rows) as one epoch.
 
@@ -463,6 +334,8 @@ def apply_events(
     duplicate events is idempotent under LWW.  Returns the new manifest.
     """
     import ray
+
+    from ..stages.util_ray import exchange_refs
 
     if compact_after == "auto":
         compact_after = AUTO_COMPACT_LEVELS
@@ -489,17 +362,11 @@ def apply_events(
         },
     )
     applier = _ApplyPartition(ref, table.root, epoch, mode)
-    if exchange == "tasks":
-        lineage = _exchange_and_apply(partial_ds, nparts, applier)
-    else:
-        # Dataset-native fallback: coalesce map blocks + bound the reduce
-        # side (Ray's sort shuffle cost grows with blocks x partitions)
-        lineage = (
-            partial_ds.repartition(nparts)
-            .groupby("part", num_partitions=nparts)
-            .map_groups(applier, batch_format="pyarrow")
-            .take_all()
-        )
+    # fetch the (at most nparts) lineage rows straight from the reduce
+    # outputs: wrapping them in a Dataset first (exchange_map_groups)
+    # measured ~0.2 s of fixed cost per epoch on one CPU
+    out = exchange_refs(partial_ds, "part", nparts, applier)
+    lineage = [r for rows in ray.get(out) for r in rows]
     metrics = {
         "wall_sec": round(time.perf_counter() - t0, 3),
         "mode": mode,
@@ -525,7 +392,8 @@ def apply_events(
 class _ResplitPartition:
     """Reduce side of a table repartition: merge a new partition's rows,
     write its file, emit a lineage row (same contract as
-    ``_ApplyPartition`` so ``_exchange_and_apply`` can drive it)."""
+    ``_ApplyPartition``: the exchange's reduce ``fn``, nothing written
+    and no row for an empty partition)."""
 
     __name__ = "resplit_partition"
 
@@ -533,7 +401,9 @@ class _ResplitPartition:
         self.root = table_root
         self.tag = tag
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table) -> list[dict]:
+        if group.num_rows == 0:
+            return []
         pid = int(group["part"][0].as_py())
         merged = lww_last_per_url(group.drop_columns(["part"])).sort_by(
             STATE_SORT_KEYS
@@ -543,21 +413,18 @@ class _ResplitPartition:
         fname = f"part-{pid:05d}.parquet"
         _atomic_write_parquet(merged, os.path.join(out_dir, fname))
         live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
-        return pa.Table.from_pylist(
-            [
-                {
-                    "pid": pid,
-                    "path": os.path.join("resplits", self.tag, fname),
-                    "rows": merged.num_rows,
-                    "live_rows": live,
-                    "lsn_min": pc.min(merged["lsn"]).as_py(),
-                    "lsn_max": pc.max(merged["lsn"]).as_py(),
-                    "checksum": _state_checksum(merged),
-                    "append": False,
-                }
-            ],
-            schema=_LINEAGE_SCHEMA,
-        )
+        return [
+            {
+                "pid": pid,
+                "path": os.path.join("resplits", self.tag, fname),
+                "rows": merged.num_rows,
+                "live_rows": live,
+                "lsn_min": pc.min(merged["lsn"]).as_py(),
+                "lsn_max": pc.max(merged["lsn"]).as_py(),
+                "checksum": _state_checksum(merged),
+                "append": False,
+            }
+        ]
 
 
 def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
@@ -566,14 +433,18 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
     worker (or merging when they shrink).
 
     One exchange: current state (tombstones INCLUDED — delete suppression
-    must survive the move) re-routes by ``crc32(url) % M`` through the
-    same compact two-phase task exchange as the apply path, each new
+    must survive the move) re-routes by the v2 ``url_partition`` hash
+    mod M through the same keyed exchange as the apply path, each new
     partition writes one file under ``resplits/<tag>/``, and
     ``commit_resplit`` swaps the whole partition map + partition count in
     one atomic manifest write.  Subsequent ``apply_events`` calls pick up
     the new count from the manifest (``LakeTable.manifest`` syncs
     ``num_partitions``).  Idempotent per ``tag``; a crash before commit
     leaves the old layout live."""
+    import ray
+
+    from ..stages.util_ray import exchange_refs
+
     if tag in table.manifest().get("resplits", []):
         return table.manifest()
 
@@ -590,7 +461,8 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
 
     partial = ds.map_batches(add_part, batch_format="pyarrow")
     writer = _ResplitPartition(table.root, tag)
-    recs = _exchange_and_apply(partial, new_num_partitions, writer)
+    out = exchange_refs(partial, "part", new_num_partitions, writer)
+    recs = [r for rows in ray.get(out) for r in rows]
     return table.commit_resplit(tag, new_num_partitions, recs)
 
 

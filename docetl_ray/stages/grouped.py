@@ -8,8 +8,8 @@ user, per LSH bucket...).  ``grouped_map`` instead:
 
   1. adds ``_gbucket = hash(key) % num_partitions`` (vectorized via
      ``util_ray.bucket_codes`` — no per-row Python),
-  2. shuffles ONCE on the bucket (``groupby("_gbucket",
-     num_partitions=...)`` after a coalescing repartition),
+  2. shuffles ONCE on the bucket through the shared keyed exchange
+     (``util_ray.exchange_map_groups``, one reduce task per bucket),
   3. inside each bucket task, iterates the key-groups with pandas'
      C-level ``groupby`` and calls ``fn`` per key-group locally.
 
@@ -29,10 +29,9 @@ import pyarrow as pa
 from .util_ray import bucket_codes
 
 
-def _drop_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    if "_gbucket" in df.columns:  # the exchange drops it already
-        df = df.drop(columns=["_gbucket"])
-    return df
+def _group_frame(group: pa.Table) -> pd.DataFrame:
+    # the exchange passes the bucket column through; fn never sees it
+    return group.drop_columns(["_gbucket"]).to_pandas()
 
 
 def _arrow_out(out: pd.DataFrame | None) -> pa.Table:
@@ -53,8 +52,7 @@ def _bucketed_exchange(ds, keys: list[str], num_partitions: int, arrow_fn):
     replaces ``ds.groupby``: Ray's sort shuffle slices map blocks, and
     sliced Arrow tables pickle their FULL parent buffers — payload rows
     (texts) would ship ~num_partitions times, plus the sort pays seconds
-    of fixed cost per invocation (same reasoning as the CDC apply /
-    asof_join / lww_latest exchanges)."""
+    of fixed cost per invocation."""
     from .util_ray import exchange_map_groups
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -90,7 +88,7 @@ def grouped_map(
         return pd.concat(outs, ignore_index=True)
 
     def per_bucket_arrow(group: pa.Table) -> pa.Table:
-        return _arrow_out(per_bucket(_drop_bucket(group.to_pandas())))
+        return _arrow_out(per_bucket(_group_frame(group)))
 
     per_bucket_arrow.__name__ = getattr(fn, "__name__", "grouped_map")
     return _bucketed_exchange(ds, keys, num_partitions, per_bucket_arrow)
@@ -115,7 +113,7 @@ def partitioned_map(
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def whole_partition(group: pa.Table) -> pa.Table:
-        return _arrow_out(fn(_drop_bucket(group.to_pandas())))
+        return _arrow_out(fn(_group_frame(group)))
 
     whole_partition.__name__ = getattr(fn, "__name__", "partitioned_map")
     return _bucketed_exchange(ds, keys, num_partitions, whole_partition)

@@ -11,8 +11,9 @@ analogous candidate-restriction step):
   dimension tables, id dictionaries (link_resolve), and semi/anti
   filters.
 - ``hash_join``: both sides large — co-partition on ``hash(key) % B``
-  buckets by tagging each side and bucketing through ONE groupby
-  shuffle, then join matching buckets pairwise inside ``map_groups``.
+  buckets by tagging each side and bucketing through ONE keyed exchange
+  (``util_ray.exchange_map_groups``), then join each bucket's two sides
+  inside its reduce task.
   Key-collision suffixing mirrors ``equijoin.py:480-483``.
 
 SQL semantics pinned explicitly (they differ from pandas defaults):
@@ -180,7 +181,6 @@ def hash_join(
     right_on=None,
     how: str = "inner",
     num_buckets: int = 32,
-    exchange: str = "tasks",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ):
@@ -192,12 +192,11 @@ def hash_join(
     partitions); a single hot *key* must still colocate, so extreme
     heads should be broadcast instead.
 
-    ``exchange="tasks"`` (default) routes the bucket exchange through the
-    compact take()-based task exchange (``util_ray.exchange_map_groups``)
-    — Ray's sort shuffle slices map blocks, and sliced Arrow tables
-    pickle their FULL parent buffers, so payload-bearing joins (text /
-    binary columns) ship ~num_buckets× through a sort.  ``"sort"`` keeps
-    the pure-Dataset ``groupby`` path (lazy, fine for narrow rows).
+    The bucket exchange is the compact take()-based task exchange
+    (``util_ray.exchange_map_groups``) — Ray's sort shuffle slices map
+    blocks, and sliced Arrow tables pickle their FULL parent buffers, so
+    payload-bearing joins (text / binary columns) would ship
+    ~num_buckets× through a sort.
 
     ``left_schema`` / ``right_schema``: the input wire schemas.  The join
     needs them up front to pin the output schema; when absent they are
@@ -322,26 +321,12 @@ def hash_join(
             out[out_schema.names], schema=out_schema, preserve_index=False
         ).replace_schema_metadata(None)
 
-    join_bucket.__name__ = "join_bucket"
-    unioned = lb.union(rb)
-    if exchange == "tasks":
-        from .util_ray import exchange_map_groups
+    from .util_ray import exchange_map_groups
 
-        def join_group(group: pa.Table) -> pa.Table:
-            return join_bucket(group)
-
-        wire_schema = pa.schema(
-            list(unified_schema)
-            + [pa.field("__bucket", pa.int32()), pa.field("__side", pa.string())]
-        )
-        return exchange_map_groups(
-            unioned, "__bucket", num_buckets, join_group, schema=wire_schema
-        )
-    # sort path: bound the reduce side — Ray's sort shuffle cost grows
-    # with map_blocks x reduce_partitions, and a chain of upstream stages
-    # can leave hundreds of near-empty map blocks
-    return (
-        unioned
-        .groupby("__bucket", num_partitions=num_buckets)
-        .map_groups(join_bucket, batch_format="pyarrow")
+    wire_schema = pa.schema(
+        list(unified_schema)
+        + [pa.field("__bucket", pa.int32()), pa.field("__side", pa.string())]
+    )
+    return exchange_map_groups(
+        lb.union(rb), "__bucket", num_buckets, join_bucket, schema=wire_schema
     )

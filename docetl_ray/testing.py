@@ -19,7 +19,9 @@ class PoisonedApplier(_ApplyPartition):
         super().__init__(ref, root, epoch, mode)
         self.poison_dir = poison_dir
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def __call__(self, group: pa.Table) -> list[dict]:
+        if group.num_rows == 0:
+            return super().__call__(group)
         pid = int(group["part"][0].as_py())
         marker = os.path.join(self.poison_dir, f"pid-{pid}")
         if not os.path.exists(marker):

@@ -1,0 +1,231 @@
+"""The keyed exchange, ``util_ray.exchange_refs``: the one shuffle behind
+the CDC apply, ``resplit`` and (as its Dataset form
+``exchange_map_groups``) every keyed operator.
+
+Organised by component: the exchange called directly, the bucketed
+operators built on it (``grouped_map``), and the CDC apply / resplit."""
+
+import os
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+import ray.data as rd
+
+from docetl_ray import synth
+from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
+from docetl_ray.cdc.apply import url_partition
+from docetl_ray.stages.util_ray import exchange_map_groups
+from docetl_ray.util import collect
+
+
+def _with_part(nparts: int, col: str = "k"):
+    """Upstream stage adding ``part = col % nparts``."""
+
+    def add(batch: pa.Table) -> pa.Table:
+        part = batch[col].to_numpy() % nparts
+        return batch.append_column("part", pa.array(part, pa.int32()))
+
+    return add
+
+
+def _counter(marker: str):
+    """Upstream stage that appends one line per call to ``marker`` —
+    counts how many times the pipeline executed."""
+
+    def bump(t: pa.Table) -> pa.Table:
+        with open(marker, "a") as f:
+            f.write("x\n")
+            f.flush()
+            os.fsync(f.fileno())
+        return t
+
+    return bump
+
+
+def _lines(path: str) -> int:
+    with open(path) as f:
+        return len(f.readlines())
+
+
+# --- the exchange, called directly ---------------------------------------
+
+
+def _summary():
+    """Reduce fn reporting each group's size and columns.  (Functions
+    shipped to tasks are built inside a factory: Ray pickles module-level
+    test functions by reference, and workers cannot import this file.)"""
+
+    def summary(group: pa.Table) -> pa.Table:
+        return pa.table({
+            "rows": pa.array([group.num_rows], pa.int64()),
+            "has_part": pa.array(["part" in group.column_names]),
+            "ncols": pa.array([group.num_columns], pa.int64()),
+        })
+
+    return summary
+
+
+def test_exchange_single_partition():
+    t = pa.table({"k": list(range(100)), "v": [str(i) for i in range(100)]})
+    ds = rd.from_arrow(t).map_batches(_with_part(1), batch_format="pyarrow")
+    out = collect(exchange_map_groups(ds, "part", 1, _summary()))
+    assert out.to_pylist() == [{"rows": 100, "has_part": True, "ncols": 3}]
+
+
+def test_exchange_more_partitions_than_keys_calls_fn_on_empty_groups():
+    """Every partition's fn runs once; empty groups still carry the full
+    wire schema, part column included."""
+    t = pa.table({"k": [1, 1, 2, 5], "v": ["a", "b", "c", "d"]})
+    ds = rd.from_arrow(t).map_batches(_with_part(8), batch_format="pyarrow")
+    out = collect(exchange_map_groups(ds, "part", 8, _summary())).to_pylist()
+    assert len(out) == 8
+    assert sorted(r["rows"] for r in out) == [0, 0, 0, 0, 0, 1, 1, 2]
+    assert all(r["has_part"] and r["ncols"] == 3 for r in out)
+
+
+def test_exchange_fully_filtered_input_returns_empty_without_fn():
+    def boom(group: pa.Table) -> pa.Table:
+        raise AssertionError("fn must not run on a column-less input")
+
+    t = pa.table({"k": [1, 2, 3], "part": pa.array([0, 1, 2], pa.int32())})
+    out = exchange_map_groups(rd.from_arrow(t).filter(lambda r: False), "part", 4, boom)
+    assert out.count() == 0
+
+
+def test_exchange_text_payload_roundtrip():
+    """Text and binary payloads (unicode, nulls, empty strings, large
+    values) come back byte-exact; the part column passes through."""
+    n = 300
+    texts = [None if i % 17 == 0 else ("" if i % 13 == 0 else f"ünï {i} " * (i % 50 + 1))
+             for i in range(n)]
+    t = pa.table({
+        "k": list(range(n)),
+        "text": pa.array(texts, pa.string()),
+        "blob": pa.array([bytes([i % 256]) * (i * 7 % 4000) for i in range(n)], pa.binary()),
+    })
+    blocks = [t.slice(i, 50) for i in range(0, n, 50)]
+    ds = rd.from_arrow(blocks).map_batches(_with_part(5), batch_format="pyarrow")
+    out = collect(exchange_map_groups(ds, "part", 5, lambda g: g))
+    assert out.num_rows == n
+    out = out.sort_by([("k", "ascending")])
+    assert out["text"].to_pylist() == texts
+    assert out["blob"].equals(t["blob"])
+    assert out["part"].to_pylist() == [k % 5 for k in range(n)]
+
+
+def test_exchange_executes_upstream_once(tmp_path):
+    marker = str(tmp_path / "execs")
+    ds = (
+        rd.range(1000, override_num_blocks=4)
+        .map_batches(_counter(marker), batch_format="pyarrow", batch_size=None)
+        .map_batches(_with_part(3, "id"), batch_format="pyarrow")
+    )
+    out = collect(exchange_map_groups(ds, "part", 3, _summary()))
+    assert sum(out["rows"].to_pylist()) == 1000
+    assert _lines(marker) == 4  # one bump per block, one execution
+
+
+# --- bucketed operators built on it -------------------------------------
+
+
+def test_grouped_map_fully_filtered_input():
+    from docetl_ray.stages.grouped import grouped_map
+
+    t = pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]})
+    out = grouped_map(rd.from_arrow(t).filter(lambda r: False), ["k"],
+                      lambda g: g, num_partitions=4)
+    assert out.count() == 0
+
+
+def test_grouped_map_all_empty_groups_keeps_schema():
+    """Every group yielding zero rows must still produce a result whose
+    schema is derivable (the task exchange feeds all-empty bundles the
+    input's wire schema)."""
+    from docetl_ray.stages.grouped import grouped_map
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]}))
+    out = grouped_map(ds, ["k"], lambda g: g.iloc[0:0], num_partitions=4)
+    total = sum(t.num_rows for t in ray.get(out.to_arrow_refs()))
+    assert total == 0
+
+
+def test_grouped_map_payload_roundtrip():
+    """Exchange-routed grouped_map returns exactly the per-group fn
+    output, across more partitions than groups and with a payload col."""
+    from docetl_ray.stages.grouped import grouped_map
+
+    ds = rd.from_arrow(
+        pa.table({"k": ["a", "a", "b", "b", "b", "c"],
+                  "txt": [f"t{i}" * 50 for i in range(6)],
+                  "v": [5, 3, 9, 1, 7, 2]})
+    )
+
+    def pick_max(g):
+        return g.sort_values("v", ascending=False).head(1)
+
+    out = grouped_map(ds, ["k"], pick_max, num_partitions=16)
+    df = out.to_pandas().sort_values("k").reset_index(drop=True)
+    assert df["v"].tolist() == [5, 9, 2]
+    assert df["txt"].tolist() == ["t0" * 50, "t2" * 50, "t5" * 50]
+    assert "_gbucket" not in df.columns
+
+
+# --- the CDC apply and resplit ------------------------------------------
+
+
+def _state(table) -> pa.Table:
+    return collect(read_state(table)).sort_by([("url", "ascending")])
+
+
+def _assert_matches_oracle(table, ev: pa.Table):
+    oracle = replay_oracle(ev)
+    engine = _state(table)
+    assert engine.num_rows == oracle.num_rows
+    for c in ("url", "lsn", "text", "lang"):
+        assert engine[c].to_pylist() == oracle[c].to_pylist(), c
+
+
+def test_apply_single_partition(tmp_path):
+    ev = synth.events_table(0, 1500)
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=1)
+    m = apply_events(table, rd.from_arrow(ev), epoch=0)
+    assert list(m["partitions"]) == ["0"]
+    _assert_matches_oracle(table, ev)
+
+
+def test_apply_empty_partitions_write_no_file(tmp_path):
+    """More partitions than urls: only the partitions that received rows
+    write a parquet file and get a manifest entry — for the apply and
+    for a resplit to even more partitions."""
+    ev = synth.events_table(0, 2000)
+    urls = pc.unique(ev["url"]).to_pylist()[:3]
+    ev = ev.filter(pc.is_in(ev["url"], pa.array(urls)))
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=8)
+    m = apply_events(table, rd.from_arrow(ev), epoch=0)
+    hit = {int(p) for p in url_partition(urls, 8, version=table.partition_hash)}
+    assert len(hit) < 8
+    assert {int(p) for p in m["partitions"]} == hit
+    files = os.listdir(os.path.join(table.root, "epochs", "epoch-0000000"))
+    assert sorted(files) == sorted(f"part-{p:05d}.parquet" for p in hit)
+    _assert_matches_oracle(table, ev)
+
+    m = resplit(table, 32, tag="wide")
+    hit = {int(p) for p in url_partition(urls, 32)}
+    assert {int(p) for p in m["partitions"]} == hit
+    files = os.listdir(os.path.join(table.root, "resplits", "wide"))
+    assert sorted(files) == sorted(f"part-{p:05d}.parquet" for p in hit)
+    _assert_matches_oracle(table, ev)
+
+
+def test_apply_executes_upstream_once(tmp_path):
+    marker = str(tmp_path / "execs")
+    ev = synth.events_table(0, 2000)
+    blocks = [ev.slice(i, 500) for i in range(0, 2000, 500)]
+    events = rd.from_arrow(blocks).map_batches(
+        _counter(marker), batch_format="pyarrow", batch_size=None
+    )
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    apply_events(table, events, epoch=0)
+    assert _lines(marker) == 4
+    _assert_matches_oracle(table, ev)

@@ -627,41 +627,6 @@ def test_runner_gather_null_peripheral_chunks(ray_session):
     assert out.count() == 2
 
 
-def test_grouped_map_all_empty_groups_keeps_schema(ray_session):
-    """Every group yielding zero rows must still produce a result whose
-    schema is derivable (the task exchange feeds all-empty bundles the
-    materialized input schema)."""
-    from docetl_ray.stages.grouped import grouped_map
-
-    ds = rd.from_arrow(pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]}))
-    out = grouped_map(ds, ["k"], lambda g: g.iloc[0:0], num_partitions=4)
-    tabs = [t for t in out.to_arrow_refs()]
-    import ray as _ray
-
-    total = sum(t.num_rows for t in _ray.get(tabs))
-    assert total == 0
-
-
-def test_grouped_map_payload_roundtrip(ray_session):
-    """Exchange-routed grouped_map returns exactly the per-group fn
-    output, across more partitions than groups and with a payload col."""
-    from docetl_ray.stages.grouped import grouped_map
-
-    ds = rd.from_arrow(
-        pa.table({"k": ["a", "a", "b", "b", "b", "c"],
-                  "txt": [f"t{i}" * 50 for i in range(6)],
-                  "v": [5, 3, 9, 1, 7, 2]})
-    )
-
-    def pick_max(g):
-        return g.sort_values("v", ascending=False).head(1)
-
-    out = grouped_map(ds, ["k"], pick_max, num_partitions=16)
-    df = out.to_pandas().sort_values("k").reset_index(drop=True)
-    assert df["v"].tolist() == [5, 9, 2]
-    assert df["txt"].tolist() == ["t0" * 50, "t2" * 50, "t5" * 50]
-
-
 def test_bench_steal_helpers():
     """_steal_pct is a safe ratio of /proc/stat deltas."""
     import importlib.util
