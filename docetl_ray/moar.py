@@ -184,13 +184,12 @@ def simulate_plan(ops: list[dict], rows: list[dict], *,
         t = op["type"]
         if not rows:
             # engine parity on empty input: every op yields empty EXCEPT
-            # an ``_all`` code reduce, which the runner always runs and
-            # which emits exactly one row ({"_counts_prereduce": 0,
-            # **fn([])}, runner.py _all branch) — a prefilter that drops
-            # the whole sample must not silence downstream ops' output
+            # an ``_all`` reduce, code or prompt, which always runs and
+            # emits exactly one row (runner.py's code ``_all`` branch;
+            # llm_reduce's empty ``_all`` short-circuit) — a prefilter
+            # that drops the whole sample must not silence it
             emits_on_empty = (
                 t in ("reduce", "llm_reduce", "code_reduce")
-                and "code" in op
                 and op.get("reduce_key", "_all") in ("_all", ["_all"])
             )
             if not emits_on_empty:

@@ -503,6 +503,8 @@ def make_reduce_group(complete, prompt: str, output_schema: dict,
 
     def _reduce_group(rows, key_ctx) -> dict:
         sampled = _value_sample(rows, value_sampling)
+        if fold_batch_size and fold_batch_size >= len(sampled):
+            return _batch_reduce(sampled, key_ctx)  # reduce.py:328-334
         if merge_prompt and associative and fold_batch_size:
             # fold each batch independently, then merge-tree the outputs
             folds = [
@@ -518,8 +520,6 @@ def make_reduce_group(complete, prompt: str, output_schema: dict,
                     for i in range(0, len(folds), mb)
                 ]
             return folds[0]
-        if fold_batch_size and fold_batch_size >= len(sampled):
-            return _batch_reduce(sampled, key_ctx)  # reduce.py:328-334
         if fold_prompt and fold_batch_size:
             current, pad = None, ("" if scratchpad else None)
             for i in range(0, len(sampled), fold_batch_size):
@@ -611,7 +611,7 @@ def llm_reduce(ds, reduce_key, prompt: str, output_schema: dict, *,
             key_ctx = {k: rows[0][k] for k in keys}
         out = _reduce_group(rows, key_ctx)
         row = {} if global_all else {k: rows[0][k] for k in keys}
-        if pass_through:
+        if pass_through and rows:
             for c, v in rows[0].items():
                 row.setdefault(c, v)
         row.update({k: v for k, v in out.items() if k != "updated_scratchpad"})
@@ -625,6 +625,15 @@ def llm_reduce(ds, reduce_key, prompt: str, output_schema: dict, *,
         return pa.Table.from_pylist([row])
 
     fn.__name__ = "llm_reduce"
+    if global_all:
+        # the reference reduces [("_all", input_data)] unconditionally
+        # (reduce.py:259), so empty input still yields one row; a groupby
+        # has no group to call fn on, so short-circuit that case
+        ds = ds.materialize()
+        if ds.count() == 0:
+            import ray.data as rd
+
+            return rd.from_arrow(fn(pa.table({})))
     return _groupby_normalized(ds, keys, fn)
 
 

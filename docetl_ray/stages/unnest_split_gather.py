@@ -406,13 +406,18 @@ def gather_render_group(
             hv = group.at[i, doc_header_key]
             # list-valued header cells (the docetl headers shape —
             # list<struct{header,level}>) arrive as lists/ndarrays, where
-            # pd.notna returns an ARRAY and crashes the if; present =
-            # non-empty for those, notna for scalars
+            # pd.notna returns an ARRAY; they render as markdown headers,
+            # one line per entry, like the reference's
+            # render_hierarchy_headers (gather.py:262)
             if isinstance(hv, (list, tuple, np.ndarray)):
-                present = len(hv) > 0
-            else:
-                present = bool(pd.notna(hv))
-            if present:
+                md = "\n".join(
+                    "#" * int(h["level"]) + " " + str(h["header"])
+                    for h in _header_list(hv)
+                    if isinstance(h, dict) and h.get("header") and h.get("level")
+                )
+                if md:
+                    parts.append(md)
+            elif pd.notna(hv):
                 parts.append(str(hv))
         lo = max(0, i - previous_count)
         if lo > 0:

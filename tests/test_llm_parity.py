@@ -569,6 +569,41 @@ def test_llm_reduce_all_global(ray_session):
     assert len(out2) == 1 and out2[0]["_counts_prereduce"] == 7
 
 
+def test_llm_reduce_all_empty_emits_one_row(ray_session):
+    """An ``_all`` prompt reduce over EMPTY input still emits exactly one
+    row, as the reference reduces ``[("_all", input_data)]``
+    unconditionally (reduce.py:259) and as the runner's code ``_all``
+    branch does; a keyed reduce over empty input stays empty."""
+    import ray.data as rd
+
+    from docetl_ray.runner import _apply_op
+    from docetl_ray.stages.llm import llm_reduce
+
+    ds = rd.from_items([{"doc_id": i, "text": f"t{i}"} for i in range(5)])
+    empty = ds.filter(lambda r: False)  # a prefilter that drops every row
+    prompt = "Digest {{ inputs | length }}:{% for i in inputs %}{{ i.text }}{% endfor %}"
+    out = llm_reduce(empty, "_all", prompt, {"digest": "str"}).take_all()
+    assert len(out) == 1
+    assert out[0]["_counts_prereduce"] == 0
+    assert "digest" in out[0] and "_all" not in out[0]
+    # fold + merge plan: no fold batches, so the plain batch reduce runs
+    fm = llm_reduce(empty, "_all", prompt, {"digest": "str"},
+                    fold_prompt="Fold {{ inputs | length }}",
+                    fold_batch_size=2, merge_batch_size=2,
+                    merge_prompt="Merge {{ outputs | length }}").take_all()
+    assert fm == out
+    # runner path, pass_through has no first row to copy
+    op = {"name": "d", "type": "llm_reduce", "prompt": prompt,
+          "pass_through": True, "enable_observability": True,
+          "output": {"schema": {"digest": "str"}}}
+    got = _apply_op(empty, op).take_all()
+    assert len(got) == 1 and got[0]["_counts_prereduce"] == 0
+    assert set(got[0]) == {"digest", "_counts_prereduce", "_observability_d"}
+    # non-empty input is unchanged by the short-circuit
+    assert _apply_op(ds, op).take_all()[0]["_counts_prereduce"] == 5
+    assert _apply_op(empty, dict(op, reduce_key="doc_id")).take_all() == []
+
+
 def test_merge_batch_size_one_terminates():
     """merge_batch_size=1 must not loop forever re-merging singletons."""
     from docetl_ray.stages.llm import FakeDeterministicClient, make_reduce_group
@@ -631,16 +666,32 @@ def test_llm_filter_custom_filter_key(ray_session):
 
 def test_gather_list_valued_doc_header(ray_session):
     """doc_header_key pointing at a LIST-valued column (the docetl
-    headers shape) must render, not crash on an ambiguous-array if."""
+    headers shape) renders each entry as a markdown header line
+    (``'#' * level + ' ' + header``), never as a Python repr, and does
+    not crash on an ambiguous-array if."""
     import pandas as pd
+    import pyarrow as pa
 
     from docetl_ray.stages.unnest_split_gather import gather_render_group
 
-    g = pd.DataFrame({
-        "doc": ["d", "d"], "num": [1, 2], "chunk": ["aaa", "bbb"],
-        "headers": [[{"header": "H1", "level": 1}], []],
-    })
-    out = gather_render_group(g, "chunk", "num", doc_header_key="headers")
-    rendered = out["chunk_rendered"].tolist()
-    assert "H1" in rendered[0]
-    assert "--- Begin Main Chunk ---" in rendered[1]
+    headers = [[{"header": "H1", "level": 1}],
+               [],
+               [{"header": "Intro", "level": 1},
+                {"header": "Setup", "level": 2}]]
+    cols = {"doc": ["d"] * 3, "num": [1, 2, 3], "chunk": ["aaa", "bbb", "ccc"]}
+    # python lists (the simulator's rows) and Arrow list<struct> cells
+    # (numpy object arrays after to_pandas) render the same
+    for g in (pd.DataFrame(dict(cols, headers=headers)),
+              pa.table(dict(cols, headers=headers)).to_pandas()):
+        out = gather_render_group(g, "chunk", "num", doc_header_key="headers",
+                                  previous_count=0, next_count=0)
+        rendered = out["chunk_rendered"].tolist()
+        assert rendered[0] == ("# H1\n--- Begin Main Chunk ---\naaa\n"
+                               "--- End Main Chunk ---\n"
+                               "[... 6 characters skipped ...]")
+        assert rendered[1].startswith("[... 3 characters skipped ...]\n"
+                                      "--- Begin Main Chunk ---\nbbb")
+        assert rendered[2].startswith("# Intro\n## Setup\n"
+                                      "[... 6 characters skipped ...]\n"
+                                      "--- Begin Main Chunk ---\nccc")
+        assert not any("{'header'" in r for r in rendered)

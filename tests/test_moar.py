@@ -1111,3 +1111,29 @@ def test_simulate_empty_sample_runs_global_code_reduce():
     # keyed reduce on empty input stays empty (groupby semantics)
     ops_keyed = [ops[0], dict(ops[1], reduce_key="doc_id")]
     assert simulate_plan(ops_keyed, rows).rows == []
+
+
+def test_simulate_empty_sample_runs_global_prompt_reduce(ray_session):
+    """A prompt ``_all`` reduce also emits one row on empty input, in the
+    simulator and in the real runner alike (llm_reduce's empty ``_all``
+    short-circuit)."""
+    from docetl_ray.runner import PipelineRunner
+
+    rows = [{"doc_id": i, "text": "x"} for i in range(3)]
+    ops = [
+        {"name": "kill", "type": "code_filter",
+         "code": "def transform(doc):\n    return False\n"},
+        {"name": "digest", "type": "reduce", "reduce_key": "_all",
+         "model": "det-small",
+         "prompt": "Digest {{ inputs | length }} docs",
+         "output": {"schema": {"digest": "str"}}},
+    ]
+    sim = simulate_plan(ops, rows).rows
+    assert len(sim) == 1 and sim[0]["_counts_prereduce"] == 0
+    cfg = {"datasets": {"docs": {"type": "memory", "data": rows}},
+           "operations": ops,
+           "pipeline": {"steps": [{"name": "s1", "input": "docs",
+                                   "operations": ["kill", "digest"]}]}}
+    assert PipelineRunner(cfg).run().take_all() == sim
+    ops_keyed = [ops[0], dict(ops[1], reduce_key="doc_id")]
+    assert simulate_plan(ops_keyed, rows).rows == []
