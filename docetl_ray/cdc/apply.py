@@ -3,22 +3,22 @@ staged partition Parquet -> atomic manifest commit.
 
 Pipeline shape (streaming, zero-copy Arrow batches)::
 
-    events (Dataset)
-      | map_batches(partial_apply)      # extract text, drop html, per-batch
-      |                                 # LWW winners per url, add part col
-      | exchange_refs("part", _ApplyPartition)
-      |                                 # split tasks cut map output by part
-      |                                 # as it arrives; one reduce task per
-      |                                 # partition does the final LWW merge
-      |                                 # + base-state merge, writes staging
-      |                                 # parquet, emits a lineage row
+    events (Dataset: the WAL read, no map operator of its own)
+      | exchange_refs("part", _ApplyPartition, map_fn=partial_apply)
+      |   split tasks, dealt upstream blocks as they arrive (one
+      |   accumulator per CPU): partial_apply per block -- extract text,
+      |   drop html, per-batch LWW winners per url, add part col -- then
+      |   cut the pre-combined rows by part
+      |   reduce task per partition: final LWW merge + base-state merge,
+      |   writes staging parquet, emits a lineage row
       v
     lineage rows (tiny) -> driver -> LakeTable.commit(epoch, ...)  # atomic
 
-Skew handling: the LWW merge is associative + idempotent, so the
-``partial_apply`` stage combines events per url *within each batch before
-the shuffle* — a hot url (Zipf head) contributes at most one row per input
-batch to the exchange instead of its full event count.  This is the
+Skew handling: the LWW merge is associative + idempotent, so
+``partial_apply`` combines events per url *within each batch, inside the
+split task, right before partitioning* — a hot url (Zipf head)
+contributes at most one row per input batch to the exchange instead of
+its full event count.  This is the
 pre-aggregation analogue of hot-key salting: the "salt" is the batch id,
 and the per-partition final merge re-merges the salted partials
 deterministically.  Partition count is configurable (``LakeTable.num_partitions``)
@@ -37,6 +37,7 @@ Arrow kernels with tombstone rows for delete propagation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import zlib
@@ -50,7 +51,6 @@ from ..html_text import extract_text_batch
 from ..schemas import OP_DELETE, unify_tables
 from .table import LakeTable
 
-STATE_SORT_KEYS = [("url", "ascending")]
 _LWW_KEYS = [("url", "ascending"), ("warc_ts", "ascending"), ("lsn", "ascending")]
 
 
@@ -82,7 +82,8 @@ def lww_last_per_url(t: pa.Table) -> pa.Table:
     """Keep the last writer per url: max (warc_ts, lsn).
 
     Exactly ``last_per_key(t, "url", ["warc_ts", "lsn"])`` — delegated so
-    the run-boundary-mask algorithm lives in one place."""
+    the run-boundary-mask algorithm lives in one place.  The output is
+    strictly url-ascending, so every state run is written as returned."""
     return last_per_key(t, "url", ["warc_ts", "lsn"])
 
 
@@ -190,13 +191,13 @@ def lww_latest(ds, key_col: str, order_cols):
             group.replace_schema_metadata(None), key_col, order_cols
         )
 
-    pre = ds.map_batches(partial, batch_format="pyarrow")
     # the take()-based task exchange, not ds.groupby: Ray's sort shuffle
     # slices map blocks and sliced Arrow tables pickle their FULL parent
-    # buffers, so payload rows would ship ~num_buckets times
+    # buffers, so payload rows would ship ~num_buckets times.  The
+    # per-batch combine runs inside its split tasks (map_fn).
     from ..stages.util_ray import exchange_map_groups
 
-    return exchange_map_groups(pre, "_kbucket", num_buckets, final)
+    return exchange_map_groups(ds, "_kbucket", num_buckets, final, map_fn=partial)
 
 
 def _atomic_write_parquet(t: pa.Table, path: str):
@@ -273,9 +274,10 @@ class _ApplyPartition:
             group.drop_columns(["part", "_lsn_lo", "_lsn_hi"])
         )
 
+        # LWW output is strictly url-ascending: written as returned
         if self.mode == "delta":
             # LSM path: write only this epoch's winners; base untouched.
-            merged = winners.sort_by(STATE_SORT_KEYS)
+            merged = winners
             append = True
         else:
             base_paths = self._map.get(pid) or []
@@ -284,7 +286,6 @@ class _ApplyPartition:
                 merged = lww_last_per_url(unify_tables(bases + [winners]))
             else:
                 merged = winners
-            merged = merged.sort_by(STATE_SORT_KEYS)
             append = False
 
         staging_dir = os.path.join(self.root, "epochs", f"epoch-{self.epoch:07d}")
@@ -350,22 +351,22 @@ def apply_events(
     import time
 
     t0 = time.perf_counter()
-    partial_ds = events.map_batches(
+    combine = functools.partial(
         partial_apply,
-        batch_format="pyarrow",
-        fn_kwargs={
-            "num_partitions": nparts,
-            "extract": extract,
-            # the routing hash is pinned per table in the manifest;
-            # pre-v2 tables keep crc32 until a resplit upgrades them
-            "part_version": table.partition_hash,
-        },
+        num_partitions=nparts,
+        extract=extract,
+        # the routing hash is pinned per table in the manifest;
+        # pre-v2 tables keep crc32 until a resplit upgrades them
+        part_version=table.partition_hash,
     )
     applier = _ApplyPartition(ref, table.root, epoch, mode)
-    # fetch the (at most nparts) lineage rows straight from the reduce
-    # outputs: wrapping them in a Dataset first (exchange_map_groups)
-    # measured ~0.2 s of fixed cost per epoch on one CPU
-    out = exchange_refs(partial_ds, "part", nparts, applier)
+    # the pre-combine runs inside the split tasks (map_fn): as a Ray Data
+    # map operator in front of the exchange it cost more in scheduling
+    # than in work (BASELINE.md round 8).  The lineage rows come straight
+    # from the reduce outputs: wrapping them in a Dataset first
+    # (exchange_map_groups) measured ~0.2 s of fixed cost per epoch on
+    # one CPU
+    out = exchange_refs(events, "part", nparts, applier, map_fn=combine)
     lineage = [r for rows in ray.get(out) for r in rows]
     metrics = {
         "wall_sec": round(time.perf_counter() - t0, 3),
@@ -405,9 +406,7 @@ class _ResplitPartition:
         if group.num_rows == 0:
             return []
         pid = int(group["part"][0].as_py())
-        merged = lww_last_per_url(group.drop_columns(["part"])).sort_by(
-            STATE_SORT_KEYS
-        )
+        merged = lww_last_per_url(group.drop_columns(["part"]))
         out_dir = os.path.join(self.root, "resplits", self.tag)
         os.makedirs(out_dir, exist_ok=True)
         fname = f"part-{pid:05d}.parquet"
@@ -459,9 +458,8 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
         )
         return batch.append_column("part", pa.array(part, pa.int32()))
 
-    partial = ds.map_batches(add_part, batch_format="pyarrow")
     writer = _ResplitPartition(table.root, tag)
-    out = exchange_refs(partial, "part", new_num_partitions, writer)
+    out = exchange_refs(ds, "part", new_num_partitions, writer, map_fn=add_part)
     recs = [r for rows in ray.get(out) for r in rows]
     return table.commit_resplit(tag, new_num_partitions, recs)
 
@@ -545,7 +543,7 @@ def compact(
                     kept = [paths[0]]
                     paths = paths[1:]
             tables = [pq.read_table(p) for p in paths]
-            merged = lww_last_per_url(unify_tables(tables)).sort_by(STATE_SORT_KEYS)
+            merged = lww_last_per_url(unify_tables(tables))
             if drop_tombstones_below_lsn is not None:
                 gc_mask = pc.and_(
                     merged["_deleted"],

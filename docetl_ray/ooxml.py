@@ -104,9 +104,11 @@ def _cell_value(c, sst: list[str]):
         return float(v)
 
 
-def _workbook_sheets(zf: zipfile.ZipFile) -> list[tuple[str, str]]:
+def _workbook_sheets(zf: zipfile.ZipFile) -> tuple[list[tuple[str, str]], int]:
     """[(sheet name, archive path of its worksheet XML)] in workbook order,
-    resolved through the workbook relationships part."""
+    resolved through the workbook relationships part, and the index of
+    the saved active tab (``workbookView/@activeTab``, openpyxl's
+    ``wb.active``; 0 when absent or out of range)."""
     rels = {}
     try:
         root = ET.fromstring(zf.read("xl/_rels/workbook.xml.rels"))
@@ -120,16 +122,21 @@ def _workbook_sheets(zf: zipfile.ZipFile) -> list[tuple[str, str]]:
     except KeyError:
         pass
     sheets = []
+    active = None
     wb = ET.fromstring(zf.read("xl/workbook.xml"))
     rid_attr = ("{http://schemas.openxmlformats.org/officeDocument/2006/"
                 "relationships}id")
     for elem in wb.iter():
-        if _local(elem.tag) == "sheet":
+        tag = _local(elem.tag)
+        if tag == "sheet":
             name = elem.get("name", f"Sheet{len(sheets) + 1}")
             path = rels.get(elem.get(rid_attr),
                             f"xl/worksheets/sheet{len(sheets) + 1}.xml")
             sheets.append((name, path))
-    return sheets
+        elif tag == "workbookView" and active is None:
+            active = elem.get("activeTab", "0")
+    active = int(active) if active and active.isdigit() else 0
+    return sheets, active if active < len(sheets) else 0
 
 
 def _sheet_grid(zf: zipfile.ZipFile, path: str, sst: list[str]) -> list[list]:
@@ -171,7 +178,7 @@ def xlsx_to_string(
     reference's filter is inert — see module docstring)."""
     with zipfile.ZipFile(filename) as zf:
         sst = _parse_shared_strings(zf)
-        sheets = _workbook_sheets(zf)
+        sheets, active = _workbook_sheets(zf)
 
         def process(grid: list[list]) -> str:
             header_row = grid[0] if grid else []
@@ -198,9 +205,9 @@ def xlsx_to_string(
             return "\n".join(result)
 
         if not doc_per_sheet:
-            # only the first sheet's result is used: don't XML-parse and
+            # only the active sheet's result is used: don't XML-parse and
             # grid-build every tab of a many-sheet workbook
-            sheets = sheets[:1]
+            sheets = sheets[active:active + 1]
         grids = [process(_sheet_grid(zf, path, sst)) for _, path in sheets]
         if doc_per_sheet:
             return grids

@@ -60,10 +60,7 @@ def _bucketed_exchange(ds, keys: list[str], num_partitions: int, arrow_fn):
         return batch.append_column("_gbucket", pa.array(b, pa.int32()))
 
     return exchange_map_groups(
-        ds.map_batches(add_bucket, batch_format="pyarrow"),
-        "_gbucket",
-        num_partitions,
-        arrow_fn,
+        ds, "_gbucket", num_partitions, arrow_fn, map_fn=add_bucket
     )
 
 

@@ -174,9 +174,18 @@ def bucket_codes(batch: pa.Table, key_cols, num_buckets: int) -> "np.ndarray":
     return (hash_codes(batch, key_cols) % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _split_by_part(nparts: int, part_col: str, schema, *blocks):
-    """Map side of the exchange: split blocks into nparts COMPACT
-    per-partition tables.
+def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
+    """Map side of the exchange: run ``map_fn`` (when given) on each
+    block, then split the outputs into nparts COMPACT per-partition
+    tables.
+
+    ``map_fn`` sees one non-empty upstream block at a time as an Arrow
+    table, exactly as ``map_batches(map_fn, batch_format="pyarrow")``
+    with its default ``batch_size=None`` would: a combiner placed here
+    runs inside the split task, right before partitioning, with no Ray
+    Data operator of its own.  Only its (pre-combined) outputs are
+    concatenated; the raw blocks stay the zero-copy object-store reads
+    they arrived as.
 
     Compactness matters: a sliced Arrow table pickles its FULL parent
     buffers (measured: a 100-row slice of a 10 MB block serializes as
@@ -189,12 +198,20 @@ def _split_by_part(nparts: int, part_col: str, schema, *blocks):
     outputs of a split that saw nothing else."""
     import pandas as pd
 
-    tabs = [
-        pa.Table.from_pandas(b, preserve_index=False) if isinstance(b, pd.DataFrame)
-        else b
-        for b in blocks
-    ]
-    tabs = [t for t in tabs if t.num_columns > 0]
+    def arrow(b):
+        if isinstance(b, pd.DataFrame):
+            return pa.Table.from_pandas(b, preserve_index=False)
+        return b
+
+    tabs = []
+    for b in blocks:
+        b = arrow(b)
+        if map_fn is not None:
+            if b.num_rows == 0:
+                continue  # map_batches never calls its fn on an empty block
+            b = arrow(map_fn(b))
+        if b.num_columns > 0:
+            tabs.append(b)
     if not tabs:
         empty = schema.empty_table() if schema is not None else pa.table({})
         return [empty] * nparts if nparts > 1 else empty
@@ -229,7 +246,8 @@ def _reduce_group(fn, *shards):
     return fn(group)
 
 
-def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None) -> list:
+def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
+                  map_fn=None) -> list:
     """Payload-safe keyed exchange: ``groupby(part).map_groups(fn)``
     expressed as a streaming two-phase task exchange.  The CDC apply,
     ``resplit`` and (through ``exchange_map_groups``) every keyed
@@ -244,42 +262,57 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None) -> list:
     tasks concat + run ``fn`` per partition, and the results stay in the
     object store.  The upstream executes exactly once.
 
+    ``map_fn``: the map side, run by each split task once per non-empty
+    upstream block before it partitions (``map_batches`` semantics with
+    one batch per block, minus a Ray Data operator and its scheduling).
+    Put a per-batch combiner here and it pre-aggregates right before
+    partitioning; it must add ``part_col``.  A split task that loses its
+    worker runs again, so ``map_fn`` must be deterministic and free of
+    side effects; its exceptions are not retried.
+
     ``part_col`` must be an int column in [0, nparts); it reaches ``fn``
     unchanged.  ``fn`` is called once per partition, on an empty group
     too, and must emit a consistent schema.  ``schema``: the wire schema
     for splits that see only empty blocks; defaults to the first schema
-    the upstream reports.
+    the upstream reports, or with a ``map_fn`` to the schema of its
+    outputs (the upstream's is not the wire's then).
+
+    Chunking: blocks are dealt round-robin to one accumulator per CPU,
+    and an accumulator launches its split task when it holds
+    1/ncpus of the byte target — so the bytes not yet launched never
+    exceed the target (the first split starts no later than with one
+    accumulator), a small input still spreads its map work over ncpus
+    tasks, and on one CPU this is the single-accumulator rule.
     """
     import ray
 
     from .joins import _convert_ray_schema
 
-    ncpus = int(ray.cluster_resources().get("CPU", 8))
-    # tasks are deterministic (the CDC reduce writes files atomically),
-    # so retrying application exceptions is safe
-    split = ray.remote(num_returns=nparts, max_retries=3, retry_exceptions=True)(
-        _split_by_part
-    )
+    ncpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    # split tasks retry system failures only: an exception from
+    # ``map_fn`` or the split is deterministic and surfaces at once
+    split = ray.remote(num_returns=nparts, max_retries=3)(_split_by_part)
     # STREAM the map stage: launch a split task per accumulated chunk of
     # upstream output as blocks arrive, so split overlaps upstream
     # execution instead of waiting behind a full materialization
     # (measured: map 34s + split 37s sequential at 10M events).  The
-    # chunk target starts small (parallelism for small inputs) and
-    # doubles every 2*ncpus launches so driver-side ref count stays
+    # chunk target starts small (parallelism for small inputs), is
+    # shared by the ncpus accumulators, and doubles every 2*ncpus
+    # launches so driver-side ref count stays
     # ~O(nparts * ncpus * log(input_bytes)) — 33k flat refs at 256
     # blocks x 128 parts was a fixed ~seconds of coordination.
     split_rows: list = []
-    acc: list = []
-    acc_bytes = 0
+    acc = [[] for _ in range(ncpus)]  # block refs, dealt round-robin
+    acc_bytes = [0] * ncpus
     target = 32 << 20
 
-    def flush():
-        nonlocal acc, acc_bytes, target
-        if not acc:
+    def flush(i):
+        nonlocal target
+        if not acc[i]:
             return
-        r = split.remote(nparts, part_col, schema, *acc)
+        r = split.remote(nparts, part_col, schema, map_fn, *acc[i])
         split_rows.append(r if nparts > 1 else [r])
-        acc, acc_bytes = [], 0
+        acc[i], acc_bytes[i] = [], 0
         if len(split_rows) % (ncpus * 2) == 0:
             target *= 2
 
@@ -287,16 +320,20 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None) -> list:
     # deliver the whole dataset as one ref bundle, and packing it into a
     # single split task overflows Arrow's int32 string offsets (>2 GiB
     # concat) besides serializing the split phase
+    nblocks = 0
     for bundle in ds.iter_internal_ref_bundles():
-        if schema is None and bundle.schema is not None:
+        if schema is None and map_fn is None and bundle.schema is not None:
             s = _convert_ray_schema(bundle.schema)
             schema = s if len(s) else None
         for block_ref, meta in bundle.blocks:
-            acc.append(block_ref)
-            acc_bytes += meta.size_bytes
-            if acc_bytes >= target:
-                flush()
-    flush()
+            i = nblocks % ncpus
+            nblocks += 1
+            acc[i].append(block_ref)
+            acc_bytes[i] += meta.size_bytes
+            if acc_bytes[i] * ncpus >= target:
+                flush(i)
+    for i in range(ncpus):
+        flush(i)
     if not split_rows:
         return []  # no blocks at all (fully-empty upstream)
     # wait for the split phase, then drop the map inputs before reducing
@@ -305,6 +342,8 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None) -> list:
     ray.wait(flat, num_returns=len(flat), fetch_local=False)
     del ds
 
+    # reduce tasks are deterministic (the CDC reduce writes files
+    # atomically), so retrying application exceptions is safe
     reduce = ray.remote(max_retries=3, retry_exceptions=True)(_reduce_group)
     return [
         reduce.remote(fn, *[row[pid] for row in split_rows])
@@ -312,13 +351,14 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None) -> list:
     ]
 
 
-def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None):
+def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
+                        map_fn=None):
     """``exchange_refs`` with ``fn``'s per-partition output tables as a
     Dataset (data never leaves the object store) — the form the
     operators chain on."""
     import ray.data as rd
 
-    refs = exchange_refs(ds, part_col, nparts, fn, schema=schema)
+    refs = exchange_refs(ds, part_col, nparts, fn, schema=schema, map_fn=map_fn)
     if not refs:
         return rd.from_arrow(schema.empty_table() if schema is not None else pa.table({}))
     return rd.from_arrow_refs(refs)

@@ -301,3 +301,52 @@ def test_resplit_crash_before_commit_is_invisible(tmp_path):
     resplit(t2, 8, tag="retry")
     final = _engine_state(t2, include_tombstones=True)
     assert before["url"].to_pylist() == final["url"].to_pylist()
+
+
+def _written_runs(root: str) -> list[str]:
+    out = []
+    for sub in ("epochs", "resplits", "compactions"):
+        for dirpath, _, names in os.walk(os.path.join(root, sub)):
+            out += [os.path.join(dirpath, n) for n in names if n.endswith(".parquet")]
+    return sorted(out)
+
+
+def _assert_url_strictly_ascending(path: str):
+    import pyarrow.parquet as pq
+
+    urls = pq.read_table(path, columns=["url"])["url"].combine_chunks()
+    assert len(urls) > 0, path
+    assert pc.all(pc.less(urls[:-1], urls[1:]), min_count=0).as_py(), path
+
+
+def test_every_written_run_is_url_sorted(tmp_path):
+    """Merge apply, delta apply, resplit and compaction (tiered and full)
+    write their LWW output as-is: each file must still be strictly
+    url-ascending — one row per url, in order — because reads (and a
+    k-way merge of runs) rely on it."""
+    import ray.data as rd
+
+    from docetl_ray.cdc import compact, resplit
+
+    merge = LakeTable(str(tmp_path / "merge"), num_partitions=4)
+    for i in range(2):
+        apply_events(merge, rd.from_arrow(synth.events_table(i * 3000, 3000)), epoch=i)
+    resplit(merge, 8, tag="grow")
+
+    delta = LakeTable(str(tmp_path / "delta"), num_partitions=4)
+    for i in range(4):
+        apply_events(delta, rd.from_arrow(synth.events_table(i * 1500, 1500)),
+                     epoch=i, mode="delta", compact_after=None)
+    compact(delta, tag="tiered", policy="tiered")
+    apply_events(delta, rd.from_arrow(synth.events_table(6000, 1500)),
+                 epoch=4, mode="delta", compact_after=None)
+    compact(delta, tag="full")
+
+    seen = {"epochs": 0, "resplits": 0, "compactions": 0}
+    for root in (merge.root, delta.root):
+        for path in _written_runs(root):
+            _assert_url_strictly_ascending(path)
+            seen[os.path.relpath(path, root).split(os.sep)[0]] += 1
+    assert all(seen.values()), seen
+    _assert_state_matches(_engine_state(delta),
+                          replay_oracle(synth.events_table(0, 7500)))

@@ -2,20 +2,22 @@
 the CDC apply, ``resplit`` and (as its Dataset form
 ``exchange_map_groups``) every keyed operator.
 
-Organised by component: the exchange called directly, the bucketed
-operators built on it (``grouped_map``), and the CDC apply / resplit."""
+Organised by component: the exchange called directly, its map side
+(``map_fn``, run inside the split tasks), the bucketed operators built
+on it (``grouped_map``), and the CDC apply / resplit."""
 
 import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 import ray
 import ray.data as rd
 
 from docetl_ray import synth
 from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
 from docetl_ray.cdc.apply import url_partition
-from docetl_ray.stages.util_ray import exchange_map_groups
+from docetl_ray.stages.util_ray import exchange_map_groups, exchange_refs
 from docetl_ray.util import collect
 
 
@@ -124,6 +126,137 @@ def test_exchange_executes_upstream_once(tmp_path):
     out = collect(exchange_map_groups(ds, "part", 3, _summary()))
     assert sum(out["rows"].to_pylist()) == 1000
     assert _lines(marker) == 4  # one bump per block, one execution
+
+
+# --- the map side: map_fn inside the split tasks ------------------------
+
+
+def _logging_map(log: str, nparts: int, col: str = "k", keep=None):
+    """map_fn that appends ``<task id> <rows> <type>`` to ``log`` per
+    call, then adds ``part = col % nparts`` (and keeps only the rows
+    ``keep`` selects, when given)."""
+    add_part = _with_part(nparts, col)
+
+    def map_fn(batch):
+        with open(log, "a") as f:
+            f.write(f"{ray.get_runtime_context().get_task_id()} {batch.num_rows} "
+                    f"{type(batch).__name__}\n")
+            f.flush()
+            os.fsync(f.fileno())
+        batch = add_part(batch)
+        return batch.filter(keep(batch)) if keep is not None else batch
+
+    return map_fn
+
+
+def _calls(log: str) -> list[tuple[str, int, str]]:
+    with open(log) as f:
+        return [(t, int(n), k) for t, n, k in (line.split() for line in f)]
+
+
+def test_map_fn_runs_once_per_upstream_block(tmp_path):
+    log = str(tmp_path / "calls")
+    t = pa.table({"k": list(range(600)), "v": [f"v{i}" for i in range(600)]})
+    ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 600, 100)])
+    out = ray.get(exchange_refs(ds, "part", 3, _summary(), map_fn=_logging_map(log, 3)))
+    assert sorted(n for _, n, _ in _calls(log)) == [100] * 6
+    assert sum(o["rows"][0].as_py() for o in out) == 600
+    assert all(o["has_part"][0].as_py() and o["ncols"][0].as_py() == 3 for o in out)
+
+
+def test_map_fn_sees_arrow_for_pandas_and_skips_empty_blocks(tmp_path):
+    """Pandas blocks reach map_fn as Arrow tables; zero-row and
+    zero-column blocks (a fully-filtered branch) never reach it, as with
+    ``map_batches``."""
+    import pandas as pd
+
+    log = str(tmp_path / "calls")
+    pdf = rd.from_pandas([pd.DataFrame({"k": range(i, i + 50)}) for i in (0, 50)])
+    t = pa.table({"k": list(range(100, 130))})
+    ds = pdf.union(
+        rd.from_arrow([t, t.slice(0, 0)]),
+        rd.from_arrow(t).filter(lambda r: False),
+    )
+    out = collect(rd.from_arrow_refs(
+        exchange_refs(ds, "part", 4, lambda g: g, map_fn=_logging_map(log, 4))
+    ))
+    calls = _calls(log)
+    assert sorted(n for _, n, _ in calls) == [30, 50, 50]
+    assert {k for _, _, k in calls} == {"Table"}
+    assert sorted(out["k"].to_pylist()) == list(range(130))
+    assert out["part"].to_pylist() == [k % 4 for k in out["k"].to_pylist()]
+
+
+def test_map_fn_filtering_every_row_gives_empty_groups_and_no_cdc_files(tmp_path):
+    from docetl_ray.cdc.apply import _ApplyPartition, partial_apply
+
+    t = pa.table({"k": list(range(200))})
+    ds = rd.from_arrow([t.slice(0, 100), t.slice(100, 100)])
+    drop_all = _logging_map(str(tmp_path / "calls"), 4, keep=lambda b: pc.less(b["k"], -1))
+    out = [o.to_pylist()[0] for o in ray.get(
+        exchange_refs(ds, "part", 4, _summary(), map_fn=drop_all))]
+    assert out == [{"rows": 0, "has_part": True, "ncols": 2}] * 4
+
+    # the CDC reduce on a fully-filtered epoch: every partition's fn runs
+    # on an empty group, returns no lineage and writes nothing
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    ev = synth.events_table(0, 500)
+
+    def none_survive(batch):
+        return partial_apply(batch.slice(0, 0), num_partitions=4)
+
+    applier = _ApplyPartition({}, table.root, 0)
+    lineage = ray.get(exchange_refs(
+        rd.from_arrow([ev.slice(0, 250), ev.slice(250)]), "part", 4, applier,
+        map_fn=none_survive,
+    ))
+    assert lineage == [[]] * 4
+    assert not os.path.exists(os.path.join(table.root, "epochs"))
+
+
+def test_small_input_spreads_map_fn_over_cpus(tmp_path):
+    """Blocks are dealt round-robin to one accumulator per CPU: an
+    8-block input far under the 32 MB chunk target still runs map_fn in
+    as many split tasks as the session has CPUs (4)."""
+    log = str(tmp_path / "calls")
+    t = pa.table({"k": list(range(800))})
+    ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 800, 100)])
+    out = ray.get(exchange_refs(ds, "part", 2, _summary(), map_fn=_logging_map(log, 2)))
+    assert sum(o["rows"][0].as_py() for o in out) == 800
+    calls = _calls(log)
+    assert len(calls) == 8
+    assert len({task for task, _, _ in calls}) >= 4
+
+
+def test_each_cpu_accumulator_launches_at_its_share_of_the_target(tmp_path):
+    """Each of the 4 accumulators launches at 1/4 of the 32 MiB chunk
+    target, so no more than the target waits unlaunched: 32 blocks of
+    2 MiB (16 MiB per accumulator) run in 8 split tasks of 4 blocks,
+    not in 4 tasks flushed at the end."""
+    log = str(tmp_path / "calls")
+    blob = b"x" * (2 << 20)
+    ds = rd.from_arrow([pa.table({"k": [i], "b": [blob]}) for i in range(32)])
+    out = ray.get(exchange_refs(ds, "part", 2, _summary(), map_fn=_logging_map(log, 2)))
+    assert sum(o["rows"][0].as_py() for o in out) == 32
+    tasks = [task for task, _, _ in _calls(log)]
+    assert len(tasks) == 32
+    assert sorted(tasks.count(t) for t in set(tasks)) == [4] * 8
+
+
+def test_map_fn_exception_is_not_retried(tmp_path):
+    """A split task retries only system failures: a map_fn that raises
+    runs once and its error reaches the caller."""
+    log = str(tmp_path / "calls")
+    logged = _logging_map(log, 2)
+
+    def broken(batch):
+        logged(batch)
+        raise ValueError("broken map_fn")
+
+    ds = rd.from_arrow(pa.table({"k": list(range(10))}))
+    with pytest.raises(Exception, match="broken map_fn"):
+        ray.get(exchange_refs(ds, "part", 2, _summary(), map_fn=broken))
+    assert len(_calls(log)) == 1
 
 
 # --- bucketed operators built on it -------------------------------------

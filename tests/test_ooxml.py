@@ -15,10 +15,11 @@ NS_R = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
 
 # -- fixtures ---------------------------------------------------------------
 
-def _write_xlsx(path, *, second_sheet=False):
+def _write_xlsx(path, *, second_sheet=False, active_tab=None):
     """Sheet1: headers (name, score, active) + two data rows with a
     shared string, inline string, int, float, bool and an EMPTY cell.
-    Optional Sheet2 for doc_per_sheet."""
+    Optional Sheet2 for doc_per_sheet; ``active_tab`` writes a
+    ``workbookView activeTab`` (the tab saved as active)."""
     sst = """<?xml version="1.0" encoding="UTF-8" standalone="yes"?>
 <sst xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main" count="4" uniqueCount="4">
 <si><t>name</t></si><si><t>score</t></si><si><t>active</t></si>
@@ -41,9 +42,11 @@ def _write_xlsx(path, *, second_sheet=False):
     if second_sheet:
         sheets_xml += '<sheet name="Extra" sheetId="2" r:id="rId2"/>'
         rels += '<Relationship Id="rId2" Type="x" Target="worksheets/sheet2.xml"/>'
+    views = ("" if active_tab is None else
+             f'<bookViews><workbookView activeTab="{active_tab}"/></bookViews>')
     workbook = f"""<?xml version="1.0" encoding="UTF-8" standalone="yes"?>
 <workbook xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main"
- xmlns:r="{NS_R}"><sheets>{sheets_xml}</sheets></workbook>"""
+ xmlns:r="{NS_R}">{views}<sheets>{sheets_xml}</sheets></workbook>"""
     wb_rels = f"""<?xml version="1.0" encoding="UTF-8" standalone="yes"?>
 <Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">
 {rels}</Relationships>"""
@@ -146,6 +149,28 @@ def test_xlsx_doc_per_sheet(tmp_path):
     assert docs[1] == "k: 7\n"
     # default = active (first) sheet only
     assert xlsx_to_string(f) == [docs[0]]
+
+
+def test_xlsx_single_doc_is_the_saved_active_tab(tmp_path, monkeypatch):
+    """doc_per_sheet=False returns the sheet ``workbookView/@activeTab``
+    names (openpyxl's ``wb.active``), parsing only that one."""
+    import docetl_ray.ooxml as ox
+
+    f = _write_xlsx(tmp_path / "t.xlsx", second_sheet=True, active_tab="1")
+    docs = xlsx_to_string(f, doc_per_sheet=True)
+    seen = []
+    orig = ox._sheet_grid
+
+    def spy(zf, path, sst):
+        seen.append(path)
+        return orig(zf, path, sst)
+
+    monkeypatch.setattr(ox, "_sheet_grid", spy)
+    assert xlsx_to_string(f) == [docs[1]] == ["k: 7\n"]
+    assert seen == ["xl/worksheets/sheet2.xml"]
+    for tab in ("0", "7"):  # explicit first tab; out of range -> first
+        f = _write_xlsx(tmp_path / f"t{tab}.xlsx", second_sheet=True, active_tab=tab)
+        assert xlsx_to_string(f) == [docs[0]]
 
 
 # -- docx -------------------------------------------------------------------
