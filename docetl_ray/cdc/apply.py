@@ -5,8 +5,8 @@ Pipeline shape (streaming, zero-copy Arrow batches)::
 
     events (Dataset: the WAL read, no map operator of its own)
       | exchange_refs("part", _ApplyPartition, map_fn=partial_apply)
-      |   split tasks, dealt upstream blocks as they arrive (one
-      |   accumulator per CPU): partial_apply per block -- extract text,
+      |   split tasks, each given a run of consecutive upstream blocks
+      |   as they arrive: partial_apply per block -- extract text,
       |   drop html, per-batch LWW winners per url, add part col -- then
       |   cut the pre-combined rows by part
       |   reduce task per partition: final LWW merge + base-state merge,
@@ -363,9 +363,11 @@ def apply_events(
     # the pre-combine runs inside the split tasks (map_fn): as a Ray Data
     # map operator in front of the exchange it cost more in scheduling
     # than in work (BASELINE.md round 8).  The lineage rows come straight
-    # from the reduce outputs: wrapping them in a Dataset first
-    # (exchange_map_groups) measured ~0.2 s of fixed cost per epoch on
-    # one CPU
+    # from the reduce outputs: they go to the driver anyway, and the
+    # Dataset form (exchange_map_groups) would add a metadata return per
+    # reduce task.  Its ~0.2 s per epoch measured in round 6 (one CPU)
+    # was mostly from_arrow_refs' metadata task per partition, which
+    # exchange_map_groups now skips
     out = exchange_refs(events, "part", nparts, applier, map_fn=combine)
     lineage = [r for rows in ray.get(out) for r in rows]
     metrics = {

@@ -8,7 +8,7 @@ shuffle-consciously:
 
   shingle/minhash per batch (vectorized numpy)
     -> explode to (band, band_hash, id, sig) rows
-    -> ONE groupby on the band bucket
+    -> ONE keyed exchange on the band bucket (``partitioned_map``)
     -> candidate pairs + signature-estimated Jaccard per bucket
     -> connected components -> canonical id per cluster
 
@@ -996,9 +996,10 @@ def simhash_near_dedup(
     radius agrees on at least one full chunk — so the band-bucket
     candidate generation has FULL recall (deterministic, unlike
     MinHash banding), and the SQL oracle (all pairs with
-    ``bit_count(xor) <= r``) is exact.  One groupby shuffle on the band
-    key; in-bucket verification is a vectorized XOR-popcount; components
-    -> ``output_col`` = min-id representative per row.
+    ``bit_count(xor) <= r``) is exact.  One keyed exchange on the band
+    key (``partitioned_map``); in-bucket verification is a vectorized
+    XOR-popcount; components -> ``output_col`` = min-id representative
+    per row.
 
     ``distributed=True`` runs components as min-label propagation and
     attaches labels with a keyed-shuffle hash join — no driver-side edge

@@ -10,7 +10,8 @@ Jaccard ≥ threshold — deterministic and scalable:
 
     left + right (side-tagged)
       -> minhash bands per row      (map, vectorized)
-      -> ONE groupby on band bucket -> cross-side candidate pairs
+      -> ONE keyed exchange on the band bucket (``partitioned_map``)
+         -> cross-side candidate pairs, deduplicated by a grouped count
       -> texts routed TO the pairs by two keyed-shuffle hash joins
          (never a whole-side broadcast — scales to corpora far larger
          than driver memory)

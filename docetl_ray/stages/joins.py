@@ -219,6 +219,20 @@ def hash_join(
     if r_arrow is None:
         right = right.materialize()
         r_arrow = _ds_arrow_schema(right)
+    if not len(l_arrow) or not len(r_arrow):
+        # a side that ``Dataset.filter`` emptied reaches us as one
+        # zero-column block, so its schema is unknown — but it has no rows
+        side = "left" if not len(l_arrow) else "right"
+        if how == "anti" or (how == "semi" and side == "left"):
+            return left
+        if how == "semi":
+            import ray.data as rd
+
+            return rd.from_arrow(l_arrow.empty_table())
+        raise ValueError(
+            f"hash_join: the {side} side has no columns (an input emptied by "
+            f"Dataset.filter has no schema); pass {side}_schema="
+        )
     left_cols = list(l_arrow.names)
     out_schema, rename = _join_out_schema(l_arrow, r_arrow, on, right_on, how)
     right_cols = [rename.get(c, c) for c in r_arrow.names]

@@ -637,14 +637,45 @@ def llm_reduce(ds, reduce_key, prompt: str, output_schema: dict, *,
     return _groupby_normalized(ds, keys, fn)
 
 
+def _key_runs(t: pa.Table, cols: list[str]) -> list[pa.Table]:
+    """One slice of ``t`` per distinct ``cols`` value, in key order; null
+    keys form their own group and rows keep their order within a group
+    (the sort is stable)."""
+    import pyarrow.compute as pc
+
+    if t.num_rows == 0:
+        return []
+    t = t.take(pc.sort_indices(
+        t, sort_keys=[(c, "ascending") for c in cols], null_placement="at_end"
+    ))
+    starts = np.zeros(t.num_rows, dtype=bool)
+    starts[0] = True
+    for c in cols:
+        col = t[c].combine_chunks()
+        nxt, prev = col.slice(1), col.slice(0, t.num_rows - 1)
+        differs = pc.or_(
+            pc.fill_null(pc.not_equal(nxt, prev), False),
+            pc.not_equal(pc.is_null(nxt), pc.is_null(prev)),
+        )
+        starts[1:] |= differs.to_numpy(zero_copy_only=False)
+    bounds = np.append(np.flatnonzero(starts), t.num_rows)
+    return [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _groupby_normalized(ds, keys: list[str], fn):
-    """``groupby(keys).map_groups(fn)`` that tolerates LIST-valued key
-    columns: the reference normalizes list keys to sorted tuples
-    (``reduce.py:266-270``); here list-typed key columns group on a
-    companion ``__norm_<k>`` json string of the sorted elements (dropped
-    before ``fn`` sees the group, so the original list value is echoed
-    into the output from the first group row as usual)."""
+    """Per-key-group ``fn`` over Arrow groups, through the shared keyed
+    exchange (``grouped._bucketed_exchange``): each bucket task splits
+    its rows into key runs and calls ``fn`` per run.  Arrow end to end —
+    a pandas round trip would turn nullable ints into floats in the
+    rendered prompts.  Tolerates LIST-valued key columns: the reference
+    normalizes list keys to sorted tuples (``reduce.py:266-270``); here
+    list-typed key columns group on a companion ``__norm_<k>`` json
+    string of the sorted elements (dropped before ``fn`` sees the group,
+    so the original list value is echoed into the output from the first
+    group row as usual)."""
     import pyarrow.types as pat
+
+    from .grouped import _bucketed_exchange
 
     schema = None
     try:
@@ -657,27 +688,31 @@ def _groupby_normalized(ds, keys: list[str], fn):
         if schema is not None and isinstance(schema.get(k), pa.DataType)
         and (pat.is_list(schema[k]) or pat.is_large_list(schema[k]))
     ]
-    if not list_keys:
-        return ds.groupby(keys).map_groups(fn, batch_format="pyarrow")
-
     norm_cols = {k: f"__norm_{k}" for k in list_keys}
     group_cols = [norm_cols.get(k, k) for k in keys]
 
-    def add_norm(batch: pa.Table) -> pa.Table:
-        for k, nk in norm_cols.items():
-            vals = [
-                json.dumps(sorted(v, key=repr), default=str) if v is not None else None
-                for v in batch[k].to_pylist()
-            ]
-            batch = batch.append_column(nk, pa.array(vals, pa.string()))
-        return batch
+    if list_keys:
+        def add_norm(batch: pa.Table) -> pa.Table:
+            for k, nk in norm_cols.items():
+                vals = [
+                    json.dumps(sorted(v, key=repr), default=str)
+                    if v is not None else None
+                    for v in batch[k].to_pylist()
+                ]
+                batch = batch.append_column(nk, pa.array(vals, pa.string()))
+            return batch
 
-    def fn_drop(group: pa.Table) -> pa.Table:
-        return fn(group.drop_columns(list(norm_cols.values())))
+        ds = ds.map_batches(add_norm, batch_format="pyarrow")
 
-    fn_drop.__name__ = getattr(fn, "__name__", "llm_reduce")
-    return (
-        ds.map_batches(add_norm, batch_format="pyarrow")
-        .groupby(group_cols)
-        .map_groups(fn_drop, batch_format="pyarrow")
-    )
+    def per_bucket(bucket: pa.Table) -> pa.Table:
+        bucket = bucket.drop_columns(["_gbucket"])
+        outs = [
+            fn(g.drop_columns(list(norm_cols.values())))
+            for g in _key_runs(bucket, group_cols)
+        ]
+        if not outs:
+            return pa.table({})
+        return pa.concat_tables(outs, promote_options="permissive")
+
+    per_bucket.__name__ = getattr(fn, "__name__", "llm_reduce")
+    return _bucketed_exchange(ds, group_cols, 32, per_bucket)

@@ -10,8 +10,9 @@ reference expresses as fold (partial) + merge (final) prompts with
 never concentrates raw rows on one reducer.
 
 ``code_reduce`` mirrors the reference's arbitrary-group UDF path
-(``code_operations.py:76-163``): full groups via ``groupby().map_groups``
-(a real shuffle — use only when the aggregate isn't decomposable), with
+(``code_operations.py:76-163``): full groups via ``grouped_map`` (one
+keyed exchange of the raw rows — use only when the aggregate isn't
+decomposable), with
 ``pass_through`` extras taken from the first group row
 (``reduce.py:349-357``) and the ``_counts_prereduce`` metadata column
 (``reduce.py:343``).
@@ -41,33 +42,68 @@ def _partial_exprs(aggs):
     return cols
 
 
+def _final_exprs(aggs):
+    """``(partial_col, fn)`` pairs that merge the partials (counts sum);
+    Arrow names each merged column ``f"{partial_col}_{fn}"``."""
+    cols = []
+    for _, fn, out in aggs:
+        if fn == "mean":
+            cols += [(f"__{out}_sum", "sum"), (f"__{out}_cnt", "sum")]
+        elif fn in ("sum", "count"):
+            cols.append((f"__{out}_{'sum' if fn == 'sum' else 'cnt'}", "sum"))
+        else:
+            cols.append((f"__{out}_{fn}", fn))
+    return cols
+
+
+def _finish(merged: pa.Table, keys: list[str], aggs) -> pa.Table:
+    """``keys + outputs`` from merged partials; the means finish here."""
+    import pyarrow.compute as pc
+
+    cols = {k: merged[k] for k in keys}
+    for _, fn, out in aggs:
+        if fn == "mean":
+            cols[out] = pc.divide(
+                pc.cast(merged[f"__{out}_sum_sum"], pa.float64()),
+                pc.cast(merged[f"__{out}_cnt_sum"], pa.float64()),
+            )
+        elif fn in ("sum", "count"):
+            cols[out] = merged[f"__{out}_{'sum' if fn == 'sum' else 'cnt'}_sum"]
+        else:
+            cols[out] = merged[f"__{out}_{fn}_{fn}"]
+    return pa.table(cols)
+
+
 def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
                       *, combine: str = "shuffle"):
     """Hash-grouped aggregate with per-batch partial combine.
 
     ``aggs``: list of ``(input_col, fn, output_name)`` with
     fn ∈ {sum,count,min,max,mean}.  Returns a Dataset with columns
-    ``keys + [output_name...]``.
+    ``keys + [output_name...]``, in that order.
 
-    ``combine="shuffle"`` (default) merges partials through Ray's
-    ``groupby().aggregate()`` — right when the GROUP CARDINALITY itself
-    is large (the result must stay distributed).  ``combine="tree"``
-    merges them through a shuffle-free task tree
+    ``combine="shuffle"`` (default) merges partials through the shared
+    keyed exchange (``util_ray.exchange_map_groups``): each split task
+    runs the partial on its blocks and buckets the partial rows on
+    ``hash(keys) % 16`` before partitioning, and each of the 16 reduce
+    tasks merges its bucket with one Arrow ``group_by`` — right when the
+    GROUP CARDINALITY itself is large (the result stays distributed).
+    ``combine="tree"`` merges them through a shuffle-free task tree
     (``util_ray.tree_aggregate``) — right when groups are few (keys ×
-    aggregates fits one block: pricing flags, windows, hourly rollups),
-    where the sort-shuffle's seconds of fixed cost dominate.
+    aggregates fits one block: pricing flags, windows, hourly rollups).
     """
-    from ray.data.aggregate import Max, Min, Sum
+    from .util_ray import bucket_codes, exchange_map_groups, tree_aggregate
 
     for _, fn, _ in aggs:
         if fn not in _PARTIAL_FNS:
             raise ValueError(f"non-decomposable agg {fn}; use code_reduce")
 
     partials = _partial_exprs(aggs)
+    finals = _final_exprs(aggs)
 
     def partial(batch: pa.Table) -> pa.Table:
         uniq = sorted({(c, f) for c, f, _ in partials})
-        agg = batch.group_by(keys).aggregate(uniq)
+        agg = batch.group_by(keys, use_threads=False).aggregate(uniq)
         # arrow names results "{col}_{fn}"; fan out to our partial names
         # (the same (col, fn) may feed several outputs, e.g. sum and mean)
         cols = {k: agg[k] for k in keys}
@@ -75,68 +111,28 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
             cols[name] = agg[f"{c}_{f}"]
         return pa.table(cols)
 
-    partial_ds = ds.map_batches(partial, batch_format="pyarrow")
-
     if combine == "tree":
         import ray.data as rd
 
-        from .util_ray import tree_aggregate
-
-        tree_aggs = []
-        for _, fn, out in aggs:
-            if fn == "mean":
-                tree_aggs.append((f"__{out}_sum", "sum", f"__{out}_sum_f"))
-                tree_aggs.append((f"__{out}_cnt", "sum", f"__{out}_cnt_f"))
-            elif fn in ("sum", "count"):
-                suffix = "sum" if fn == "sum" else "cnt"
-                tree_aggs.append((f"__{out}_{suffix}", "sum", out))
-            else:
-                tree_aggs.append((f"__{out}_{fn}", fn, out))
-        merged = tree_aggregate(partial_ds, keys, tree_aggs)
-        import pyarrow.compute as pc
-
-        for _, fn, out in aggs:
-            if fn == "mean":
-                mean = pc.divide(
-                    pc.cast(merged[f"__{out}_sum_f"], pa.float64()),
-                    pc.cast(merged[f"__{out}_cnt_f"], pa.float64()),
-                )
-                merged = merged.append_column(out, mean).drop_columns(
-                    [f"__{out}_sum_f", f"__{out}_cnt_f"]
-                )
+        merged = tree_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow"), keys,
+            [(c, f, f"{c}_{f}") for c, f in finals],
+        )
+        if merged.num_columns:
+            merged = _finish(merged, keys, aggs)
         return rd.from_arrow(merged)
 
-    final_aggs = []
-    for _, fn, out in aggs:
-        if fn == "mean":
-            final_aggs.append(Sum(f"__{out}_sum", alias_name=f"__{out}_sum_f"))
-            final_aggs.append(Sum(f"__{out}_cnt", alias_name=f"__{out}_cnt_f"))
-        elif fn in ("sum", "count"):
-            suffix = "sum" if fn == "sum" else "cnt"
-            final_aggs.append(Sum(f"__{out}_{suffix}", alias_name=out))
-        elif fn == "min":
-            final_aggs.append(Min(f"__{out}_min", alias_name=out))
-        elif fn == "max":
-            final_aggs.append(Max(f"__{out}_max", alias_name=out))
-    reduced = partial_ds.groupby(keys).aggregate(*final_aggs)
+    def partial_bucket(batch: pa.Table) -> pa.Table:
+        p = partial(batch)
+        b = bucket_codes(p, keys, 16)
+        return p.append_column("_abucket", pa.array(b, pa.int32()))
 
-    mean_outs = [out for _, fn, out in aggs if fn == "mean"]
-    if mean_outs:
-        import pyarrow.compute as pc
+    def merge(group: pa.Table) -> pa.Table:
+        merged = group.group_by(keys, use_threads=False).aggregate(finals)
+        return _finish(merged, keys, aggs)
 
-        def finish(batch: pa.Table) -> pa.Table:
-            for out in mean_outs:
-                mean = pc.divide(
-                    pc.cast(batch[f"__{out}_sum_f"], pa.float64()),
-                    pc.cast(batch[f"__{out}_cnt_f"], pa.float64()),
-                )
-                batch = batch.append_column(out, mean)
-            return batch.drop_columns(
-                [c for out in mean_outs for c in (f"__{out}_sum_f", f"__{out}_cnt_f")]
-            )
-
-        reduced = reduced.map_batches(finish, batch_format="pyarrow")
-    return reduced
+    merge.__name__ = "grouped_aggregate"
+    return exchange_map_groups(ds, "_abucket", 16, merge, map_fn=partial_bucket)
 
 
 def global_aggregate(ds, aggs: list[tuple[str, str, str]]) -> dict:

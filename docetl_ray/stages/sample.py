@@ -78,11 +78,31 @@ def sample_stratified(ds, stratify_cols, n_per_group: int, order_by):
     return grouped_map(ds, stratify_cols, head)
 
 
-def topk(ds, sort_cols, k: int, *, descending: bool = True):
-    """Global top-k: ``sort().limit(k)`` (topk method=embedding/fts head,
-    sample top_* tail).  The sort is a shuffle but limit truncates early."""
+def _topk_table(ds, sort_cols, k: int, descending) -> pa.Table:
+    """Global top-k as one Arrow table in sort order, without a global
+    sort: each block keeps its own top k (one ``map_batches`` call per
+    block), and the driver sorts the at most k × blocks survivors once.
+    k is small by contract.  Ties keep block order, and nulls sort last,
+    as in ``Dataset.sort``."""
+    from .util_ray import collect_small
+
     sort_cols = [sort_cols] if isinstance(sort_cols, str) else list(sort_cols)
-    return ds.sort(sort_cols, descending=descending).limit(k)
+    desc = descending if isinstance(descending, list) else [descending] * len(sort_cols)
+    order = [(c, "descending" if d else "ascending") for c, d in zip(sort_cols, desc)]
+
+    def head(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, sort_keys=order)[:k])
+
+    top = collect_small(ds.map_batches(head, batch_format="pyarrow", batch_size=None))
+    return head(top) if top.num_columns else top
+
+
+def topk(ds, sort_cols, k: int, *, descending=True):
+    """Global top-k in sort order (topk method=embedding/fts head, sample
+    top_* tail).  ``descending``: one flag, or one per sort column."""
+    import ray.data as rd
+
+    return rd.from_arrow(_topk_table(ds, sort_cols, k, descending))
 
 
 def topk_stratified(ds, stratify_cols, sort_col: str, k: int, *, descending: bool = True):
@@ -106,10 +126,9 @@ def rank_topk(ds, sort_cols, k: int, *, descending: bool = True, rank_col: str =
     keep k, emit 1-based ``_rank``.  k is small by contract (the
     reference's rerank budget bounds it), so assigning ranks on the
     driver is O(k)."""
-    top = topk(ds, sort_cols, k, descending=descending)
-    t = pa.Table.from_pandas(top.to_pandas(), preserve_index=False)
     import ray.data as rd
 
+    t = _topk_table(ds, sort_cols, k, descending)
     return rd.from_arrow(
         t.append_column(rank_col, pa.array(np.arange(1, t.num_rows + 1), pa.int64()))
     )
@@ -133,7 +152,7 @@ def top_fts(ds, text_col: str, id_col: str, query: str, k: int, *,
     without materializing a corpus index: pass 1 aggregates document
     frequencies FOR THE QUERY TERMS ONLY (a tiny global aggregate), the
     stats are broadcast, and pass 2 scores each doc per batch ->
-    ``sort(score).limit(k)``."""
+    ``topk(score)``."""
     import re
 
     import numpy as np
@@ -191,7 +210,7 @@ def top_fts(ds, text_col: str, id_col: str, query: str, k: int, *,
         )
 
     scored = ds.map_batches(score, batch_format="pyarrow")
-    return scored.sort(["score", id_col], descending=[True, False]).limit(k)
+    return topk(scored, ["score", id_col], k, descending=[True, False])
 
 
 def sample_outliers_embedding(

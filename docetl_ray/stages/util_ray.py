@@ -246,13 +246,94 @@ def _reduce_group(fn, *shards):
     return fn(group)
 
 
+def _reduce_group_with_meta(fn, *shards):
+    """``_reduce_group`` plus the Ray Data block metadata of its output,
+    computed where the table already is — what ``from_arrow_refs`` would
+    launch one remote task per block to learn."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
+    out = _reduce_group(fn, *shards)
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
+
+
+def _split_phase(ds, part_col: str, nparts: int, schema, map_fn) -> list:
+    """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream the
+    upstream's blocks into split tasks and wait for them.  Returns one
+    row of ``nparts`` shard refs per split task (none for an upstream
+    with no blocks).
+
+    Chunking: consecutive blocks accumulate until they hold 1/ncpus of
+    the byte target, then launch as one split task, so the first split
+    starts early and the bytes not yet launched stay under the target.
+    The remainder at the end is cut into up to ncpus split tasks, so a
+    small input still spreads its map work over the CPUs.  Every split
+    task holds a contiguous run of blocks and the rows keep their order
+    through the split, so each partition reaches ``fn`` in upstream
+    order (the LLM reduce renders a group's rows in that order)."""
+    import ray
+
+    from .joins import _convert_ray_schema
+
+    ncpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    # split tasks retry system failures only: an exception from
+    # ``map_fn`` or the split is deterministic and surfaces at once
+    split = ray.remote(num_returns=nparts, max_retries=3)(_split_by_part)
+    # STREAM the map stage: launch a split task per accumulated chunk of
+    # upstream output as blocks arrive, so split overlaps upstream
+    # execution instead of waiting behind a full materialization
+    # (measured: map 34s + split 37s sequential at 10M events).  The
+    # chunk target starts small (parallelism for small inputs), a chunk
+    # launches at 1/ncpus of it, and it doubles every 2*ncpus launches
+    # so driver-side ref count stays
+    # ~O(nparts * ncpus * log(input_bytes)) — 33k flat refs at 256
+    # blocks x 128 parts was a fixed ~seconds of coordination.
+    split_rows: list = []
+    acc: list = []  # consecutive block refs not yet launched
+    acc_bytes = 0
+    target = 32 << 20
+
+    def launch(blocks):
+        nonlocal target
+        r = split.remote(nparts, part_col, schema, map_fn, *blocks)
+        split_rows.append(r if nparts > 1 else [r])
+        if len(split_rows) % (ncpus * 2) == 0:
+            target *= 2
+
+    # accumulate PER BLOCK, not per bundle: a materialized upstream can
+    # deliver the whole dataset as one ref bundle, and packing it into a
+    # single split task overflows Arrow's int32 string offsets (>2 GiB
+    # concat) besides serializing the split phase
+    for bundle in ds.iter_internal_ref_bundles():
+        if schema is None and map_fn is None and bundle.schema is not None:
+            s = _convert_ray_schema(bundle.schema)
+            schema = s if len(s) else None
+        for block_ref, meta in bundle.blocks:
+            acc.append(block_ref)
+            acc_bytes += meta.size_bytes
+            if acc_bytes * ncpus >= target:
+                launch(acc)
+                acc, acc_bytes = [], 0
+    n = min(ncpus, len(acc))
+    for i in range(n):
+        launch(acc[i * len(acc) // n:(i + 1) * len(acc) // n])
+    if split_rows:
+        # wait for the split phase before the caller launches its reduce
+        # tasks, so the map inputs can be dropped first (bounds peak
+        # object-store footprint to ~2x the exchanged rows)
+        flat = [r for row in split_rows for r in row]
+        ray.wait(flat, num_returns=len(flat), fetch_local=False)
+    return split_rows
+
+
 def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
                   map_fn=None) -> list:
     """Payload-safe keyed exchange: ``groupby(part).map_groups(fn)``
-    expressed as a streaming two-phase task exchange.  The CDC apply,
-    ``resplit`` and (through ``exchange_map_groups``) every keyed
-    operator go through it.  Returns one ObjectRef per partition, each
-    holding ``fn``'s output — none when the upstream has no blocks.
+    expressed as a streaming two-phase task exchange.  The CDC apply and
+    ``resplit`` call it; every keyed operator goes through its Dataset
+    form, ``exchange_map_groups``, which shares the split phase.
+    Returns one ObjectRef per partition, each holding ``fn``'s output —
+    none when the upstream has no blocks.
 
     Why not ``ds.groupby(...)``: Ray Data's sort-based shuffle slices
     map blocks per partition, and a sliced Arrow table serializes its
@@ -276,92 +357,67 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     for splits that see only empty blocks; defaults to the first schema
     the upstream reports, or with a ``map_fn`` to the schema of its
     outputs (the upstream's is not the wire's then).
-
-    Chunking: blocks are dealt round-robin to one accumulator per CPU,
-    and an accumulator launches its split task when it holds
-    1/ncpus of the byte target — so the bytes not yet launched never
-    exceed the target (the first split starts no later than with one
-    accumulator), a small input still spreads its map work over ncpus
-    tasks, and on one CPU this is the single-accumulator rule.
     """
     import ray
 
-    from .joins import _convert_ray_schema
-
-    ncpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    # split tasks retry system failures only: an exception from
-    # ``map_fn`` or the split is deterministic and surfaces at once
-    split = ray.remote(num_returns=nparts, max_retries=3)(_split_by_part)
-    # STREAM the map stage: launch a split task per accumulated chunk of
-    # upstream output as blocks arrive, so split overlaps upstream
-    # execution instead of waiting behind a full materialization
-    # (measured: map 34s + split 37s sequential at 10M events).  The
-    # chunk target starts small (parallelism for small inputs), is
-    # shared by the ncpus accumulators, and doubles every 2*ncpus
-    # launches so driver-side ref count stays
-    # ~O(nparts * ncpus * log(input_bytes)) — 33k flat refs at 256
-    # blocks x 128 parts was a fixed ~seconds of coordination.
-    split_rows: list = []
-    acc = [[] for _ in range(ncpus)]  # block refs, dealt round-robin
-    acc_bytes = [0] * ncpus
-    target = 32 << 20
-
-    def flush(i):
-        nonlocal target
-        if not acc[i]:
-            return
-        r = split.remote(nparts, part_col, schema, map_fn, *acc[i])
-        split_rows.append(r if nparts > 1 else [r])
-        acc[i], acc_bytes[i] = [], 0
-        if len(split_rows) % (ncpus * 2) == 0:
-            target *= 2
-
-    # accumulate PER BLOCK, not per bundle: a materialized upstream can
-    # deliver the whole dataset as one ref bundle, and packing it into a
-    # single split task overflows Arrow's int32 string offsets (>2 GiB
-    # concat) besides serializing the split phase
-    nblocks = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        if schema is None and map_fn is None and bundle.schema is not None:
-            s = _convert_ray_schema(bundle.schema)
-            schema = s if len(s) else None
-        for block_ref, meta in bundle.blocks:
-            i = nblocks % ncpus
-            nblocks += 1
-            acc[i].append(block_ref)
-            acc_bytes[i] += meta.size_bytes
-            if acc_bytes[i] * ncpus >= target:
-                flush(i)
-    for i in range(ncpus):
-        flush(i)
-    if not split_rows:
-        return []  # no blocks at all (fully-empty upstream)
-    # wait for the split phase, then drop the map inputs before reducing
-    # (bounds peak object-store footprint to ~2x the exchanged rows)
-    flat = [r for row in split_rows for r in row]
-    ray.wait(flat, num_returns=len(flat), fetch_local=False)
+    split_rows = _split_phase(ds, part_col, nparts, schema, map_fn)
     del ds
-
     # reduce tasks are deterministic (the CDC reduce writes files
     # atomically), so retrying application exceptions is safe
     reduce = ray.remote(max_retries=3, retry_exceptions=True)(_reduce_group)
     return [
         reduce.remote(fn, *[row[pid] for row in split_rows])
         for pid in range(nparts)
-    ]
+    ] if split_rows else []
+
+
+def _materialized_dataset(refs: list, metadata: list):
+    """A ``MaterializedDataset`` over Arrow table refs whose block
+    metadata is already known — Ray 2.49's ``from_arrow_refs`` minus its
+    one ``get_table_block_metadata_schema`` task per block.  Built from
+    Ray Data internals; ``tests/test_exchange.py`` guards them."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metadata}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(refs, metadata), plan._context)
+    )
 
 
 def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
                         map_fn=None):
     """``exchange_refs`` with ``fn``'s per-partition output tables as a
     Dataset (data never leaves the object store) — the form the
-    operators chain on."""
-    import ray.data as rd
+    operators chain on.  Each reduce task also returns its output's
+    block metadata, so the Dataset costs one task per partition."""
+    import ray
 
-    refs = exchange_refs(ds, part_col, nparts, fn, schema=schema, map_fn=map_fn)
-    if not refs:
-        return rd.from_arrow(schema.empty_table() if schema is not None else pa.table({}))
-    return rd.from_arrow_refs(refs)
+    split_rows = _split_phase(ds, part_col, nparts, schema, map_fn)
+    del ds
+    if not split_rows:
+        from ray.data.block import BlockMetadataWithSchema
+
+        empty = schema.empty_table() if schema is not None else pa.table({})
+        return _materialized_dataset(
+            [ray.put(empty)], [BlockMetadataWithSchema.from_block(empty)]
+        )
+    reduce = ray.remote(num_returns=2, max_retries=3,
+                        retry_exceptions=True)(_reduce_group_with_meta)
+    outs = [
+        reduce.remote(fn, *[row[pid] for row in split_rows])
+        for pid in range(nparts)
+    ]
+    return _materialized_dataset(
+        [table for table, _ in outs], ray.get([meta for _, meta in outs])
+    )
 
 
 def _combine_partials(keys: list, aggs: list, *tabs):
@@ -413,9 +469,9 @@ def tree_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
     remote tasks, fan-in ``fanin`` per level), returning the final table
     to the driver.  ``aggs``: ``(col, arrow_fn, out_name)`` with fn ∈
     {sum, min, max}.  Use when per-block partials are bounded (histogram
-    bins, minmax rows) — a ``groupby().aggregate()`` would pay a full
-    sort-shuffle with seconds of fixed cost per invocation, and at 10^6
-    blocks the tree is O(log_fanin) levels of tiny tasks instead."""
+    bins, minmax rows) — the keyed exchange would pay a split task per
+    chunk plus one reduce task per bucket, and at 10^6 blocks the tree
+    is O(log_fanin) levels of tiny tasks instead."""
     import ray
 
     refs = arrow_refs(ds)

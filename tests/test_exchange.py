@@ -128,6 +128,38 @@ def test_exchange_executes_upstream_once(tmp_path):
     assert _lines(marker) == 4  # one bump per block, one execution
 
 
+def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
+    """The Dataset form is built from the reduce tasks' own block
+    metadata, with no ``from_arrow_refs`` (and its one metadata task per
+    block).  It rests on Ray Data internals, so this is the test to run
+    first after a Ray upgrade: the result must still have one block per
+    partition, the right schema and count, and chain downstream."""
+    t = pa.table({"k": list(range(500)), "v": [f"v{i}" for i in range(500)]})
+    ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 500, 100)])
+    filtered = rd.from_arrow(t).filter(lambda r: False)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("from_arrow_refs called")
+
+    monkeypatch.setattr(rd, "from_arrow_refs", boom)
+    monkeypatch.setattr(rd.read_api, "from_arrow_refs", boom)
+    out = exchange_map_groups(ds, "part", 6, lambda g: g, map_fn=_with_part(6))
+    assert out.num_blocks() == 6
+    assert out.count() == 500
+    assert out.schema().names == ["k", "v", "part"]
+    assert out.schema().types == [pa.int64(), pa.string(), pa.int32()]
+
+    doubled = out.map_batches(
+        lambda b: b.set_column(0, "k", pc.multiply(b["k"], 2)), batch_format="pyarrow"
+    )
+    both = doubled.union(out).materialize()
+    assert both.count() == 1000
+    ks = [k for b in both.iter_batches(batch_format="pyarrow") for k in b["k"].to_pylist()]
+    assert sorted(ks) == sorted(list(range(500)) + [2 * k for k in range(500)])
+
+    assert exchange_map_groups(filtered, "part", 4, lambda g: g).count() == 0
+
+
 # --- the map side: map_fn inside the split tasks ------------------------
 
 
@@ -215,9 +247,9 @@ def test_map_fn_filtering_every_row_gives_empty_groups_and_no_cdc_files(tmp_path
 
 
 def test_small_input_spreads_map_fn_over_cpus(tmp_path):
-    """Blocks are dealt round-robin to one accumulator per CPU: an
-    8-block input far under the 32 MB chunk target still runs map_fn in
-    as many split tasks as the session has CPUs (4)."""
+    """The blocks left at the end are cut into one split task per CPU:
+    an 8-block input far under the 32 MB chunk target still runs map_fn
+    in as many split tasks as the session has CPUs (4)."""
     log = str(tmp_path / "calls")
     t = pa.table({"k": list(range(800))})
     ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 800, 100)])
@@ -229,10 +261,10 @@ def test_small_input_spreads_map_fn_over_cpus(tmp_path):
 
 
 def test_each_cpu_accumulator_launches_at_its_share_of_the_target(tmp_path):
-    """Each of the 4 accumulators launches at 1/4 of the 32 MiB chunk
-    target, so no more than the target waits unlaunched: 32 blocks of
-    2 MiB (16 MiB per accumulator) run in 8 split tasks of 4 blocks,
-    not in 4 tasks flushed at the end."""
+    """A run of consecutive blocks launches at 1/4 of the 32 MiB chunk
+    target on the 4 CPUs, so no more than the target waits unlaunched:
+    32 blocks of 2 MiB run in 8 split tasks of 4 blocks, not in 4 tasks
+    flushed at the end."""
     log = str(tmp_path / "calls")
     blob = b"x" * (2 << 20)
     ds = rd.from_arrow([pa.table({"k": [i], "b": [blob]}) for i in range(32)])
@@ -241,6 +273,17 @@ def test_each_cpu_accumulator_launches_at_its_share_of_the_target(tmp_path):
     tasks = [task for task, _, _ in _calls(log)]
     assert len(tasks) == 32
     assert sorted(tasks.count(t) for t in set(tasks)) == [4] * 8
+
+
+def test_rows_reach_fn_in_upstream_order():
+    """Each split task holds a contiguous run of blocks and the split
+    keeps row order, so a partition reaches fn in upstream order on the
+    4 CPUs too (a round-robin deal interleaved the blocks)."""
+    t = pa.table({"k": list(range(800))})
+    ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 800, 50)])
+    for out in ray.get(exchange_refs(ds, "part", 3, lambda g: g, map_fn=_with_part(3))):
+        ks = out["k"].to_pylist()
+        assert ks == sorted(ks) and len(ks) > 200
 
 
 def test_map_fn_exception_is_not_retried(tmp_path):
@@ -302,6 +345,32 @@ def test_grouped_map_payload_roundtrip():
     assert df["v"].tolist() == [5, 9, 2]
     assert df["txt"].tolist() == ["t0" * 50, "t2" * 50, "t5" * 50]
     assert "_gbucket" not in df.columns
+
+
+def test_operators_run_without_ray_sort_shuffle(monkeypatch):
+    """grouped_aggregate, llm_reduce and topk go through the keyed
+    exchange or per-block work: none of them calls Dataset.groupby or
+    Dataset.sort."""
+    from docetl_ray.stages.llm import llm_reduce
+    from docetl_ray.stages.reduces import grouped_aggregate
+    from docetl_ray.stages.sample import topk
+
+    t = pa.table({"k": [i % 3 for i in range(60)], "v": [float(i) for i in range(60)]})
+    ds = rd.from_arrow([t.slice(i, 20) for i in range(0, 60, 20)])
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Ray sort shuffle called")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", boom)
+    monkeypatch.setattr(rd.Dataset, "sort", boom)
+
+    agg = collect(grouped_aggregate(ds, ["k"], [("v", "sum", "s")]))
+    assert sorted(agg.to_pylist(), key=lambda r: r["k"]) == [
+        {"k": k, "s": float(sum(i for i in range(60) if i % 3 == k))} for k in range(3)
+    ]
+    red = collect(llm_reduce(ds, "k", "{{ inputs | length }}", {"n": "str"}))
+    assert sorted(red["_counts_prereduce"].to_pylist()) == [20, 20, 20]
+    assert collect(topk(ds, "v", 4))["v"].to_pylist() == [59.0, 58.0, 57.0, 56.0]
 
 
 # --- the CDC apply and resplit ------------------------------------------

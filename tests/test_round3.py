@@ -821,29 +821,3 @@ def test_rank_return_all_full_dataset(ray_session):
             and tail_ids[j] < tail_ids[j + 1])
         for j in range(len(tail_ids) - 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# shuffle-free tree combine for small-cardinality aggregates
-# ---------------------------------------------------------------------------
-
-def test_grouped_aggregate_tree_matches_shuffle(ray_session):
-    import ray.data as rd
-    from docetl_ray.stages.reduces import grouped_aggregate
-    from docetl_ray.stages.util_ray import collect_small
-
-    n = 5000
-    t = pa.table({
-        "k": pa.array([f"g{i % 7}" for i in range(n)]),
-        "v": pa.array([float(i % 113) for i in range(n)], pa.float64()),
-    })
-    aggs = [("v", "sum", "s"), ("v", "mean", "m"),
-            ("v", "count", "c"), ("v", "min", "lo"), ("v", "max", "hi")]
-    ds = rd.from_arrow(t).repartition(9)
-    a = collect_small(grouped_aggregate(ds, ["k"], aggs, combine="tree")
-                      ).sort_by([("k", "ascending")])
-    b = collect_small(grouped_aggregate(ds, ["k"], aggs, combine="shuffle")
-                      ).sort_by([("k", "ascending")])
-    assert a.num_rows == 7
-    for col in ("k", "s", "m", "c", "lo", "hi"):
-        assert a[col].to_pylist() == b[col].to_pylist(), col

@@ -2,7 +2,6 @@
 
 import pandas as pd
 import pyarrow as pa
-import pytest
 import ray.data as rd
 
 
@@ -29,39 +28,6 @@ def test_tree_aggregate_count_folds_to_sum(ray_session):
     ds = rd.from_arrow(blocks)
     out = tree_aggregate(ds, ["k"], [("v", "count", "c")], fanin=4)
     assert out["c"].to_pylist() == [20]
-
-
-def test_grouped_aggregate_tree_mean_beyond_fanin(ray_session):
-    """The production combine="tree" path (partial names __out_sum etc.)
-    across >fanin blocks, including a mean agg."""
-    from docetl_ray.stages.reduces import grouped_aggregate
-
-    blocks = [pa.table({"g": ["p", "q"], "x": [float(i), float(i) * 2]})
-              for i in range(100)]
-    ds = rd.from_arrow(blocks)
-    out = grouped_aggregate(ds, ["g"], [("x", "mean", "m"), ("x", "sum", "s")],
-                            combine="tree")
-    tab = out.to_pandas().set_index("g")
-    exp = sum(range(100))
-    assert tab.loc["p", "s"] == pytest.approx(exp)
-    assert tab.loc["q", "s"] == pytest.approx(exp * 2)
-    assert tab.loc["p", "m"] == pytest.approx(exp / 100)
-    assert tab.loc["q", "m"] == pytest.approx(exp * 2 / 100)
-
-
-def test_grouped_aggregate_tree_all_empty(ray_session):
-    """All-empty partials must yield a stable empty schema, not a KeyError
-    in the mean-finishing code (ADVICE: _combine_partials empty case)."""
-    from docetl_ray.stages.reduces import grouped_aggregate
-
-    empty = pa.table({"g": pa.array([], pa.string()),
-                      "x": pa.array([], pa.float64())})
-    ds = rd.from_arrow([empty, empty, empty])
-    out = grouped_aggregate(ds, ["g"], [("x", "mean", "m")], combine="tree")
-    assert out.count() == 0
-    # NB: ray's to_pandas() drops columns on empty datasets; the Dataset
-    # schema is the authoritative check
-    assert set(out.schema().names) >= {"g", "m"}
 
 
 def test_combine_partials_all_empty_pandas_inputs():
