@@ -3,11 +3,12 @@ with the same key and ``right.on <= left.on``.
 
 Ray Data has no temporal join; this is the classic CDC/stream enrichment
 primitive ("state as of the event's timestamp").  Both sides are
-co-partitioned by the ``by`` key through ONE bucketed exchange, then each
-bucket runs pandas' C-level ``merge_asof`` — no per-row Python, no
-per-key task overhead.  Semantics match DuckDB's
-``l ASOF LEFT JOIN r ON l.by = r.by AND l.on >= r.on`` (inclusive), which
-is what the oracle checks.
+co-partitioned by the ``by`` key through ONE two-input keyed exchange
+(each side's split tasks bucket it with that side's function; no side
+column, no union), then each bucket runs pandas' C-level ``merge_asof``
+on its two groups — no per-row Python, no per-key task overhead.
+Semantics match DuckDB's ``l ASOF LEFT JOIN r ON l.by = r.by AND l.on >=
+r.on`` (inclusive), which is what the oracle checks.
 
 Determinism: multiple right rows sharing one ``(by, on)`` are collapsed
 to a single deterministic winner (max over the remaining columns, i.e.
@@ -18,6 +19,7 @@ dedup the right side the same way.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -52,7 +54,7 @@ def asof_join(
     is bounded state, the CDC-enrichment norm).  Pick salt ~ hot-key
     share x num CPUs; stays exact for any value.
     """
-    from .joins import _ds_arrow_schema, _ds_arrow_schema_lazy
+    from .joins import _conform, _ds_arrow_schema, _ds_arrow_schema_lazy
 
     if how not in ("left", "inner"):
         raise ValueError(f"asof_join how={how!r} (want left|inner)")
@@ -71,56 +73,34 @@ def asof_join(
     out_schema = pa.schema(
         list(l_arrow) + [r_arrow.field(n) for n in rvals]
     )
-    unified = pa.schema(list(out_schema) + [pa.field("__side", pa.string())])
+    # the right side carries its by/on keys in the left's types
+    r_wire = pa.schema(
+        [l_arrow.field(by), l_arrow.field(on)] + [r_arrow.field(n) for n in rvals]
+    )
     left_names = list(l_arrow.names)
-
     salt = max(1, int(salt))
+    bucket = pa.field("__bucket", pa.int32())
 
-    def tag(side, names):
-        def fn(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            import pyarrow.compute as pc
+    def left_side(batch: pa.Table) -> pa.Table:
+        t = _conform(batch, l_arrow)
+        b = bucket_codes(t, [by], num_buckets).astype(np.int64) * salt
+        if salt > 1:
+            # left rows split across salt sub-buckets by an on-hash
+            b += bucket_codes(t, [on], salt)
+        return t.append_column(bucket, pa.array(b.astype(np.int32)))
 
-            b = bucket_codes(batch, [by], num_buckets)
-            arrays = []
-            for f in unified:
-                if f.name == "__side":
-                    arrays.append(pa.array([side] * batch.num_rows, pa.string()))
-                elif f.name in names:
-                    arrays.append(pc.cast(batch[f.name], f.type))
-                else:
-                    arrays.append(pa.nulls(batch.num_rows, f.type))
-            out = pa.table(dict(zip(unified.names, arrays)))
-            if salt == 1:
-                return out.append_column("__bucket", pa.array(b, pa.int32()))
-            base = np.asarray(b, dtype=np.int64) * salt
-            if side == "l":
-                # left rows split across salt sub-buckets by an on-hash
-                s = np.asarray(bucket_codes(batch, [on], salt), dtype=np.int64)
-                return out.append_column(
-                    "__bucket", pa.array((base + s).astype(np.int32), pa.int32())
-                )
-            # right rows replicate into every sub-bucket of their key
-            parts = [
-                out.append_column(
-                    "__bucket", pa.array((base + s).astype(np.int32), pa.int32())
-                )
-                for s in range(salt)
-            ]
-            return pa.concat_tables(parts)
+    def right_side(batch: pa.Table) -> pa.Table:
+        t = _conform(batch, r_wire)
+        b = bucket_codes(t, [by], num_buckets).astype(np.int64) * salt
+        # right rows replicate into every sub-bucket of their key
+        return pa.concat_tables([
+            t.append_column(bucket, pa.array((b + s).astype(np.int32)))
+            for s in range(salt)
+        ])
 
-        fn.__name__ = f"asof_tag_{side}"
-        return fn
-
-    lb = left.map_batches(tag("l", left_names), batch_format="pyarrow")
-    rb = right.map_batches(tag("r", [by, on] + rvals), batch_format="pyarrow")
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lmask = pc.equal(group["__side"], "l")
-        l = group.filter(lmask).select(left_names).to_pandas()
-        r = group.filter(pc.invert(lmask)).select([by, on] + rvals).to_pandas()
+    def join_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
+        l = l.select(left_names).to_pandas()
+        r = r.select(r_wire.names).to_pandas()
         if len(r):
             # deterministic winner per (by, on): last after full sort
             r = r.sort_values([by, on] + rvals, kind="mergesort")
@@ -145,8 +125,8 @@ def asof_join(
         ).replace_schema_metadata(None)
 
     join_bucket.__name__ = "asof_join_bucket"
-    unioned = lb.union(rb)
-    wire = pa.schema(list(unified) + [pa.field("__bucket", pa.int32())])
     return exchange_map_groups(
-        unioned, "__bucket", num_buckets * salt, join_bucket, schema=wire
+        (left, right), "__bucket", num_buckets * salt, join_bucket,
+        schema=(l_arrow.append(bucket), r_wire.append(bucket)),
+        map_fn=(left_side, right_side),
     )

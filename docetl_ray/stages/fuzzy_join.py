@@ -606,7 +606,7 @@ def condition_blocked_pairs(
     predicates for the compare stage."""
     import ray
 
-    from .joins import _broadcast_cache_get
+    from .util_ray import broadcast_cached
     from .llm import _safe_eval
     from .util_ray import collect_small
 
@@ -622,7 +622,7 @@ def condition_blocked_pairs(
     del rt, right  # over the table (it would ship with every task)
 
     def block(batch: pa.Table) -> pa.Table:
-        rrows = _broadcast_cache_get(rref)
+        rrows = broadcast_cached(rref)
         out_l, out_r = [], []
         for lrow in batch.to_pylist():
             for rrow in rrows:

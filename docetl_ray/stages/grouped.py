@@ -52,11 +52,16 @@ def _bucketed_exchange(ds, keys: list[str], num_partitions: int, arrow_fn):
     replaces ``ds.groupby``: Ray's sort shuffle slices map blocks, and
     sliced Arrow tables pickle their FULL parent buffers — payload rows
     (texts) would ship ~num_partitions times, plus the sort pays seconds
-    of fixed cost per invocation."""
+    of fixed cost per invocation.  ``keys``: the key columns, or a
+    function of a batch returning ``(batch, key columns)`` when the keys
+    are decided per batch (it runs inside the split tasks too)."""
     from .util_ray import exchange_map_groups
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        b = bucket_codes(batch, keys, num_partitions)
+        cols = keys
+        if callable(keys):
+            batch, cols = keys(batch)
+        b = bucket_codes(batch, cols, num_partitions)
         return batch.append_column("_gbucket", pa.array(b, pa.int32()))
 
     return exchange_map_groups(

@@ -5,16 +5,19 @@ Two physical strategies, chosen by the caller (the reference's blocking
 phase, ``/root/reference/docetl/operations/equijoin.py:253-406``, is the
 analogous candidate-restriction step):
 
-- ``broadcast_join``: the small side is ``ray.put`` ONCE and read
-  zero-copy inside every task (never re-shipped per batch); the probe is
-  a per-batch Arrow/pandas hash join.  No shuffle.  This is the path for
-  dimension tables, id dictionaries (link_resolve), and semi/anti
-  filters.
+- ``broadcast_join``: the small side is ``ray.put`` ONCE, null keys
+  dropped and collisions renamed, and read zero-copy inside every task
+  (never re-shipped per batch); each probe batch calls the join kernel.
+  No shuffle.  This is the path for dimension tables, id dictionaries
+  (link_resolve), and semi/anti filters.
 - ``hash_join``: both sides large — co-partition on ``hash(key) % B``
-  buckets by tagging each side and bucketing through ONE keyed exchange
-  (``util_ray.exchange_map_groups``), then join each bucket's two sides
-  inside its reduce task.
-  Key-collision suffixing mirrors ``equijoin.py:480-483``.
+  through ONE two-input keyed exchange (``util_ray.exchange_map_groups``):
+  each side's split tasks bucket that side, and each bucket's reduce
+  task receives the two sides as separate tables and calls the kernel.
+
+Both call one kernel, ``_join_tables``: Arrow's hash join, with a pandas
+merge only where Acero rejects a column type.  Key-collision suffixing
+mirrors ``equijoin.py:480-483``.
 
 SQL semantics pinned explicitly (they differ from pandas defaults):
 
@@ -32,15 +35,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from .util_ray import bucket_codes
-
-def _broadcast_cache_get(ref):
-    """Per-worker-process cache for ray.put broadcast objects (shared
-    bounded LRU — an unbounded dict pins every ref's plasma object for
-    the worker's lifetime; see util_ray.broadcast_cached)."""
-    from .util_ray import broadcast_cached
-
-    return broadcast_cached(ref)
+from .util_ray import broadcast_cached, bucket_codes
 
 
 def _as_arrow(obj) -> pa.Table:
@@ -94,13 +89,6 @@ def _ds_arrow_schema_lazy(ds) -> pa.Schema | None:
     return _convert_ray_schema(s)
 
 
-def _drop_null_keys(df: pd.DataFrame, keys) -> pd.DataFrame:
-    """SQL: NULL = NULL is not true — null-key build rows never match."""
-    if not len(df):
-        return df
-    return df.dropna(subset=list(keys))
-
-
 def _join_out_schema(l_schema: pa.Schema, r_schema: pa.Schema, on, right_on, how):
     """Output schema + right-side rename map (collision suffixing)."""
     if how in ("semi", "anti"):
@@ -119,6 +107,96 @@ def _join_out_schema(l_schema: pa.Schema, r_schema: pa.Schema, on, right_on, how
     return pa.schema(fields), rename
 
 
+_ARROW_JOIN_TYPE = {
+    "inner": "inner",
+    "left": "left outer",
+    "semi": "left semi",
+    "anti": "left anti",
+}
+
+
+def _conform(batch: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``batch`` as ``schema``: its columns selected in order and cast,
+    a declared column the batch lacks filled with typed nulls."""
+    import pyarrow.compute as pc
+
+    return pa.table({
+        f.name: pc.cast(batch[f.name], f.type) if f.name in batch.column_names
+        else pa.nulls(batch.num_rows, f.type)
+        for f in schema
+    })
+
+
+def _build_side(r: pa.Table, right_on, how, rename) -> pa.Table:
+    """The right (build) side as the join kernel takes it: null-key rows
+    dropped (SQL: NULL = NULL is not true, so they never match),
+    collisions renamed, and only the keys for semi/anti."""
+    import pyarrow.compute as pc
+
+    mask = pc.is_valid(r[right_on[0]])
+    for c in right_on[1:]:
+        mask = pc.and_(mask, pc.is_valid(r[c]))
+    r = r.filter(mask).rename_columns([rename.get(c, c) for c in r.column_names])
+    return r.select([rename.get(c, c) for c in right_on]) if how in ("semi", "anti") else r
+
+
+def _join_tables(l: pa.Table, r: pa.Table, *, on, right_on, how,
+                 out_schema: pa.Schema) -> pa.Table:
+    """The join kernel of both strategies: ``l`` joined with a build side
+    ``r`` that ``_build_side`` prepared (no null keys, collisions already
+    renamed, ``right_on`` naming its keys), cast to ``out_schema``.
+
+    Arrow's hash join, single-threaded (each call runs inside a 1-CPU
+    Ray task; Arrow's pool would oversubscribe the node): no pandas
+    round trip, and null padding stays typed (int64 keys never coerce to
+    float64).  Acero rejects nested (list/struct) and null-typed columns
+    and key pairs of different types; those take a pandas merge."""
+    arrow_ok = not any(
+        pa.types.is_nested(f.type) or pa.types.is_null(f.type)
+        for f in list(l.schema) + list(r.schema)
+    ) and all(l.schema.field(a).type == r.schema.field(b).type
+              for a, b in zip(on, right_on))
+    if arrow_ok:
+        # Arrow's join coalesces ALL keys or none: equal-named keys must
+        # coalesce (else duplicate output names), differently-named right
+        # keys must survive (out_schema carries them).  Rename
+        # equal-named right keys to temps, join with coalesce_keys=False;
+        # the select drops the temps.
+        rk_tmp = {
+            r_name: f"__rk{i}"
+            for i, (l_name, r_name) in enumerate(zip(on, right_on))
+            if l_name == r_name
+        }
+        if rk_tmp:
+            r = r.rename_columns([rk_tmp.get(c, c) for c in r.column_names])
+        out = l.combine_chunks().join(
+            r.combine_chunks(), keys=on, right_keys=[rk_tmp.get(c, c) for c in right_on],
+            join_type=_ARROW_JOIN_TYPE[how], coalesce_keys=how in ("semi", "anti"),
+            use_threads=False,
+        )
+        return out.select(out_schema.names).cast(out_schema)
+    ldf, rdf = l.to_pandas(), r.to_pandas()
+    if how in ("semi", "anti"):
+        keyset = rdf[right_on].drop_duplicates()
+        keyset.columns = on
+        m = ldf.merge(keyset, on=on, how="left", indicator=True)
+        keep = m["_merge"] == ("both" if how == "semi" else "left_only")
+        out = m.loc[keep, list(ldf.columns)]
+    else:
+        out = ldf.merge(rdf, left_on=on, right_on=right_on, how=how, sort=False)
+    return pa.Table.from_pandas(
+        out[out_schema.names], schema=out_schema, preserve_index=False
+    ).replace_schema_metadata(None)
+
+
+def _key_lists(on, right_on):
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on)
+    )
+    return on, right_on
+
+
 def broadcast_join(
     ds,
     small,
@@ -134,40 +212,23 @@ def broadcast_join(
     """
     import ray
 
-    on = [on] if isinstance(on, str) else list(on)
-    right_on = on if right_on is None else (
-        [right_on] if isinstance(right_on, str) else list(right_on)
-    )
+    on, right_on = _key_lists(on, right_on)
     small_tbl = _as_arrow(small)
     out_schema, rename = _join_out_schema(
         _ds_arrow_schema(ds), small_tbl.schema, on, right_on, how
     )
-    small_df = _drop_null_keys(small_tbl.to_pandas(), right_on)
-    if rename:
-        small_df = small_df.rename(columns=rename)
     right_on_u = [rename.get(c, c) for c in right_on]
-    ref = ray.put(small_df)
+    ref = ray.put(_build_side(small_tbl, right_on, how, rename))
 
     # stateless tasks + per-worker-process cache: ray.get of a ray.put
     # object is zero-copy from the local object store and cached below,
     # so the small side is deserialized once per worker, never per batch,
     # and no actor-pool startup is paid.
     def probe(batch: pa.Table) -> pa.Table:
-        small_side = _broadcast_cache_get(ref)
-        left = batch.to_pandas()
-        if how in ("semi", "anti"):
-            keyset = small_side[right_on_u].drop_duplicates()
-            keyset.columns = on
-            m = left.merge(keyset, on=on, how="left", indicator=True)
-            keep = m["_merge"] == ("both" if how == "semi" else "left_only")
-            out = m.loc[keep, list(left.columns)]
-        else:
-            out = left.merge(
-                small_side, left_on=on, right_on=right_on_u, how=how, sort=False
-            )
-        return pa.Table.from_pandas(
-            out[out_schema.names], schema=out_schema, preserve_index=False
-        ).replace_schema_metadata(None)
+        return _join_tables(
+            batch, broadcast_cached(ref), on=on, right_on=right_on_u,
+            how=how, out_schema=out_schema,
+        )
 
     probe.__name__ = "broadcast_probe"
     return ds.map_batches(probe, batch_format="pyarrow")
@@ -186,17 +247,18 @@ def hash_join(
 ):
     """Partitioned hash join of two large Datasets.
 
-    Adds ``__bucket = hash(key) % B`` (vectorized, no per-row Python) to
-    both sides, tags them, unions, and joins each bucket inside one
-    all-to-all exchange.  Skewed keys: raise ``num_buckets`` (splits
-    partitions); a single hot *key* must still colocate, so extreme
-    heads should be broadcast instead.
+    Both sides go through ONE two-input keyed exchange
+    (``util_ray.exchange_map_groups``) on ``hash(key) % B``: each side's
+    split tasks conform its batches to the side's schema and add the
+    bucket (vectorized, no per-row Python), and each bucket's reduce
+    task joins its two groups with the shared kernel.  Skewed keys:
+    raise ``num_buckets`` (splits partitions); a single hot *key* must
+    still colocate, so extreme heads should be broadcast instead.
 
-    The bucket exchange is the compact take()-based task exchange
-    (``util_ray.exchange_map_groups``) — Ray's sort shuffle slices map
-    blocks, and sliced Arrow tables pickle their FULL parent buffers, so
-    payload-bearing joins (text / binary columns) would ship
-    ~num_buckets× through a sort.
+    The exchange is the compact take()-based task exchange — Ray's sort
+    shuffle slices map blocks, and sliced Arrow tables pickle their FULL
+    parent buffers, so payload-bearing joins (text / binary columns)
+    would ship ~num_buckets× through a sort.
 
     ``left_schema`` / ``right_schema``: the input wire schemas.  The join
     needs them up front to pin the output schema; when absent they are
@@ -206,10 +268,7 @@ def hash_join(
     spilling where streaming would fit.  Callers that know their schemas
     (all internal stages do) should pass them.
     """
-    on = [on] if isinstance(on, str) else list(on)
-    right_on = on if right_on is None else (
-        [right_on] if isinstance(right_on, str) else list(right_on)
-    )
+    on, right_on = _key_lists(on, right_on)
 
     l_arrow = left_schema or _ds_arrow_schema_lazy(left)
     r_arrow = right_schema or _ds_arrow_schema_lazy(right)
@@ -233,114 +292,34 @@ def hash_join(
             f"hash_join: the {side} side has no columns (an input emptied by "
             f"Dataset.filter has no schema); pass {side}_schema="
         )
-    left_cols = list(l_arrow.names)
     out_schema, rename = _join_out_schema(l_arrow, r_arrow, on, right_on, how)
-    right_cols = [rename.get(c, c) for c in r_arrow.names]
     right_on_u = [rename.get(c, c) for c in right_on]
-    # wire schema for the unioned exchange: left fields + right-only fields
-    r_fields = {rename.get(n, n): t for n, t in zip(r_arrow.names, r_arrow.types)}
-    unified = list(l_arrow) + [
-        pa.field(n, t) for n, t in r_fields.items() if n not in left_cols
-    ]
-    unified_schema = pa.schema(unified)
+    # the right side conforms with its equal-named keys in the left's types
+    r_conf = pa.schema([
+        l_arrow.field(f.name) if f.name in on and f.name in right_on else f
+        for f in r_arrow
+    ])
+    r_build = _build_side(r_conf.empty_table(), right_on, how, rename).schema
+    bucket = pa.field("__bucket", pa.int32())
 
-    def bucketize(key_cols, side):
-        def fn(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+    def left_side(batch: pa.Table) -> pa.Table:
+        t = _conform(batch, l_arrow)
+        return t.append_column(bucket, pa.array(bucket_codes(t, on, num_buckets)))
 
-            if side == "r":
-                # null build keys can never match any probe row
-                mask = pc.is_valid(batch[key_cols[0]])
-                for c in key_cols[1:]:
-                    mask = pc.and_(mask, pc.is_valid(batch[c]))
-                batch = batch.filter(mask)
-            b = bucket_codes(batch, key_cols, num_buckets)
-            if side == "r":
-                batch = batch.rename_columns(
-                    [rename.get(c, c) for c in batch.column_names]
-                )
-            arrays, names = [], []
-            for f in unified_schema:
-                names.append(f.name)
-                if f.name in batch.column_names:
-                    arrays.append(pc.cast(batch[f.name], f.type))
-                else:
-                    arrays.append(pa.nulls(batch.num_rows, f.type))
-            out = pa.table(dict(zip(names, arrays)))
-            out = out.append_column("__bucket", pa.array(b, pa.int32()))
-            return out.append_column(
-                "__side", pa.array([side] * batch.num_rows, pa.string())
-            )
+    def right_side(batch: pa.Table) -> pa.Table:
+        t = _build_side(_conform(batch, r_conf), right_on, how, rename)
+        return t.append_column(bucket, pa.array(bucket_codes(t, right_on_u, num_buckets)))
 
-        return fn
-
-    lb = left.map_batches(bucketize(on, "l"), batch_format="pyarrow")
-    rb = right.map_batches(bucketize(right_on, "r"), batch_format="pyarrow")
-
-    arrow_jt = {
-        "inner": "inner",
-        "left": "left outer",
-        "semi": "left semi",
-        "anti": "left anti",
-    }[how]
-    # Arrow's join coalesces ALL keys or none: equal-named keys must
-    # coalesce (else duplicate output names), differently-named right
-    # keys must survive (out_schema carries them).  Rename equal-named
-    # right keys to temps, join with coalesce_keys=False, drop temps.
-    rk_tmp = {
-        r_name: f"__rk{i}"
-        for i, (l_name, r_name) in enumerate(zip(on, right_on_u))
-        if l_name == r_name
-    }
-    right_keys_join = [rk_tmp.get(c, c) for c in right_on_u]
-    # acero rejects nested (list/struct) and null-typed payload columns —
-    # those buckets take the pandas-merge path instead
-    arrow_joinable = not any(
-        pa.types.is_nested(f.type) or pa.types.is_null(f.type)
-        for f in unified_schema
-    )
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lmask = pc.equal(group["__side"], "l")
-        if arrow_joinable:
-            # Arrow-native hash join: no pandas round-trip, null padding
-            # stays typed (int64 keys never coerce to float64), and SQL
-            # null-key semantics (null = null is not true) come for
-            # free.  use_threads=False: each bucket runs inside a 1-CPU
-            # Ray task; Arrow's pool would oversubscribe the node.
-            l = group.filter(lmask).select(left_cols).combine_chunks()
-            r = group.filter(pc.invert(lmask)).select(right_cols).combine_chunks()
-            if rk_tmp:
-                r = r.rename_columns([rk_tmp.get(c, c) for c in r.column_names])
-            out = l.join(
-                r, keys=on, right_keys=right_keys_join, join_type=arrow_jt,
-                coalesce_keys=how in ("semi", "anti"), use_threads=False,
-            )
-            return out.select(out_schema.names).cast(out_schema)
-        # split BEFORE pandas conversion so null padding never coerces
-        # a side's int64 keys to float64
-        l = group.filter(lmask).select(left_cols).to_pandas()
-        r = group.filter(pc.invert(lmask)).select(right_cols).to_pandas()
-        if how in ("semi", "anti"):
-            keyset = r[right_on_u].drop_duplicates()
-            keyset.columns = on
-            m = l.merge(keyset, on=on, how="left", indicator=True)
-            keep = m["_merge"] == ("both" if how == "semi" else "left_only")
-            out = m.loc[keep, list(l.columns)]
-        else:
-            out = l.merge(r, left_on=on, right_on=right_on_u, how=how, sort=False)
-        return pa.Table.from_pandas(
-            out[out_schema.names], schema=out_schema, preserve_index=False
-        ).replace_schema_metadata(None)
+    def join_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
+        return _join_tables(
+            l.drop_columns(["__bucket"]), r.drop_columns(["__bucket"]),
+            on=on, right_on=right_on_u, how=how, out_schema=out_schema,
+        )
 
     from .util_ray import exchange_map_groups
 
-    wire_schema = pa.schema(
-        list(unified_schema)
-        + [pa.field("__bucket", pa.int32()), pa.field("__side", pa.string())]
-    )
     return exchange_map_groups(
-        lb.union(rb), "__bucket", num_buckets, join_bucket, schema=wire_schema
+        (left, right), "__bucket", num_buckets, join_bucket,
+        schema=(l_arrow.append(bucket), r_build.append(bucket)),
+        map_fn=(left_side, right_side),
     )

@@ -669,50 +669,40 @@ def _groupby_normalized(ds, keys: list[str], fn):
     a pandas round trip would turn nullable ints into floats in the
     rendered prompts.  Tolerates LIST-valued key columns: the reference
     normalizes list keys to sorted tuples (``reduce.py:266-270``); here
-    list-typed key columns group on a companion ``__norm_<k>`` json
+    a list-typed key column groups on a companion ``__norm_<k>`` json
     string of the sorted elements (dropped before ``fn`` sees the group,
     so the original list value is echoed into the output from the first
-    group row as usual)."""
+    group row as usual).  List keys are detected per batch inside the
+    split tasks, so the upstream runs once: no schema probe."""
     import pyarrow.types as pat
 
     from .grouped import _bucketed_exchange
 
-    schema = None
-    try:
-        s = ds.schema()
-        schema = {n: t for n, t in zip(s.names, s.types)}
-    except Exception:
-        pass
-    list_keys = [
-        k for k in keys
-        if schema is not None and isinstance(schema.get(k), pa.DataType)
-        and (pat.is_list(schema[k]) or pat.is_large_list(schema[k]))
-    ]
-    norm_cols = {k: f"__norm_{k}" for k in list_keys}
-    group_cols = [norm_cols.get(k, k) for k in keys]
+    norm_cols = {k: f"__norm_{k}" for k in keys}
 
-    if list_keys:
-        def add_norm(batch: pa.Table) -> pa.Table:
-            for k, nk in norm_cols.items():
+    def group_cols(t: pa.Table) -> list[str]:
+        return [norm_cols[k] if norm_cols[k] in t.column_names else k for k in keys]
+
+    def add_norm(batch: pa.Table):
+        for k in keys:
+            if pat.is_list(batch[k].type) or pat.is_large_list(batch[k].type):
                 vals = [
                     json.dumps(sorted(v, key=repr), default=str)
                     if v is not None else None
                     for v in batch[k].to_pylist()
                 ]
-                batch = batch.append_column(nk, pa.array(vals, pa.string()))
-            return batch
-
-        ds = ds.map_batches(add_norm, batch_format="pyarrow")
+                batch = batch.append_column(norm_cols[k], pa.array(vals, pa.string()))
+        return batch, group_cols(batch)
 
     def per_bucket(bucket: pa.Table) -> pa.Table:
         bucket = bucket.drop_columns(["_gbucket"])
+        norms = [c for c in norm_cols.values() if c in bucket.column_names]
         outs = [
-            fn(g.drop_columns(list(norm_cols.values())))
-            for g in _key_runs(bucket, group_cols)
+            fn(g.drop_columns(norms)) for g in _key_runs(bucket, group_cols(bucket))
         ]
         if not outs:
             return pa.table({})
         return pa.concat_tables(outs, promote_options="permissive")
 
     per_bucket.__name__ = getattr(fn, "__name__", "llm_reduce")
-    return _bucketed_exchange(ds, group_cols, 32, per_bucket)
+    return _bucketed_exchange(ds, add_norm, 32, per_bucket)

@@ -233,44 +233,59 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
     return out if nparts > 1 else out[0]
 
 
-def _reduce_group(fn, *shards):
-    """Reduce side: concat one partition's shards and run ``fn`` on them,
-    empty groups included.  Shards with no columns come only from an
-    input where no block had a column and no wire schema was known;
-    ``fn`` is not called then."""
-    typed = [t for t in shards if t.num_columns > 0]
-    if not typed:
+def _reduce_group(fn, sizes, schemas, *shards):
+    """Reduce side: concat one partition's shards per input and run
+    ``fn(*groups)``, empty groups included.  ``sizes`` counts each
+    input's shards; an input without shards here (no blocks upstream)
+    gets an empty table of its wire schema.  Shards with no columns come
+    only from an input where no block had a column and no wire schema
+    was known; ``fn`` is not called when that holds for every input."""
+    groups, lo = [], 0
+    for n, schema in zip(sizes, schemas):
+        typed = [t for t in shards[lo:lo + n] if t.num_columns > 0]
+        tabs = [t for t in typed if t.num_rows > 0]
+        lo += n
+        groups.append(
+            pa.concat_tables(tabs, promote_options="permissive") if tabs
+            else typed[0] if typed
+            else schema.empty_table() if schema is not None else pa.table({})
+        )
+    if all(g.num_columns == 0 for g in groups):
         return pa.table({})
-    tabs = [t for t in typed if t.num_rows > 0]
-    group = pa.concat_tables(tabs, promote_options="permissive") if tabs else typed[0]
-    return fn(group)
+    return fn(*groups)
 
 
-def _reduce_group_with_meta(fn, *shards):
+def _reduce_group_with_meta(fn, sizes, schemas, *shards):
     """``_reduce_group`` plus the Ray Data block metadata of its output,
     computed where the table already is — what ``from_arrow_refs`` would
     launch one remote task per block to learn."""
     from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
     stats = BlockExecStats.builder()
-    out = _reduce_group(fn, *shards)
+    out = _reduce_group(fn, sizes, schemas, *shards)
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
-def _split_phase(ds, part_col: str, nparts: int, schema, map_fn) -> list:
-    """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream the
-    upstream's blocks into split tasks and wait for them.  Returns one
-    row of ``nparts`` shard refs per split task (none for an upstream
-    with no blocks).
+def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
+    """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream
+    each input's blocks into split tasks running that input's ``map_fn``
+    and wait for them.  Returns, per input, one row of ``nparts`` shard
+    refs per split task (none for an input with no blocks), and the
+    inputs' wire schemas (None where unknown).
 
-    Chunking: consecutive blocks accumulate until they hold 1/ncpus of
-    the byte target, then launch as one split task, so the first split
-    starts early and the bytes not yet launched stay under the target.
-    The remainder at the end is cut into up to ncpus split tasks, so a
-    small input still spreads its map work over the CPUs.  Every split
-    task holds a contiguous run of blocks and the rows keep their order
-    through the split, so each partition reaches ``fn`` in upstream
-    order (the LLM reduce renders a group's rows in that order)."""
+    Several inputs are pulled in turn, one bundle each, so their Ray
+    Data executions overlap: draining one input before starting the
+    next left the second upstream idle for the whole first split phase.
+
+    Chunking, per input: consecutive blocks accumulate until they hold
+    1/ncpus of the byte target, then launch as one split task, so the
+    first split starts early and the bytes not yet launched stay under
+    the target.  The remainder at the end is cut into up to ncpus split
+    tasks, so a small input still spreads its map work over the CPUs.
+    Every split task holds a contiguous run of blocks and the rows keep
+    their order through the split, so each partition reaches ``fn`` in
+    upstream order (the LLM reduce renders a group's rows in that
+    order)."""
     import ray
 
     from .joins import _convert_ray_schema
@@ -288,42 +303,48 @@ def _split_phase(ds, part_col: str, nparts: int, schema, map_fn) -> list:
     # so driver-side ref count stays
     # ~O(nparts * ncpus * log(input_bytes)) — 33k flat refs at 256
     # blocks x 128 parts was a fixed ~seconds of coordination.
-    split_rows: list = []
-    acc: list = []  # consecutive block refs not yet launched
-    acc_bytes = 0
-    target = 32 << 20
+    schemas = list(schemas)
+    split_rows: list = [[] for _ in inputs]
+    acc: list = [[] for _ in inputs]  # consecutive block refs not yet launched
+    acc_bytes = [0] * len(inputs)
+    target = [32 << 20] * len(inputs)
 
-    def launch(blocks):
-        nonlocal target
-        r = split.remote(nparts, part_col, schema, map_fn, *blocks)
-        split_rows.append(r if nparts > 1 else [r])
-        if len(split_rows) % (ncpus * 2) == 0:
-            target *= 2
+    def launch(i, blocks):
+        r = split.remote(nparts, part_col, schemas[i], map_fns[i], *blocks)
+        split_rows[i].append(r if nparts > 1 else [r])
+        if len(split_rows[i]) % (ncpus * 2) == 0:
+            target[i] *= 2
 
     # accumulate PER BLOCK, not per bundle: a materialized upstream can
     # deliver the whole dataset as one ref bundle, and packing it into a
     # single split task overflows Arrow's int32 string offsets (>2 GiB
     # concat) besides serializing the split phase
-    for bundle in ds.iter_internal_ref_bundles():
-        if schema is None and map_fn is None and bundle.schema is not None:
-            s = _convert_ray_schema(bundle.schema)
-            schema = s if len(s) else None
-        for block_ref, meta in bundle.blocks:
-            acc.append(block_ref)
-            acc_bytes += meta.size_bytes
-            if acc_bytes * ncpus >= target:
-                launch(acc)
-                acc, acc_bytes = [], 0
-    n = min(ncpus, len(acc))
-    for i in range(n):
-        launch(acc[i * len(acc) // n:(i + 1) * len(acc) // n])
-    if split_rows:
+    streams = {i: iter(ds.iter_internal_ref_bundles()) for i, ds in enumerate(inputs)}
+    while streams:
+        for i, stream in list(streams.items()):
+            bundle = next(stream, None)
+            if bundle is None:
+                del streams[i]
+                n = min(ncpus, len(acc[i]))
+                for j in range(n):
+                    launch(i, acc[i][j * len(acc[i]) // n:(j + 1) * len(acc[i]) // n])
+                continue
+            if schemas[i] is None and map_fns[i] is None and bundle.schema is not None:
+                s = _convert_ray_schema(bundle.schema)
+                schemas[i] = s if len(s) else None
+            for block_ref, meta in bundle.blocks:
+                acc[i].append(block_ref)
+                acc_bytes[i] += meta.size_bytes
+                if acc_bytes[i] * ncpus >= target[i]:
+                    launch(i, acc[i])
+                    acc[i], acc_bytes[i] = [], 0
+    flat = [r for rows in split_rows for row in rows for r in row]
+    if flat:
         # wait for the split phase before the caller launches its reduce
         # tasks, so the map inputs can be dropped first (bounds peak
         # object-store footprint to ~2x the exchanged rows)
-        flat = [r for row in split_rows for r in row]
         ray.wait(flat, num_returns=len(flat), fetch_local=False)
-    return split_rows
+    return split_rows, schemas
 
 
 def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
@@ -360,15 +381,18 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     """
     import ray
 
-    split_rows = _split_phase(ds, part_col, nparts, schema, map_fn)
+    split_rows, schemas = _split_phase([ds], part_col, nparts, [schema], [map_fn])
     del ds
+    if not split_rows[0]:
+        return []
     # reduce tasks are deterministic (the CDC reduce writes files
     # atomically), so retrying application exceptions is safe
     reduce = ray.remote(max_retries=3, retry_exceptions=True)(_reduce_group)
+    sizes = [len(rows) for rows in split_rows]
     return [
-        reduce.remote(fn, *[row[pid] for row in split_rows])
+        reduce.remote(fn, sizes, schemas, *[row[pid] for row in split_rows[0]])
         for pid in range(nparts)
-    ] if split_rows else []
+    ]
 
 
 def _materialized_dataset(refs: list, metadata: list):
@@ -397,22 +421,38 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
     """``exchange_refs`` with ``fn``'s per-partition output tables as a
     Dataset (data never leaves the object store) — the form the
     operators chain on.  Each reduce task also returns its output's
-    block metadata, so the Dataset costs one task per partition."""
+    block metadata, so the Dataset costs one task per partition.
+
+    ``ds`` may be a tuple of Datasets, with ``schema`` and ``map_fn``
+    tuples of the same length (None entries allowed): every input goes
+    through split tasks running its own ``map_fn``, each must add
+    ``part_col``, and each reduce task calls ``fn(*groups)`` with one
+    group per input — the repartition join's co-partitioning, with no
+    side column and no union.  An input with no rows in a partition
+    arrives as an empty table of its wire schema.  When no input has a
+    block, the result is an empty Dataset of the first input's schema."""
     import ray
 
-    split_rows = _split_phase(ds, part_col, nparts, schema, map_fn)
-    del ds
-    if not split_rows:
+    inputs, schemas, map_fns = [ds], [schema], [map_fn]
+    if isinstance(ds, tuple):
+        inputs = list(ds)
+        schemas = list(schema or [None] * len(inputs))
+        map_fns = list(map_fn or [None] * len(inputs))
+    split_rows, schemas = _split_phase(inputs, part_col, nparts, schemas, map_fns)
+    del ds, inputs
+    if not any(split_rows):
         from ray.data.block import BlockMetadataWithSchema
 
-        empty = schema.empty_table() if schema is not None else pa.table({})
+        empty = schemas[0].empty_table() if schemas[0] is not None else pa.table({})
         return _materialized_dataset(
             [ray.put(empty)], [BlockMetadataWithSchema.from_block(empty)]
         )
     reduce = ray.remote(num_returns=2, max_retries=3,
                         retry_exceptions=True)(_reduce_group_with_meta)
+    sizes = [len(rows) for rows in split_rows]
     outs = [
-        reduce.remote(fn, *[row[pid] for row in split_rows])
+        reduce.remote(fn, sizes, schemas,
+                      *[row[pid] for rows in split_rows for row in rows])
         for pid in range(nparts)
     ]
     return _materialized_dataset(

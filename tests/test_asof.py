@@ -2,8 +2,17 @@
 
 import numpy as np
 import pyarrow as pa
+import ray.data as rd
 
 from docetl_ray.util import collect
+
+
+def _collect(ds) -> pa.Table:
+    import ray
+
+    tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    return pa.concat_tables(tabs, promote_options="permissive") if tabs \
+        else pa.table({})
 
 
 def _ds(tbl):
@@ -106,3 +115,39 @@ def test_asof_collision_raises():
     right = _ds(_mk([2], [1], [1], [2.0]))  # shares column "v" and "id"
     with pytest.raises(ValueError):
         asof_join(left, right, on="ts", by="k")
+
+
+def test_asof_join_salted_hot_key(ray_session):
+    """salt>1 splits a hot by-key's left rows across sub-tasks while
+    replicating the key's right side — results identical to unsalted."""
+    from docetl_ray.stages.asof import asof_join
+
+    # one hot key carrying 2000 left rows, two cold keys; right side is
+    # bounded per-key state
+    left_rows = (
+        [{"k": "hot", "t": i, "lv": i} for i in range(2000)]
+        + [{"k": "a", "t": i, "lv": 100 + i} for i in range(5)]
+        + [{"k": "b", "t": i, "lv": 200 + i} for i in range(5)]
+    )
+    right_rows = [
+        {"k": k, "t": t, "rv": f"{k}@{t}"}
+        for k in ("hot", "a", "b")
+        for t in (0, 500, 1500)
+    ]
+    left = rd.from_items(left_rows)
+    right = rd.from_items(right_rows)
+
+    base = _collect(asof_join(left, right, on="t", by="k", num_buckets=4))
+    salted = _collect(
+        asof_join(left, right, on="t", by="k", num_buckets=4, salt=4)
+    )
+    key = ["k", "t"]
+    b = base.to_pandas().sort_values(key).reset_index(drop=True)
+    s = salted.to_pandas().sort_values(key).reset_index(drop=True)
+    assert len(b) == len(s) == 2010
+    assert (b["rv"].fillna("") == s["rv"].fillna("")).all()
+    # spot-check the asof semantics on the hot key
+    hot = s[s["k"] == "hot"].set_index("t")["rv"]
+    assert hot.loc[499] == "hot@0"
+    assert hot.loc[500] == "hot@500"
+    assert hot.loc[1999] == "hot@1500"

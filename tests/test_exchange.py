@@ -116,16 +116,25 @@ def test_exchange_text_payload_roundtrip():
     assert out["part"].to_pylist() == [k % 5 for k in range(n)]
 
 
-def test_exchange_executes_upstream_once(tmp_path):
-    marker = str(tmp_path / "execs")
-    ds = (
+@pytest.mark.parametrize("ninputs", [1, 2])
+def test_exchange_executes_upstream_once(tmp_path, ninputs):
+    """Each input's upstream runs once, also when two inputs share the
+    exchange."""
+    markers = [str(tmp_path / f"execs{i}") for i in range(ninputs)]
+    inputs = tuple(
         rd.range(1000, override_num_blocks=4)
-        .map_batches(_counter(marker), batch_format="pyarrow", batch_size=None)
+        .map_batches(_counter(m), batch_format="pyarrow", batch_size=None)
         .map_batches(_with_part(3, "id"), batch_format="pyarrow")
+        for m in markers
     )
-    out = collect(exchange_map_groups(ds, "part", 3, _summary()))
-    assert sum(out["rows"].to_pylist()) == 1000
-    assert _lines(marker) == 4  # one bump per block, one execution
+    summary = _summary()
+    if ninputs == 1:
+        out = collect(exchange_map_groups(inputs[0], "part", 3, summary))
+    else:
+        out = collect(exchange_map_groups(
+            inputs, "part", 3, lambda l, r: summary(pa.concat_tables([l, r]))))
+    assert sum(out["rows"].to_pylist()) == 1000 * ninputs
+    assert [_lines(m) for m in markers] == [4] * ninputs  # one bump per block
 
 
 def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
@@ -275,15 +284,41 @@ def test_each_cpu_accumulator_launches_at_its_share_of_the_target(tmp_path):
     assert sorted(tasks.count(t) for t in set(tasks)) == [4] * 8
 
 
-def test_rows_reach_fn_in_upstream_order():
+def _tagged():
+    """Reduce fn for several inputs: their groups' ``k`` columns, one
+    after the other, with the index of the input each row came from."""
+
+    def tagged(*groups) -> pa.Table:
+        return pa.table({
+            "input": [i for i, g in enumerate(groups) for _ in range(g.num_rows)],
+            "k": [k for g in groups for k in g["k"].to_pylist()],
+            "ncols": [g.num_columns for g in groups for _ in range(g.num_rows)],
+        })
+
+    return tagged
+
+
+@pytest.mark.parametrize("ninputs", [1, 2])
+def test_rows_reach_fn_in_upstream_order(ninputs):
     """Each split task holds a contiguous run of blocks and the split
     keeps row order, so a partition reaches fn in upstream order on the
-    4 CPUs too (a round-robin deal interleaved the blocks)."""
+    4 CPUs too (a round-robin deal interleaved the blocks) — per input
+    when two inputs share the exchange."""
     t = pa.table({"k": list(range(800))})
-    ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 800, 50)])
-    for out in ray.get(exchange_refs(ds, "part", 3, lambda g: g, map_fn=_with_part(3))):
-        ks = out["k"].to_pylist()
-        assert ks == sorted(ks) and len(ks) > 200
+    if ninputs == 1:
+        ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 800, 50)])
+        for out in ray.get(exchange_refs(ds, "part", 3, lambda g: g, map_fn=_with_part(3))):
+            ks = out["k"].to_pylist()
+            assert ks == sorted(ks) and len(ks) > 200
+        return
+    inputs = tuple(
+        rd.from_arrow([t.slice(i, step) for i in range(0, 800, step)]) for step in (50, 100)
+    )
+    out = exchange_map_groups(inputs, "part", 3, _tagged(), map_fn=(_with_part(3),) * 2)
+    for block in ray.get(out.to_arrow_refs()):
+        for i in range(2):
+            ks = block.filter(pc.equal(block["input"], i))["k"].to_pylist()
+            assert ks == sorted(ks) and len(ks) > 200
 
 
 def test_map_fn_exception_is_not_retried(tmp_path):
@@ -300,6 +335,86 @@ def test_map_fn_exception_is_not_retried(tmp_path):
     with pytest.raises(Exception, match="broken map_fn"):
         ray.get(exchange_refs(ds, "part", 2, _summary(), map_fn=broken))
     assert len(_calls(log)) == 1
+
+
+# --- several inputs: one exchange, one group per input -------------------
+
+
+def test_inputs_with_different_schemas_reach_fn_as_separate_groups():
+    a = pa.table({"k": list(range(20)), "s": [f"a{i}" for i in range(20)]})
+    b = pa.table({"k": list(range(0, 40, 2)), "x": [float(i) for i in range(20)],
+                  "y": [True] * 20})
+    def fn(ga: pa.Table, gb: pa.Table) -> pa.Table:
+        return pa.table({
+            "a_names": [",".join(ga.column_names)], "b_names": [",".join(gb.column_names)],
+            "a_rows": [ga.num_rows], "b_rows": [gb.num_rows],
+            "b_keys": [sorted(gb["k"].to_pylist())],
+        })
+
+    out = collect(exchange_map_groups(
+        (rd.from_arrow(a), rd.from_arrow(b)), "part", 4, fn,
+        map_fn=(_with_part(4), _with_part(4)),
+    )).to_pylist()
+    seen = sorted(out, key=lambda r: r["b_keys"])
+    assert len(seen) == 4
+    assert {r["a_names"] for r in seen} == {"k,s,part"}
+    assert {r["b_names"] for r in seen} == {"k,x,y,part"}
+    assert sum(r["a_rows"] for r in seen) == 20 and sum(r["b_rows"] for r in seen) == 20
+    assert all(k % 4 == r["b_keys"][0] % 4 for r in seen for k in r["b_keys"])
+
+
+def test_inputs_without_rows_arrive_as_empty_groups_of_their_schema():
+    """An input with no blocks and one that ``Dataset.filter`` emptied
+    both reach fn as empty tables typed by their wire schemas, next to
+    the input that has rows."""
+    full = rd.from_arrow(pa.table({"k": list(range(12))}))
+    no_blocks = rd.from_items([])
+    filtered = rd.from_arrow(pa.table({"k": [1, 2], "v": ["a", "b"]})).filter(lambda r: False)
+    s_full = pa.schema([("k", pa.int64()), ("part", pa.int32())])
+    s_none = pa.schema([("k", pa.int64()), ("w", pa.float64()), ("part", pa.int32())])
+    s_filt = pa.schema([("k", pa.int64()), ("v", pa.string()), ("part", pa.int32())])
+
+    def fn(*groups) -> pa.Table:
+        return pa.table({
+            "rows": [[g.num_rows for g in groups]],
+            "schemas": [[g.schema.to_string() for g in groups]],
+        })
+
+    out = collect(exchange_map_groups(
+        (full, no_blocks, filtered), "part", 3, fn,
+        schema=(s_full, s_none, s_filt), map_fn=(_with_part(3), None, None),
+    )).to_pylist()
+    assert len(out) == 3
+    assert sorted(r["rows"][0] for r in out) == [4, 4, 4]
+    assert all(r["rows"][1:] == [0, 0] for r in out)
+    want = [s.to_string() for s in (s_full, s_none, s_filt)]
+    assert all(r["schemas"] == want for r in out)
+
+
+def test_two_inputs_single_partition():
+    a = rd.from_arrow(pa.table({"k": list(range(30))}))
+    b = rd.from_arrow(pa.table({"k": list(range(100, 110))}))
+    out = collect(exchange_map_groups((a, b), "part", 1, _tagged(),
+                                      map_fn=(_with_part(1),) * 2))
+    assert out["input"].to_pylist() == [0] * 30 + [1] * 10
+    assert out["k"].to_pylist() == list(range(30)) + list(range(100, 110))
+    assert set(out["ncols"].to_pylist()) == {2}
+
+
+def test_each_input_spreads_its_map_fn_over_cpus(tmp_path):
+    """Every input's blocks go through split tasks running that input's
+    map_fn, cut per input over the session's 4 CPUs."""
+    logs = [str(tmp_path / f"calls{i}") for i in range(2)]
+    t = pa.table({"k": list(range(800))})
+    inputs = tuple(rd.from_arrow([t.slice(i, 100) for i in range(0, 800, 100)])
+                   for _ in logs)
+    out = collect(exchange_map_groups(
+        inputs, "part", 2, _tagged(), map_fn=tuple(_logging_map(log, 2) for log in logs)))
+    assert sorted(out["input"].to_pylist()) == [0] * 800 + [1] * 800
+    tasks = [{task for task, _, _ in _calls(log)} for log in logs]
+    assert [len(_calls(log)) for log in logs] == [8, 8]
+    assert all(len(ts) >= 4 for ts in tasks)
+    assert not tasks[0] & tasks[1]
 
 
 # --- bucketed operators built on it -------------------------------------

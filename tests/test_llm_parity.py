@@ -479,6 +479,35 @@ def test_reduce_list_valued_group_key():
     assert got == {("a", "b"): 2, ("c",): 1}
 
 
+def test_reduce_runs_its_upstream_once(tmp_path):
+    """List-typed keys are found per batch inside the exchange's split
+    tasks: no schema probe runs a non-materialized upstream (behind an
+    llm_map, paid LLM calls) a second time."""
+    import os
+
+    import ray.data as rd
+
+    from docetl_ray.stages.llm import llm_reduce
+
+    marker = str(tmp_path / "calls")
+
+    def bump(t: pa.Table) -> pa.Table:
+        with open(marker, "a") as f:
+            f.write("x\n")
+            f.flush()
+            os.fsync(f.fileno())
+        return t
+
+    t = pa.table({"k": [i % 3 for i in range(40)], "v": list(range(40))})
+    ds = rd.from_arrow([t.slice(i, 10) for i in range(0, 40, 10)]).map_batches(
+        bump, batch_format="pyarrow", batch_size=None
+    )
+    out = _collect(llm_reduce(ds, "k", "{{ inputs | length }}", {"n": "str"}))
+    assert sorted(out["_counts_prereduce"].to_pylist()) == [13, 13, 14]
+    with open(marker) as f:
+        assert len(f.readlines()) == 4
+
+
 def test_map_batch_prompt_with_fallback():
     """batch_prompt answers some items in one call; the rest fall back to
     the per-item prompt (map.py:425-470)."""

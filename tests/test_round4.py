@@ -390,42 +390,6 @@ def test_quantiles_lazy_upstream_single_execution(tmp_path, ray_session):
     assert n_unpinned >= 2 * n_first
 
 
-def test_asof_join_salted_hot_key(ray_session):
-    """salt>1 splits a hot by-key's left rows across sub-tasks while
-    replicating the key's right side — results identical to unsalted."""
-    from docetl_ray.stages.asof import asof_join
-
-    # one hot key carrying 2000 left rows, two cold keys; right side is
-    # bounded per-key state
-    left_rows = (
-        [{"k": "hot", "t": i, "lv": i} for i in range(2000)]
-        + [{"k": "a", "t": i, "lv": 100 + i} for i in range(5)]
-        + [{"k": "b", "t": i, "lv": 200 + i} for i in range(5)]
-    )
-    right_rows = [
-        {"k": k, "t": t, "rv": f"{k}@{t}"}
-        for k in ("hot", "a", "b")
-        for t in (0, 500, 1500)
-    ]
-    left = rd.from_items(left_rows)
-    right = rd.from_items(right_rows)
-
-    base = _collect(asof_join(left, right, on="t", by="k", num_buckets=4))
-    salted = _collect(
-        asof_join(left, right, on="t", by="k", num_buckets=4, salt=4)
-    )
-    key = ["k", "t"]
-    b = base.to_pandas().sort_values(key).reset_index(drop=True)
-    s = salted.to_pandas().sort_values(key).reset_index(drop=True)
-    assert len(b) == len(s) == 2010
-    assert (b["rv"].fillna("") == s["rv"].fillna("")).all()
-    # spot-check the asof semantics on the hot key
-    hot = s[s["k"] == "hot"].set_index("t")["rv"]
-    assert hot.loc[499] == "hot@0"
-    assert hot.loc[500] == "hot@500"
-    assert hot.loc[1999] == "hot@1500"
-
-
 def test_minhash_exact_sparse_matches_dense(ray_session):
     """The sparse broadcast-text verify and the dense keyed-shuffle-join
     verify must produce identical exact-Jaccard pairs."""
