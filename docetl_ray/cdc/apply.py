@@ -8,9 +8,11 @@ Pipeline shape (streaming, zero-copy Arrow batches)::
       |   split tasks, each given a run of consecutive upstream blocks
       |   as they arrive: partial_apply per block -- extract text,
       |   drop html, per-batch LWW winners per url, add part col -- then
-      |   cut the pre-combined rows by part
-      |   reduce task per partition: final LWW merge + base-state merge,
-      |   writes staging parquet, emits a lineage row
+      |   cut the pre-combined rows by part and report each part's bytes
+      |   reduce tasks, each a contiguous run of partitions packed by
+      |   bytes (one task per CPU at least): per partition, final LWW
+      |   merge + base-state merge, writes staging parquet, emits a
+      |   lineage row
       v
     lineage rows (tiny) -> driver -> LakeTable.commit(epoch, ...)  # atomic
 
@@ -365,7 +367,7 @@ def apply_events(
     # than in work (BASELINE.md round 8).  The lineage rows come straight
     # from the reduce outputs: they go to the driver anyway, and the
     # Dataset form (exchange_map_groups) would add a metadata return per
-    # reduce task.  Its ~0.2 s per epoch measured in round 6 (one CPU)
+    # partition.  Its ~0.2 s per epoch measured in round 6 (one CPU)
     # was mostly from_arrow_refs' metadata task per partition, which
     # exchange_map_groups now skips
     out = exchange_refs(events, "part", nparts, applier, map_fn=combine)

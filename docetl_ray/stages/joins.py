@@ -6,8 +6,9 @@ phase, ``/root/reference/docetl/operations/equijoin.py:253-406``, is the
 analogous candidate-restriction step):
 
 - ``broadcast_join``: the small side is ``ray.put`` ONCE, null keys
-  dropped and collisions renamed, and read zero-copy inside every task
-  (never re-shipped per batch); each probe batch calls the join kernel.
+  dropped, and read zero-copy inside every task (never re-shipped per
+  batch); each probe batch renames its collisions and calls the join
+  kernel.
   No shuffle.  This is the path for dimension tables, id dictionaries
   (link_resolve), and semi/anti filters.
 - ``hash_join``: both sides large — co-partition on ``hash(key) % B``
@@ -27,7 +28,9 @@ SQL semantics pinned explicitly (they differ from pandas defaults):
   in left joins — exactly SQL.
 - Output schema is computed ONCE from the input schemas and every batch
   (including empty ones) is cast to it, so a 0-row result still carries
-  the correct column types end-to-end.
+  the correct column types end-to-end.  The one exception is a
+  ``broadcast_join`` whose left schema Ray cannot know without running
+  the left side: each batch's own schema sets its output schema there.
 """
 
 from __future__ import annotations
@@ -214,20 +217,32 @@ def broadcast_join(
 
     on, right_on = _key_lists(on, right_on)
     small_tbl = _as_arrow(small)
-    out_schema, rename = _join_out_schema(
-        _ds_arrow_schema(ds), small_tbl.schema, on, right_on, how
-    )
-    right_on_u = [rename.get(c, c) for c in right_on]
-    ref = ray.put(_build_side(small_tbl, right_on, how, rename))
+    r_schema = small_tbl.schema
+    # collisions are renamed per batch (a zero-copy column rename), so
+    # the broadcast build side does not depend on the left schema
+    ref = ray.put(_build_side(small_tbl, right_on, how, {}))
+
+    def plan(l_schema: pa.Schema):
+        out_schema, rename = _join_out_schema(l_schema, r_schema, on, right_on, how)
+        return out_schema, rename, [rename.get(c, c) for c in right_on]
+
+    # the output schema is pinned from the left schema when Ray knows it
+    # without running ``ds``; otherwise each batch's own schema sets it
+    # (``ds.schema()`` would run part of the upstream a second time)
+    l_arrow = _ds_arrow_schema_lazy(ds)
+    fixed = plan(l_arrow) if l_arrow is not None else None
 
     # stateless tasks + per-worker-process cache: ray.get of a ray.put
     # object is zero-copy from the local object store and cached below,
     # so the small side is deserialized once per worker, never per batch,
     # and no actor-pool startup is paid.
     def probe(batch: pa.Table) -> pa.Table:
+        out_schema, rename, right_on_u = fixed or plan(batch.schema)
+        r = broadcast_cached(ref)
+        if rename:
+            r = r.rename_columns([rename.get(c, c) for c in r.column_names])
         return _join_tables(
-            batch, broadcast_cached(ref), on=on, right_on=right_on_u,
-            how=how, out_schema=out_schema,
+            batch, r, on=on, right_on=right_on_u, how=how, out_schema=out_schema,
         )
 
     probe.__name__ = "broadcast_probe"

@@ -85,12 +85,17 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
     ``combine="shuffle"`` (default) merges partials through the shared
     keyed exchange (``util_ray.exchange_map_groups``): each split task
     runs the partial on its blocks and buckets the partial rows on
-    ``hash(keys) % 16`` before partitioning, and each of the 16 reduce
-    tasks merges its bucket with one Arrow ``group_by`` — right when the
-    GROUP CARDINALITY itself is large (the result stays distributed).
-    ``combine="tree"`` merges them through a shuffle-free task tree
-    (``util_ray.tree_aggregate``) — right when groups are few (keys ×
-    aggregates fits one block: pricing flags, windows, hourly rollups).
+    ``hash(keys) % 16`` before partitioning, and the reduce side merges
+    each bucket with one Arrow ``group_by``, one output block per bucket
+    — right when the GROUP CARDINALITY itself is large (the result stays
+    distributed).  ``combine="tree"`` merges them through a shuffle-free
+    task tree (``util_ray.tree_aggregate``) into ONE block — right when
+    groups are few (keys × aggregates fits one block: pricing flags,
+    windows, hourly rollups).  The exchange packs its buckets into as
+    few reduce tasks as their bytes need (one per CPU at least), so a
+    few-group aggregate costs about the same few tasks either way; the
+    tree still wins when a map follows, which runs over the exchange's
+    16 blocks (BASELINE.md round 11).
     """
     from .util_ray import bucket_codes, exchange_map_groups, tree_aggregate
 

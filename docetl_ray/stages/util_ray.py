@@ -54,6 +54,10 @@ def arrow_refs(ds) -> list:
 
 _CLOSURE_BCAST_THRESHOLD = 4 * 1024 * 1024
 
+# the exchange's bytes per task: where the split phase's chunk target
+# starts, and what the reduce side packs partitions up to (``_pack``)
+_TARGET_BYTES = 32 << 20
+
 
 def closure_broadcast(obj, *, threshold: int = _CLOSURE_BCAST_THRESHOLD):
     """Broadcast ``obj`` to stateless map tasks: returns a zero-arg getter
@@ -195,7 +199,10 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
 
     Ray emits ZERO-COLUMN blocks for fully-filtered upstreams; they are
     skipped, and ``schema`` (the wire schema, when known) types the empty
-    outputs of a split that saw nothing else."""
+    outputs of a split that saw nothing else.
+
+    Returns ``nparts + 1`` objects: the shards, then a list of their
+    ``nbytes``, which the driver packs the reduce side by."""
     import pandas as pd
 
     def arrow(b):
@@ -214,11 +221,11 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
             tabs.append(b)
     if not tabs:
         empty = schema.empty_table() if schema is not None else pa.table({})
-        return [empty] * nparts if nparts > 1 else empty
+        return [empty] * nparts + [[0] * nparts]
     block = pa.concat_tables(tabs, promote_options="permissive") if len(tabs) > 1 else tabs[0]
     empty = block.slice(0, 0).combine_chunks()
     if block.num_rows == 0:
-        return [empty] * nparts if nparts > 1 else empty
+        return [empty] * nparts + [[0] * nparts]
     import pyarrow.compute as pc
 
     idx = pc.sort_indices(block, sort_keys=[(part_col, "ascending")])
@@ -230,7 +237,7 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
         hi = int(np.searchsorted(parts, pid, side="right"))
         out.append(s.take(pa.array(np.arange(lo, hi))) if hi > lo else empty)
         lo = hi
-    return out if nparts > 1 else out[0]
+    return out + [[t.nbytes for t in out]]
 
 
 def _reduce_group(fn, sizes, schemas, *shards):
@@ -266,12 +273,87 @@ def _reduce_group_with_meta(fn, sizes, schemas, *shards):
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
+def _reduce_range(fn, sizes, schemas, with_meta: bool, *shards):
+    """One packed reduce task: ``_reduce_group`` (``with_meta``:
+    ``_reduce_group_with_meta``) for each partition of a contiguous
+    range, in partition order.  ``shards`` holds the range's partitions
+    one after another, ``sum(sizes)`` shards each.  Returns one object
+    per partition (``with_meta``: the tables, then their metadata), as
+    the task's ``num_returns`` separate values."""
+    n = sum(sizes)
+    reduce = _reduce_group_with_meta if with_meta else _reduce_group
+    outs = [reduce(fn, sizes, schemas, *shards[lo:lo + n])
+            for lo in range(0, len(shards), n)]
+    if with_meta:
+        return [t for t, _ in outs] + [m for _, m in outs]
+    return outs if len(outs) > 1 else outs[0]
+
+
+def _pack(nbytes, ncpus: int) -> list:
+    """The reduce side's tasks: contiguous ``(lo, hi)`` partition ranges
+    sized by the bytes each partition received — the "coalesce
+    post-shuffle partitions" rule of Spark's adaptive execution.
+
+    ``k = min(nparts, max(ncpus, ceil(total / _TARGET_BYTES)))`` ranges:
+    at least one per CPU while partitions last, so packing never idles
+    a CPU, and more once the data outgrows one byte target per task.
+    The cuts sit at even cumulative-byte points (``j * total / k``): a
+    partition joins the range its byte midpoint falls in, and a cut
+    that would leave a range empty moves over so every range holds at
+    least one partition.  A partition holding more than ``2 / k`` of the
+    bytes sits in a range of its own: its midpoint lies over ``total /
+    k`` from either neighbour's."""
+    from bisect import bisect_left
+
+    n, total = len(nbytes), sum(nbytes)
+    k = min(n, max(ncpus, -(-total // _TARGET_BYTES)))
+    if not total:  # nothing but empty groups: spread their fn calls evenly
+        nbytes, total = [1] * n, n
+    range_of, acc = [], 0  # the range each partition's midpoint falls in
+    for b in nbytes:
+        range_of.append(min(k - 1, k * (2 * acc + b) // (2 * total)))
+        acc += b
+    cuts = [0]
+    for j in range(1, k):
+        cuts.append(min(max(bisect_left(range_of, j), cuts[-1] + 1), n - k + j))
+    cuts.append(n)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _reduce_phase(fn, split_rows, schemas, packing, with_meta: bool):
+    """Launch one ``_reduce_range`` task per packed range; returns the
+    per-partition output refs in partition order (and, ``with_meta``,
+    their metadata refs).
+
+    A packed task retries as a unit, re-running the partitions it had
+    finished: reduce ``fn``s are deterministic (the CDC reduce writes
+    each partition's file atomically), so retrying application
+    exceptions is safe.  The budget is 3 retries per partition, what a
+    task per partition had."""
+    import ray
+
+    reduce = ray.remote(retry_exceptions=True)(_reduce_range)
+    sizes = [len(rows) for rows in split_rows]
+    tables, metas = [], []
+    for lo, hi in packing:
+        n = hi - lo
+        shards = [row[pid] for pid in range(lo, hi) for rows in split_rows for row in rows]
+        out = reduce.options(
+            num_returns=2 * n if with_meta else n, max_retries=3 * n,
+        ).remote(fn, sizes, schemas, with_meta, *shards)
+        out = out if with_meta or n > 1 else [out]
+        tables += out[:n]
+        metas += out[n:]
+    return tables, metas
+
+
 def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream
     each input's blocks into split tasks running that input's ``map_fn``
     and wait for them.  Returns, per input, one row of ``nparts`` shard
-    refs per split task (none for an input with no blocks), and the
-    inputs' wire schemas (None where unknown).
+    refs per split task (none for an input with no blocks), the inputs'
+    wire schemas (None where unknown), and the reduce side's packing
+    (``_pack`` over the bytes each partition received from all inputs).
 
     Several inputs are pulled in turn, one bundle each, so their Ray
     Data executions overlap: draining one input before starting the
@@ -293,7 +375,7 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     ncpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
     # split tasks retry system failures only: an exception from
     # ``map_fn`` or the split is deterministic and surfaces at once
-    split = ray.remote(num_returns=nparts, max_retries=3)(_split_by_part)
+    split = ray.remote(num_returns=nparts + 1, max_retries=3)(_split_by_part)
     # STREAM the map stage: launch a split task per accumulated chunk of
     # upstream output as blocks arrive, so split overlaps upstream
     # execution instead of waiting behind a full materialization
@@ -305,13 +387,15 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     # blocks x 128 parts was a fixed ~seconds of coordination.
     schemas = list(schemas)
     split_rows: list = [[] for _ in inputs]
+    size_refs: list = []  # each split task's per-partition byte counts
     acc: list = [[] for _ in inputs]  # consecutive block refs not yet launched
     acc_bytes = [0] * len(inputs)
-    target = [32 << 20] * len(inputs)
+    target = [_TARGET_BYTES] * len(inputs)
 
     def launch(i, blocks):
-        r = split.remote(nparts, part_col, schemas[i], map_fns[i], *blocks)
-        split_rows[i].append(r if nparts > 1 else [r])
+        *shards, nbytes = split.remote(nparts, part_col, schemas[i], map_fns[i], *blocks)
+        split_rows[i].append(shards)
+        size_refs.append(nbytes)
         if len(split_rows[i]) % (ncpus * 2) == 0:
             target[i] *= 2
 
@@ -338,13 +422,12 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
                 if acc_bytes[i] * ncpus >= target[i]:
                     launch(i, acc[i])
                     acc[i], acc_bytes[i] = [], 0
-    flat = [r for rows in split_rows for row in rows for r in row]
-    if flat:
-        # wait for the split phase before the caller launches its reduce
-        # tasks, so the map inputs can be dropped first (bounds peak
-        # object-store footprint to ~2x the exchanged rows)
-        ray.wait(flat, num_returns=len(flat), fetch_local=False)
-    return split_rows, schemas
+    # getting the (tiny) byte counts waits for the whole split phase
+    # before the caller launches its reduce tasks, so the map inputs can
+    # be dropped first (bounds peak object-store footprint to ~2x the
+    # exchanged rows)
+    nbytes = [sum(col) for col in zip(*ray.get(size_refs))] or [0] * nparts
+    return split_rows, schemas, _pack(nbytes, ncpus)
 
 
 def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
@@ -360,8 +443,11 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     map blocks per partition, and a sliced Arrow table serializes its
     FULL parent buffers — payload-heavy rows (text/binary columns) ship
     ~nparts times.  Here split tasks cut the upstream's blocks into
-    compact per-partition tables as the blocks arrive (one copy), reduce
-    tasks concat + run ``fn`` per partition, and the results stay in the
+    compact per-partition tables as the blocks arrive (one copy) and
+    report each partition's bytes; the driver packs contiguous
+    partitions into as few reduce tasks as the byte target allows (at
+    least one per CPU, ``_pack``), and each reduce task concats + runs
+    ``fn`` per partition of its range, in order.  The results stay in the
     object store.  The upstream executes exactly once.
 
     ``map_fn``: the map side, run by each split task once per non-empty
@@ -374,25 +460,18 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
 
     ``part_col`` must be an int column in [0, nparts); it reaches ``fn``
     unchanged.  ``fn`` is called once per partition, on an empty group
-    too, and must emit a consistent schema.  ``schema``: the wire schema
-    for splits that see only empty blocks; defaults to the first schema
-    the upstream reports, or with a ``map_fn`` to the schema of its
-    outputs (the upstream's is not the wire's then).
+    too, and must emit a consistent schema; a reduce task that fails
+    re-runs ``fn`` on every partition of its range, so ``fn`` must be
+    deterministic and its writes idempotent.  ``schema``: the wire
+    schema for splits that see only empty blocks; defaults to the first
+    schema the upstream reports, or with a ``map_fn`` to the schema of
+    its outputs (the upstream's is not the wire's then).
     """
-    import ray
-
-    split_rows, schemas = _split_phase([ds], part_col, nparts, [schema], [map_fn])
+    split_rows, schemas, packing = _split_phase([ds], part_col, nparts, [schema], [map_fn])
     del ds
     if not split_rows[0]:
         return []
-    # reduce tasks are deterministic (the CDC reduce writes files
-    # atomically), so retrying application exceptions is safe
-    reduce = ray.remote(max_retries=3, retry_exceptions=True)(_reduce_group)
-    sizes = [len(rows) for rows in split_rows]
-    return [
-        reduce.remote(fn, sizes, schemas, *[row[pid] for row in split_rows[0]])
-        for pid in range(nparts)
-    ]
+    return _reduce_phase(fn, split_rows, schemas, packing, with_meta=False)[0]
 
 
 def _materialized_dataset(refs: list, metadata: list):
@@ -420,13 +499,14 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
                         map_fn=None):
     """``exchange_refs`` with ``fn``'s per-partition output tables as a
     Dataset (data never leaves the object store) — the form the
-    operators chain on.  Each reduce task also returns its output's
-    block metadata, so the Dataset costs one task per partition.
+    operators chain on.  The Dataset has one block per partition, in
+    partition order; each packed reduce task also returns its outputs'
+    block metadata, so the Dataset costs no task beyond the reduce side.
 
     ``ds`` may be a tuple of Datasets, with ``schema`` and ``map_fn``
     tuples of the same length (None entries allowed): every input goes
     through split tasks running its own ``map_fn``, each must add
-    ``part_col``, and each reduce task calls ``fn(*groups)`` with one
+    ``part_col``, and ``fn(*groups)`` is called per partition with one
     group per input — the repartition join's co-partitioning, with no
     side column and no union.  An input with no rows in a partition
     arrives as an empty table of its wire schema.  When no input has a
@@ -438,7 +518,7 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
         inputs = list(ds)
         schemas = list(schema or [None] * len(inputs))
         map_fns = list(map_fn or [None] * len(inputs))
-    split_rows, schemas = _split_phase(inputs, part_col, nparts, schemas, map_fns)
+    split_rows, schemas, packing = _split_phase(inputs, part_col, nparts, schemas, map_fns)
     del ds, inputs
     if not any(split_rows):
         from ray.data.block import BlockMetadataWithSchema
@@ -447,17 +527,8 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
         return _materialized_dataset(
             [ray.put(empty)], [BlockMetadataWithSchema.from_block(empty)]
         )
-    reduce = ray.remote(num_returns=2, max_retries=3,
-                        retry_exceptions=True)(_reduce_group_with_meta)
-    sizes = [len(rows) for rows in split_rows]
-    outs = [
-        reduce.remote(fn, sizes, schemas,
-                      *[row[pid] for rows in split_rows for row in rows])
-        for pid in range(nparts)
-    ]
-    return _materialized_dataset(
-        [table for table, _ in outs], ray.get([meta for _, meta in outs])
-    )
+    tables, metas = _reduce_phase(fn, split_rows, schemas, packing, with_meta=True)
+    return _materialized_dataset(tables, ray.get(metas))
 
 
 def _combine_partials(keys: list, aggs: list, *tabs):
@@ -510,8 +581,8 @@ def tree_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
     to the driver.  ``aggs``: ``(col, arrow_fn, out_name)`` with fn ∈
     {sum, min, max}.  Use when per-block partials are bounded (histogram
     bins, minmax rows) — the keyed exchange would pay a split task per
-    chunk plus one reduce task per bucket, and at 10^6 blocks the tree
-    is O(log_fanin) levels of tiny tasks instead."""
+    chunk plus its reduce tasks, and at 10^6 blocks the tree is
+    O(log_fanin) levels of tiny tasks instead."""
     import ray
 
     refs = arrow_refs(ds)

@@ -2,9 +2,10 @@
 the CDC apply, ``resplit`` and (as its Dataset form
 ``exchange_map_groups``) every keyed operator.
 
-Organised by component: the exchange called directly, its map side
-(``map_fn``, run inside the split tasks), the bucketed operators built
-on it (``grouped_map``), and the CDC apply / resplit."""
+Organised by component: the exchange called directly, its reduce side
+(partitions packed into tasks by bytes), its map side (``map_fn``, run
+inside the split tasks), the bucketed operators built on it
+(``grouped_map``), and the CDC apply / resplit."""
 
 import os
 
@@ -17,7 +18,7 @@ import ray.data as rd
 from docetl_ray import synth
 from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
 from docetl_ray.cdc.apply import url_partition
-from docetl_ray.stages.util_ray import exchange_map_groups, exchange_refs
+from docetl_ray.stages.util_ray import _TARGET_BYTES, _pack, exchange_map_groups, exchange_refs
 from docetl_ray.util import collect
 
 
@@ -167,6 +168,105 @@ def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
     assert sorted(ks) == sorted(list(range(500)) + [2 * k for k in range(500)])
 
     assert exchange_map_groups(filtered, "part", 4, lambda g: g).count() == 0
+
+
+# --- the reduce side: partitions packed into tasks by bytes --------------
+
+MiB = 1 << 20
+
+
+def _pack_count(nbytes, ncpus):
+    return min(len(nbytes), max(ncpus, -(-sum(nbytes) // _TARGET_BYTES)))
+
+
+def _assert_cover(ranges, nparts):
+    assert ranges[0][0] == 0 and ranges[-1][1] == nparts
+    assert all(lo < hi for lo, hi in ranges)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("nbytes, ncpus", [
+    ([MiB] * 16, 1),
+    ([MiB] * 16, 4),
+    ([40 * MiB] * 16, 4),
+    ([200 * MiB] + [0] * 15, 1),
+    ([1, 2, 3], 8),
+    ([7 * MiB], 4),
+])
+def test_pack_ranges_are_contiguous_and_sized_by_bytes(nbytes, ncpus):
+    ranges = _pack(nbytes, ncpus)
+    _assert_cover(ranges, len(nbytes))
+    assert len(ranges) == _pack_count(nbytes, ncpus)
+
+
+def test_pack_holds_its_rule_on_seeded_inputs():
+    """Random byte counts (empty, tiny and over-target partitions):
+    contiguous cover, the task count, and a partition holding more than
+    2/k of the bytes alone in its range."""
+    import random
+
+    rng = random.Random(11)
+    for _ in range(3000):
+        n, ncpus = rng.randint(1, 40), rng.randint(1, 8)
+        nbytes = [rng.choice([0, 1, rng.randint(0, MiB), rng.randint(0, 100 * MiB)])
+                  for _ in range(n)]
+        ranges = _pack(nbytes, ncpus)
+        k, total = _pack_count(nbytes, ncpus), sum(nbytes)
+        _assert_cover(ranges, n)
+        assert len(ranges) == k
+        assert all((p, p + 1) in ranges for p, b in enumerate(nbytes) if b * k > 2 * total)
+
+
+def test_pack_puts_a_partition_bigger_than_the_target_alone():
+    assert _pack([10 * MiB, 40 * MiB, 10 * MiB, 10 * MiB], 1) == [(0, 1), (1, 2), (2, 4)]
+    assert (7, 8) in _pack([MiB] * 7 + [100 * MiB] + [MiB] * 8, 1)
+
+
+def test_pack_zero_bytes():
+    assert _pack([0] * 16, 1) == [(0, 16)]
+    assert _pack([0] * 16, 4) == [(0, 4), (4, 8), (8, 12), (12, 16)]
+    assert _pack([0] * 3, 4) == [(0, 1), (1, 2), (2, 3)]
+
+
+def _logging_reduce(log: str):
+    """Reduce fn appending ``<task id> <rows>`` to ``log`` per call and
+    returning ``part`` (-1 for an empty group) and the row count."""
+
+    def reduce(group: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{ray.get_runtime_context().get_task_id()} {group.num_rows}\n")
+            f.flush()
+            os.fsync(f.fileno())
+        part = group["part"][0].as_py() if group.num_rows else -1
+        return pa.table({"part": [part], "rows": [group.num_rows]})
+
+    return reduce
+
+
+@pytest.mark.parametrize("form", ["refs", "dataset"])
+def test_packed_reduce_keeps_one_output_per_partition(tmp_path, form):
+    """16 partitions on the session's 4 CPUs: ``fn`` runs once per
+    partition (the 4 empty ones included) in fewer than 16 reduce tasks,
+    and output ``i`` (ref ``i``, or block ``i`` of the Dataset) holds
+    partition ``i``'s."""
+    log = str(tmp_path / "calls")
+    keys = [k for k in range(400) if k % 16 < 12]  # partitions 12-15 get no rows
+    t = pa.table({"k": keys, "v": [f"v{k}" for k in keys]})
+    ds = rd.from_arrow([t.slice(i, 60) for i in range(0, len(keys), 60)])
+    if form == "refs":
+        refs = exchange_refs(ds, "part", 16, _logging_reduce(log), map_fn=_with_part(16))
+    else:
+        out = exchange_map_groups(ds, "part", 16, _logging_reduce(log), map_fn=_with_part(16))
+        assert out.num_blocks() == 16
+        refs = out.to_arrow_refs()
+    outs = [o.to_pylist() for o in ray.get(refs)]
+    assert len(outs) == 16
+    rows = [sum(1 for k in keys if k % 16 == pid) for pid in range(16)]
+    assert outs == [[{"part": pid if n else -1, "rows": n}] for pid, n in enumerate(rows)]
+    with open(log) as f:
+        calls = [line.split() for line in f]
+    assert sorted(int(n) for _, n in calls) == sorted(rows)
+    assert 1 < len({task for task, _ in calls}) < 16
 
 
 # --- the map side: map_fn inside the split tasks ------------------------

@@ -21,7 +21,12 @@ def _state(table, include_tombstones=False):
     )
 
 
-def test_apply_survives_injected_task_failures(tmp_path, monkeypatch):
+@pytest.mark.parametrize("num_partitions", [4, 16])
+def test_apply_survives_injected_task_failures(tmp_path, monkeypatch, num_partitions):
+    """Every partition's first attempt fails.  At 16 partitions on the
+    session's 4 CPUs the exchange packs 4 partitions per reduce task,
+    and a packed task retries as a unit, so it needs one retry per
+    partition it holds."""
     import ray.data as rd
 
     from docetl_ray.testing import PoisonedApplier
@@ -33,12 +38,12 @@ def test_apply_survives_injected_task_failures(tmp_path, monkeypatch):
         return PoisonedApplier(ref, root, epoch, mode, poison_dir=str(poison))
 
     monkeypatch.setattr(apply_mod, "_ApplyPartition", patched)
-    table = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=num_partitions)
     ev = synth.events_table(0, 2000)
     apply_events(table, rd.from_arrow(ev), epoch=0)
 
     # every partition failed once and was retried
-    assert len(list(poison.iterdir())) == 4
+    assert len(list(poison.iterdir())) == num_partitions
     oracle = replay_oracle(ev)
     engine = _state(table)
     assert engine["lsn"].to_pylist() == oracle["lsn"].to_pylist()

@@ -158,3 +158,34 @@ def test_joins_need_no_union(monkeypatch):
         {"id": 1, "t": 5, "s": "a"}, {"id": 1, "t": 15, "s": "b"},
         {"id": 2, "t": 5, "s": None},
     ]
+
+
+def _counting_map(marker: str):
+    """Identity map appending one line per call to ``marker``.  (Built in
+    a factory: Ray pickles module-level test functions by reference.)"""
+
+    def bump(t: pa.Table) -> pa.Table:
+        with open(marker, "a") as f:
+            f.write("x\n")
+        return t
+
+    return bump
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+def test_broadcast_join_runs_its_upstream_once(tmp_path, how):
+    """Behind a map Ray cannot know the left schema without running it;
+    the join then takes its output schema from each batch instead of
+    probing ``ds.schema()``, which ran part of the upstream twice.  Over
+    4 blocks the map runs 4 times, and the rows still match DuckDB."""
+    from docetl_ray.stages.joins import broadcast_join
+
+    marker = str(tmp_path / "calls")
+    lt = BL.drop_columns(["tags"])
+    ds = rd.from_arrow([lt.slice(0, 2), lt.slice(2, 2), lt.slice(4, 1), lt.slice(5)])
+    ds = ds.map_batches(_counting_map(marker), batch_format="pyarrow", batch_size=None)
+    got, want = collect(broadcast_join(ds, BS, on="id", how=how)), _duckdb(lt, BS, how)
+    with open(marker) as f:
+        assert len(f.readlines()) == 4
+    assert got.column_names == want.column_names
+    assert _rows(got) == _rows(want)
