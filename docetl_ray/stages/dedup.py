@@ -7,9 +7,15 @@ reference's LLM ``resolve``; same role as its embedding blocking,
 shuffle-consciously:
 
   shingle/minhash per batch (vectorized numpy)
-    -> explode to (band, band_hash, id, sig) rows
+    -> explode to (band bucket, id) rows
     -> ONE keyed exchange on the band bucket (``partitioned_map``)
-    -> candidate pairs + signature-estimated Jaccard per bucket
+       -> candidate pairs per bucket
+    -> verify: signature-estimated Jaccard (``verify="broadcast"`` /
+       ``"shuffle"``), or the exact candidate-pair pipeline shared with
+       ``fuzzy_join`` (``verify="exact"``): ``_distinct_pairs`` ->
+       estimate prefilter -> ``_verify_text_pairs`` (true char-k-gram
+       Jaccard, ``_pair_jaccard``), each step on the driver under its
+       size bound and through keyed exchanges above it
     -> connected components -> canonical id per cluster
 
 Connected components: candidate edges after thresholding are a tiny
@@ -29,15 +35,6 @@ import pandas as pd
 import pyarrow as pa
 
 _MERSENNE = (1 << 61) - 1
-
-def _broadcast_sig_cache(ref):
-    """Per-worker-process cache for the broadcast signature map (the
-    shared bounded LRU — an unbounded dict pins every repeat's plasma
-    object forever and degrades the whole session; see util_ray)."""
-    from .util_ray import broadcast_cached
-
-    return broadcast_cached(ref)
-
 
 def _perm_params(num_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.RandomState(seed)  # fixed seed: signatures are pinned
@@ -179,23 +176,15 @@ def _bucket_pair_indices(
     return np.concatenate(xs), np.concatenate(ys), n_capped
 
 
-def jaccard_ngram(a: str, b: str, k: int = 5) -> float:
-    """Exact char-k-gram Jaccard (the verification metric)."""
-    sa, sb = set(shingles(a, k).tolist()), set(shingles(b, k).tolist())
-    if not sa and not sb:
-        return 1.0
-    inter = len(sa & sb)
-    return inter / (len(sa) + len(sb) - inter)
-
-
 def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float, *,
-                  left_schema=None, name: str = "minhash_est_join"):
+                  name: str = "minhash_est_join"):
     """Signature-estimated Jaccard per pair with the signatures routed
     TO the pairs by two keyed-shuffle hash joins — no driver-side
     id->signature map, so the path has no corpus-size ceiling.  Returns
     ``(id_a, id_b, est_jaccard)`` filtered to ``est_jaccard >= thr``.
     Shared by ``verify="shuffle"`` (thr = threshold) and the
-    ``verify="exact"`` prefilter (thr = threshold - margin)."""
+    ``verify="exact"`` prefilter above ``_DRIVER_PAIRS`` (thr = threshold
+    - margin)."""
     from .joins import _ds_arrow_schema_lazy, hash_join
 
     def ren(suffix):
@@ -210,8 +199,7 @@ def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float, *,
     sig_schema = _ds_arrow_schema_lazy(sig_ds)  # materialized -> cheap
     idt = sig_schema.field(id_col).type
     sigt = sig_schema.field("_sig").type
-    if left_schema is None:
-        left_schema = pa.schema([("id_a", idt), ("id_b", idt)])
+    left_schema = pa.schema([("id_a", idt), ("id_b", idt)])
     with_a = hash_join(
         pairs_ds, sig_ds.map_batches(ren("a"), batch_format="pyarrow"),
         on="id_a", right_on="_sida",
@@ -245,6 +233,274 @@ def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float, *,
     return with_ab.map_batches(est_pair, batch_format="pyarrow")
 
 
+# Candidate-pair verification, shared by ``minhash_candidates(verify=
+# "exact")`` and ``fuzzy_join``: the distinct pairs, then the exact
+# shingle Jaccard of their texts.  Under each bound the step runs on the
+# driver (only pair ids, then the pair-touched texts, are collected);
+# above it, through keyed exchanges.  The text bound is driver memory:
+# up to twice as many texts as pairs are collected, so it assumes ~KB
+# texts.
+_DRIVER_PAIRS = 2_000_000  # raw candidate pairs deduplicated on the driver
+_SPARSE_TEXT_PAIRS = 100_000  # distinct pairs verified on the driver
+
+
+def _pair_jaccard(ids_a, ids_b, texts_a, texts_b, k: int, *,
+                  same: bool = False) -> np.ndarray:
+    """Exact char-k-gram Jaccard of each pair (both shingle sets empty ->
+    1.0).  Each distinct id is shingled once per call — hot docs sit in
+    many candidate pairs; ``same`` shares one cache between the sides
+    when their ids name the same documents."""
+    cache_a: dict = {}
+    cache_b = cache_a if same else {}
+    out = np.empty(len(ids_a), dtype=np.float64)
+    for n, (ia, ib, ta, tb) in enumerate(zip(ids_a, ids_b, texts_a, texts_b)):
+        sa = cache_a.get(ia)
+        if sa is None:
+            sa = cache_a[ia] = set(shingles(ta or "", k).tolist())
+        sb = cache_b.get(ib)
+        if sb is None:
+            sb = cache_b[ib] = set(shingles(tb or "", k).tolist())
+        inter = len(sa & sb)
+        union = len(sa) + len(sb) - inter
+        out[n] = inter / union if union else 1.0
+    return out
+
+
+def jaccard_ngram(a: str, b: str, k: int = 5) -> float:
+    """Exact char-k-gram Jaccard (the verification metric)."""
+    return float(_pair_jaccard((0,), (0,), (a,), (b,), k)[0])
+
+
+def _distinct_pairs(cand):
+    """The distinct ``(id_a, id_b)`` rows of a candidate-pair Dataset (a
+    pair surfaces once per LSH band it collides in).  Up to
+    ``_DRIVER_PAIRS`` raw pairs are collected (ids only) and deduplicated
+    on the driver into an Arrow table; more go through one
+    ``partitioned_map`` exchange into a materialized Dataset."""
+    from .util_ray import collect_small
+
+    cand = cand.materialize()
+    if cand.count() <= _DRIVER_PAIRS:
+        t = collect_small(cand)
+        if t.num_rows == 0:
+            return t
+        return t.group_by(["id_a", "id_b"], use_threads=False).aggregate([])
+
+    from .grouped import partitioned_map
+
+    def distinct_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates(subset=["id_a", "id_b"])
+
+    return partitioned_map(cand, ["id_a", "id_b"], distinct_pairs).materialize()
+
+
+def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
+    """The distinct pairs whose signature-estimated Jaccard is at least
+    ``thr``, in the form ``_distinct_pairs`` returned them.  A driver
+    table is filtered on the driver against the signatures of exactly the
+    ids it touches (one map-only pass fetches them: O(pairs), never
+    O(corpus)); a Dataset gets the signatures routed to it by
+    ``_sig_est_join`` (and keeps its ``est_jaccard`` column)."""
+    if not isinstance(pairs, pa.Table):
+        return _sig_est_join(
+            pairs, sig_ds, id_col, thr, name="minhash_exact_prefilter"
+        ).materialize()
+    if pairs.num_rows == 0:
+        return pairs
+    import pyarrow.compute as pc
+
+    from .util_ray import closure_broadcast, collect_small
+
+    # sorted once so per-batch membership below is a searchsorted —
+    # pc.is_in would rebuild its hash set from the value_set on EVERY
+    # corpus batch, and a bare closure over a multi-MB array would ship
+    # per task instead of once per worker
+    need_np = np.sort(pc.unique(pa.chunked_array(
+        pairs["id_a"].chunks + pairs["id_b"].chunks
+    )).to_numpy(zero_copy_only=False))
+    get_need = closure_broadcast(need_np)
+
+    def pick_sigs(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        need = get_need()
+        # drop null ids FIRST: a None inside an object array makes
+        # searchsorted raise, and a null in an int64 column degrades
+        # to_numpy to float64, breaking bit-exact id comparison past 2^53
+        batch = batch.filter(pc.is_valid(batch[id_col]))
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        if not len(ids):
+            t = batch
+        else:
+            ix = np.minimum(np.searchsorted(need, ids), len(need) - 1)
+            t = batch.filter(pa.array(np.asarray(need[ix] == ids, dtype=bool)))
+        return pa.table({"_pid": t[id_col], "_psig": t["_sig"]})
+
+    pick_sigs.__name__ = "minhash_pick_pair_sigs"
+    small_sig = collect_small(sig_ds.map_batches(pick_sigs, batch_format="pyarrow"))
+    sig_mat = (
+        pc.list_flatten(small_sig["_psig"].combine_chunks())
+        .to_numpy(zero_copy_only=False)
+        .reshape(small_sig.num_rows, num_perm)
+    )
+    # id -> sig_mat row, LAST-wins on duplicate ids (the corpus id_col
+    # isn't guaranteed unique; a plain pd.Index would raise
+    # InvalidIndexError from get_indexer on duplicates)
+    pos = pd.Series(np.arange(small_sig.num_rows),
+                    index=small_sig["_pid"].to_pylist())
+    pos = pos[~pos.index.duplicated(keep="last")]
+    row_of, row_map = pos.index, pos.to_numpy()
+    ids_a = pairs["id_a"].to_numpy(zero_copy_only=False)
+    ids_b = pairs["id_b"].to_numpy(zero_copy_only=False)
+    keep = np.empty(pairs.num_rows, dtype=bool)
+    # column-wise accumulation into PREALLOCATED buffers: a full (pairs,
+    # num_perm) fancy-index gather allocates O(pairs x num_perm x 8 B) of
+    # fresh pages, and first-touch page-fault cost dominated the
+    # vectorized compare by 30-50x (2.4-4.5 s vs 0.09 s for 155k pairs on
+    # one host); per-perm int64 ``np.take(..., out=)`` keeps the working
+    # set at O(pairs) whatever num_perm is, and chunking bounds that too
+    for lo in range(0, len(ids_a), 1_000_000):
+        ch_a, ch_b = ids_a[lo:lo + 1_000_000], ids_b[lo:lo + 1_000_000]
+        ra, rb = row_of.get_indexer(ch_a), row_of.get_indexer(ch_b)
+        if (ra < 0).any() or (rb < 0).any():
+            # -1 would silently np.take the LAST row's signature
+            missing = set(ch_a[ra < 0]) | set(ch_b[rb < 0])
+            raise KeyError(
+                f"minhash exact prefilter: pair ids missing from "
+                f"signature table: {sorted(missing)[:5]}"
+            )
+        ra, rb = row_map[ra], row_map[rb]
+        n_ch = len(ra)
+        acc = np.zeros(n_ch, dtype=np.int32)
+        eq = np.empty(n_ch, dtype=bool)
+        ca = np.empty(n_ch, dtype=np.int64)
+        cb = np.empty(n_ch, dtype=np.int64)
+        for j in range(num_perm):
+            col = sig_mat[:, j]
+            np.take(col, ra, out=ca)
+            np.take(col, rb, out=cb)
+            np.equal(ca, cb, out=eq)
+            acc += eq
+        keep[lo:lo + n_ch] = acc >= thr * num_perm - 1e-9
+    return pairs.filter(pa.array(keep))
+
+
+def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
+                       names, schemas=(None, None)):
+    """The distinct candidate pairs whose texts' exact char-k-gram
+    Jaccard is at least ``threshold``, as a Dataset with columns
+    ``names`` = (id_a, id_b, Jaccard) — ``id_a`` naming a ``left`` row
+    and ``id_b`` a ``right`` row.
+
+    ``left`` / ``right`` are ``(Dataset, id column, text column)`` and
+    ``schemas`` their wire schemas (None: inferred lazily when Ray can;
+    unknown ids type the empty result as int64).  ``pairs`` is an Arrow
+    table or a materialized Dataset of ``(id_a, id_b)`` (other columns
+    are ignored).  Up to
+    ``_SPARSE_TEXT_PAIRS`` pairs are verified on the driver after one
+    map-only ``is_in`` pass per side (one pass when both sides are the
+    same Dataset) fetches exactly the pair-touched texts; more get their
+    texts routed to them by two keyed-shuffle hash joins (no corpus
+    structure on the driver) and are verified in one map."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from .joins import _ds_arrow_schema_lazy, hash_join
+    from .util_ray import collect_small
+
+    same = left == right
+    (lds, lid, ltext), (rds, rid, rtext) = left, right
+    ls = schemas[0] or _ds_arrow_schema_lazy(lds)
+    rs = schemas[1] or _ds_arrow_schema_lazy(rds)
+
+    def verified(ids_a, ids_b, jac) -> pa.Table:
+        out = pa.table({names[0]: ids_a, names[1]: ids_b,
+                        names[2]: pa.array(jac, pa.float64())})
+        return out.filter(pc.greater_equal(out[names[2]], threshold))
+
+    n = pairs.num_rows if isinstance(pairs, pa.Table) else pairs.count()
+    if n == 0:
+        return rd.from_arrow(pa.schema([
+            (names[0], ls.field(lid).type if ls is not None else pa.int64()),
+            (names[1], rs.field(rid).type if rs is not None else pa.int64()),
+            (names[2], pa.float64()),
+        ]).empty_table())
+
+    if n <= _SPARSE_TEXT_PAIRS:
+        if not isinstance(pairs, pa.Table):
+            pairs = collect_small(pairs)
+
+        def pick(side, need: pa.Array) -> dict:
+            ds, id_col, text_col = side
+
+            def fn(batch: pa.Table) -> pa.Table:
+                ids = batch[id_col]
+                if pa.types.is_null(ids.type):
+                    # an all-null-id block (e.g. a one-row from_items
+                    # block) types its column as null, and is_in raises on
+                    # the type mismatch; null ids are non-members anyway
+                    return pa.table({"_pid": pa.array([], need.type),
+                                     "_ptxt": batch[text_col].slice(0, 0)})
+                t = batch.filter(pc.is_in(ids, value_set=need))
+                return pa.table({"_pid": t[id_col], "_ptxt": t[text_col]})
+
+            fn.__name__ = "pick_pair_texts"
+            t = collect_small(ds.map_batches(fn, batch_format="pyarrow"))
+            return dict(zip(t["_pid"].to_pylist(), t["_ptxt"].to_pylist()))
+
+        if same:
+            ta = tb = pick(left, pc.unique(pa.chunked_array(
+                pairs["id_a"].chunks + pairs["id_b"].chunks)))
+        else:
+            ta = pick(left, pc.unique(pairs["id_a"]))
+            tb = pick(right, pc.unique(pairs["id_b"]))
+        ia, ib = pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()
+        jac = _pair_jaccard(ia, ib, [ta.get(i) for i in ia],
+                            [tb.get(i) for i in ib], shingle_k, same=same)
+        return rd.from_arrow(verified(pairs["id_a"], pairs["id_b"], jac))
+
+    if isinstance(pairs, pa.Table):
+        pairs = rd.from_arrow(pairs)
+
+    def proj(side, tag):
+        ds, id_col, text_col = side
+
+        def fn(batch: pa.Table) -> pa.Table:
+            return pa.table({f"_id{tag}": batch[id_col], f"_t{tag}": batch[text_col]})
+
+        fn.__name__ = f"project_texts_{tag}"
+        return ds.map_batches(fn, batch_format="pyarrow")
+
+    def wire(s, id_col, text_col, tag):
+        if s is None:  # hash_join materializes the projection for it
+            return None
+        return pa.schema([(f"_id{tag}", s.field(id_col).type),
+                          (f"_t{tag}", s.field(text_col).type)])
+
+    # explicit wire schemas keep both joins streaming: the pairs are
+    # materialized (schema known for free) and the side schemas were
+    # given or inferred without executing anything
+    pair_schema = _ds_arrow_schema_lazy(pairs)
+    wa, wb = wire(ls, lid, ltext, "a"), wire(rs, rid, rtext, "b")
+    with_a = hash_join(pairs, proj(left, "a"), on="id_a", right_on="_ida",
+                       left_schema=pair_schema, right_schema=wa)
+    with_ab = hash_join(
+        with_a, proj(right, "b"), on="id_b", right_on="_idb",
+        left_schema=pa.schema(list(pair_schema) + list(wa)) if wa is not None else None,
+        right_schema=wb,
+    )
+
+    def verify_text_pairs(batch: pa.Table) -> pa.Table:
+        jac = _pair_jaccard(
+            batch["id_a"].to_pylist(), batch["id_b"].to_pylist(),
+            batch["_ta"].to_pylist(), batch["_tb"].to_pylist(), shingle_k,
+            same=same,
+        )
+        return verified(batch["id_a"], batch["id_b"], jac)
+
+    return with_ab.map_batches(verify_text_pairs, batch_format="pyarrow")
+
+
 def minhash_candidates(
     ds,
     text_col: str,
@@ -255,8 +511,6 @@ def minhash_candidates(
     shingle_k: int = 5,
     threshold: float = 0.7,
     verify: str = "broadcast",
-    sparse_text_pairs: int = 10_000,
-    sig_broadcast_pairs: int = 2_000_000,
 ):
     """MinHash+LSH candidate pairs with signature-estimated Jaccard.
 
@@ -267,9 +521,12 @@ def minhash_candidates(
     ``ray.put`` (right up to ~10M docs at 64 perms ≈ 5 GB);
     ``verify="shuffle"`` instead routes signatures TO the candidate
     pairs with two keyed-shuffle hash joins — no driver materialization,
-    the 100-TB path.  ``verify="exact"`` uses the same keyed-shuffle
-    signature routing for its prefilter (then keyed-shuffle text joins
-    for the true-Jaccard decision), so it is ceiling-free too.
+    the 100-TB path.  ``verify="exact"`` reports the TRUE char-k-gram
+    Jaccard instead (in ``est_jaccard``): the distinct pairs, an estimate
+    prefilter, then the text verify shared with ``fuzzy_join``; each
+    step holds only O(candidate pairs) on the driver, and moves to keyed
+    exchanges above ``_DRIVER_PAIRS`` / ``_SPARSE_TEXT_PAIRS``, so it is
+    ceiling-free too.
     """
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm)
@@ -355,322 +612,33 @@ def minhash_candidates(
 
     # stage 2: estimate Jaccard per candidate pair from the signatures.
     if verify == "exact":
-        # exact-Jaccard verify: an est-Jaccard PREFILTER at (threshold -
-        # margin) first kills the ~99% of band-collision pairs that are
-        # nowhere near the threshold (margin 0.25 = 5 sigma of the
-        # 64-perm estimator at j=0.8 -> miss prob ~1e-6 per true pair;
-        # without it every candidate pair pays the text join), then the
-        # survivors' texts are routed TO the pairs with two keyed-shuffle
-        # hash joins (same shape as fuzzy_join) and the TRUE char k-gram
-        # Jaccard decides — no estimation error at the decision boundary,
-        # no driver materialization.  With full banding recall at the
-        # threshold (miss prob (1 - j^rows)^bands per pair) the result
-        # equals the exact all-pairs answer, which is what makes the
-        # DuckDB oracle for minhash_dedup_documents exact.
-        # The prefilter's signature lookup is O(CANDIDATE PAIRS), never
-        # O(corpus): below ``sig_broadcast_pairs`` the sigs of exactly
-        # the ids appearing in some pair are fetched with a map-only
-        # ``is_in`` pass and broadcast (the pair set is LSH-sparse by
-        # construction); above it the sigs are routed to the distinct
-        # pairs by the same two keyed-shuffle joins the texts use.
-        # Either way no driver-side corpus structure exists on the
-        # exact path (the old full id->sig map capped it at ~10M docs).
-        from .joins import _ds_arrow_schema_lazy, hash_join
-        from .util_ray import closure_broadcast, collect_small as _cs
+        # exact-Jaccard verify: the distinct pairs, then an est-Jaccard
+        # PREFILTER at (threshold - margin) kills the ~99% of
+        # band-collision pairs that are nowhere near the threshold
+        # (margin 0.25 = 5 sigma of the 64-perm estimator at j=0.8 ->
+        # miss prob ~1e-6 per true pair; without it every candidate pair
+        # pays the text fetch), then the TRUE char k-gram Jaccard decides
+        # (``_verify_text_pairs``, shared with fuzzy_join) — no estimation
+        # error at the decision boundary.  With full banding recall at
+        # the threshold (miss prob (1 - j^rows)^bands per pair) the
+        # result equals the exact all-pairs answer, which is what makes
+        # the DuckDB oracle for minhash_dedup_documents exact.  No step
+        # builds a driver-side corpus structure: what reaches the driver
+        # is O(candidate pairs), and above the helpers' bounds nothing does.
+        from .joins import _ds_arrow_schema_lazy
 
-        pre_thr = max(0.0, threshold - 0.25)
-        # id-only pairs: materializing is bounded by the banded candidate
-        # count and lets every decision below read counts for free
-        cand_mat = cand.materialize()
-        n_cand = cand_mat.count()
-
-        def _empty_pairs():
-            import ray.data as rd
-
-            sig_schema0 = _ds_arrow_schema_lazy(sig_ds)
-            idt0 = sig_schema0.field(id_col).type
-            return rd.from_arrow(pa.schema(
-                [("id_a", idt0), ("id_b", idt0),
-                 ("est_jaccard", pa.float64())]
-            ).empty_table())
-
-        if n_cand == 0:
-            return _empty_pairs()
-
-        pair_tbl = None  # driver-resident distinct pairs (small-pair branch)
-        if n_cand <= sig_broadcast_pairs:
-            # DRIVER-SIDE prefilter over the pair-touched sig subset: the
-            # id-only pairs and the sigs of exactly the ids they touch
-            # already land on the driver to size/build the broadcast
-            # (both O(pairs), never O(corpus)), so the cross-band dedup
-            # and the est-prefilter run here as vectorized numpy —
-            # removing two whole distributed passes (a prefilter map and
-            # a take()-exchange dedup) whose multi-second fixed cost
-            # dominated wall time at LSH-sparse candidate counts.
-            pt0 = _cs(cand_mat)
-            pair_df = pt0.select(["id_a", "id_b"]).to_pandas().drop_duplicates(
-                subset=["id_a", "id_b"], ignore_index=True
-            )
-            # vectorized unique over the pair-touched ids (Arrow kernel;
-            # Python sets would box ~2x pair count of values), sorted
-            # once so per-batch membership below is a searchsorted —
-            # pc.is_in would rebuild its hash set from the value_set on
-            # EVERY corpus batch, and a bare closure over a multi-MB
-            # array would ship per task instead of once per worker
-            import pyarrow.compute as pc
-
-            need_np = np.sort(
-                pc.drop_null(pc.unique(pa.chunked_array(
-                    list(pt0["id_a"].chunks) + list(pt0["id_b"].chunks)
-                ))).to_numpy(zero_copy_only=False)
-            )
-            get_need = closure_broadcast(need_np)
-
-            def pick_sigs(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                need = get_need()
-                # drop null ids FIRST (parity with the pc.is_in filter
-                # this replaced, which treated null as non-member): a
-                # None inside an object array makes searchsorted raise,
-                # and a null in an int64 column degrades to_numpy to
-                # float64, breaking bit-exact id comparison past 2^53
-                batch = batch.filter(pc.is_valid(batch[id_col]))
-                ids = batch[id_col].to_numpy(zero_copy_only=False)
-                if not len(need) or not len(ids):
-                    t = batch.slice(0, 0)
-                else:
-                    ix = np.minimum(
-                        np.searchsorted(need, ids), len(need) - 1
-                    )
-                    mask = np.asarray(need[ix] == ids, dtype=bool)
-                    t = batch.filter(pa.array(mask))
-                return pa.table({"_pid": t[id_col], "_psig": t["_sig"]})
-
-            pick_sigs.__name__ = "minhash_pick_pair_sigs"
-            small_sig = _cs(sig_ds.map_batches(pick_sigs, batch_format="pyarrow"))
-
-            sig_mat = (
-                pc.list_flatten(small_sig["_psig"].combine_chunks())
-                .to_numpy(zero_copy_only=False)
-                .reshape(small_sig.num_rows, num_perm)
-            )
-            # id -> sig_mat row, LAST-wins on duplicate ids (the corpus
-            # id_col isn't guaranteed unique; a plain pd.Index would
-            # raise InvalidIndexError from get_indexer on duplicates)
-            pos = pd.Series(
-                np.arange(small_sig.num_rows),
-                index=small_sig["_pid"].to_pylist(),
-            )
-            pos = pos[~pos.index.duplicated(keep="last")]
-            row_of, row_map = pos.index, pos.to_numpy()
-            keep_chunks = []
-            # column-wise accumulation into PREALLOCATED buffers: a full
-            # (pairs, num_perm) fancy-index gather allocates
-            # O(pairs x num_perm x 8 B) of fresh pages, and first-touch
-            # page-fault cost dominates the vectorized compare by 30-50x
-            # (measured on this host: 2.4-4.5 s vs 0.09 s for 155k
-            # pairs); per-perm int64 ``np.take(..., out=)`` keeps the
-            # working set at O(pairs) regardless of num_perm.  Chunked
-            # so even that stays bounded at the 2M-pair branch ceiling.
-            for lo in range(0, len(pair_df), 1_000_000):
-                ch = pair_df.iloc[lo:lo + 1_000_000]
-                ra = row_of.get_indexer(ch["id_a"].to_numpy())
-                rb = row_of.get_indexer(ch["id_b"].to_numpy())
-                if (ra < 0).any() or (rb < 0).any():
-                    # -1 would silently np.take the LAST row's signature
-                    missing = set(ch["id_a"][ra < 0]) | set(ch["id_b"][rb < 0])
-                    raise KeyError(
-                        f"minhash exact prefilter: pair ids missing from "
-                        f"signature table: {sorted(missing)[:5]}"
-                    )
-                ra, rb = row_map[ra], row_map[rb]
-                n_ch = len(ch)
-                acc = np.zeros(n_ch, dtype=np.int32)
-                eq = np.empty(n_ch, dtype=bool)
-                ca = np.empty(n_ch, dtype=np.int64)
-                cb = np.empty(n_ch, dtype=np.int64)
-                for j in range(num_perm):
-                    col = sig_mat[:, j]
-                    np.take(col, ra, out=ca)
-                    np.take(col, rb, out=cb)
-                    np.equal(ca, cb, out=eq)
-                    acc += eq
-                keep_chunks.append(acc >= pre_thr * num_perm - 1e-9)
-            surv = pair_df[np.concatenate(keep_chunks)] if keep_chunks else pair_df
-            if not len(surv):
-                return _empty_pairs()
-            idt0 = pt0.schema.field("id_a").type
-            pair_tbl = pa.table({
-                "id_a": pa.array(surv["id_a"].to_numpy()).cast(idt0),
-                "id_b": pa.array(surv["id_b"].to_numpy()).cast(idt0),
-            })
-        if pair_tbl is None:
-            from .grouped import partitioned_map as _pm
-
-            def dd(df):
-                return df.drop_duplicates(subset=["id_a", "id_b"])
-
-            # pair volume too large to hold pair ids on the driver:
-            # collapse cross-band duplicates with the take()-exchange
-            # (they would multiply the join volume by up to the band
-            # count), then keyed-shuffle the sigs to the distinct pairs
-            dd.__name__ = "pair_dedup"
-            uniq0 = _pm(
-                cand_mat.map_batches(dd, batch_format="pandas"),
-                ["id_a", "id_b"], dd,
-            )
-            # pairs are already distinct after the dedup exchange
-            uniq = _sig_est_join(
-                uniq0, sig_ds, id_col, pre_thr, name="minhash_exact_prefilter"
-            ).map_batches(
-                lambda t: t.select(["id_a", "id_b"]), batch_format="pyarrow"
-            ).materialize()
-
-            n_pairs = uniq.count()
-            if n_pairs == 0:
-                return _empty_pairs()
-            if n_pairs <= sparse_text_pairs:
-                pair_tbl = _cs(uniq).select(["id_a", "id_b"])
-
-        if pair_tbl is not None and pair_tbl.num_rows <= sparse_text_pairs:
-            # SPARSE fast path, ON THE DRIVER: few enough survivors that
-            # their texts fit one machine — one map-only ``is_in`` pass
-            # fetches exactly the pair-touched texts (no corpus shuffle at
-            # all), then the shingle-set Jaccard over ≤ sparse_text_pairs
-            # pairs runs locally (it ran inside a single distributed task
-            # before — same work, minus a whole pass).  Skips both
-            # keyed-shuffle text joins (~2 s fixed cost each at small
-            # scale; at web scale the dense path below streams).
-            import pyarrow.compute as pc
-            import ray.data as rd
-
-            ids_a = pair_tbl["id_a"].to_pylist()
-            ids_b = pair_tbl["id_b"].to_pylist()
-            need = sorted(set(ids_a) | set(ids_b))
-            need_arr = pa.array(need)
-
-            def pick(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                ids = batch[id_col]
-                if pa.types.is_null(ids.type):
-                    # an all-null-id block (e.g. a one-row from_items
-                    # block) types its column as null; is_in raises on
-                    # the null-vs-string value_set mismatch.  Null ids
-                    # are non-members by definition.
-                    return pa.table({"_pid": pa.array([], need_arr.type),
-                                     "_ptxt": batch[text_col].slice(0, 0)})
-                t = batch.filter(pc.is_in(ids, value_set=need_arr))
-                return pa.table({"_pid": t[id_col], "_ptxt": t[text_col]})
-
-            pick.__name__ = "minhash_pick_texts"
-            small = _cs(ds.map_batches(pick, batch_format="pyarrow"))
-            texts = dict(
-                zip(small["_pid"].to_pylist(), small["_ptxt"].to_pylist())
-            )
-            cache: dict = {}
-
-            def sh(i):
-                s = cache.get(i)
-                if s is None:
-                    s = set(shingles(texts.get(i) or "", shingle_k).tolist())
-                    cache[i] = s
-                return s
-
-            jac = []
-            for ia, ib in zip(ids_a, ids_b):
-                sa, sb = sh(ia), sh(ib)
-                if not sa and not sb:
-                    jac.append(1.0)
-                    continue
-                inter = len(sa & sb)
-                jac.append(inter / (len(sa) + len(sb) - inter))
-            out = pair_tbl.append_column(
-                "est_jaccard", pa.array(jac, pa.float64())
-            )
-            return rd.from_arrow(
-                out.filter(pc.greater_equal(out["est_jaccard"], threshold))
-            )
-
-        if pair_tbl is not None:
-            # broadcast-branch survivors too numerous for a text
-            # broadcast: lift them back into a Dataset for the
-            # keyed-shuffle dense path
-            import ray.data as rd
-
-            uniq = rd.from_arrow(pair_tbl).materialize()
-
-        # DENSE text-verify path: prefiltered survivors too numerous for
-        # a text broadcast — route the texts to the pairs with two
-        # keyed-shuffle hash joins (same shape as fuzzy_join).
-        def proj(out_id, out_text):
-            def fn(batch: pa.Table) -> pa.Table:
-                return pa.table({out_id: batch[id_col], out_text: batch[text_col]})
-
-            fn.__name__ = f"proj_{out_id}"
-            return fn
-
-        ta = ds.map_batches(proj("_da", "_ta"), batch_format="pyarrow")
-        tb = ds.map_batches(proj("_db", "_tb"), batch_format="pyarrow")
-        # wire schemas passed explicitly so neither the candidate pipeline
-        # nor the text projections hit hash_join's materialize fallback
-        # (a full barrier that would pin the corpus in the object store);
-        # id/text types come from the (already-materialized) signature
-        # table and a metadata-only probe of the input
-        sig_schema = _ds_arrow_schema_lazy(sig_ds)  # materialized -> cheap
-        idt = sig_schema.field(id_col).type
         in_schema = _ds_arrow_schema_lazy(ds)
         text_t = in_schema.field(text_col).type if in_schema is not None else pa.string()
-        pair_schema = pa.schema([(c, idt) for c in ("id_a", "id_b")])
-        # prefiltered pairs are sparse — 8 buckets keeps task overhead
-        # low while the texts still stream through the exchange
-        with_a = hash_join(
-            uniq, ta, on="id_a", right_on="_da", num_buckets=8,
-            left_schema=pair_schema,
-            right_schema=pa.schema([("_da", idt), ("_ta", text_t)]),
+        # id type from the (already-materialized) signature table
+        wire = pa.schema([_ds_arrow_schema_lazy(sig_ds).field(id_col),
+                          pa.field(text_col, text_t)])
+        pairs = _est_prefilter(_distinct_pairs(cand), sig_ds, id_col, num_perm,
+                               max(0.0, threshold - 0.25))
+        side = (ds, id_col, text_col)
+        return _verify_text_pairs(
+            pairs, side, side, threshold=threshold, shingle_k=shingle_k,
+            names=("id_a", "id_b", "est_jaccard"), schemas=(wire, wire),
         )
-        with_ab = hash_join(
-            with_a, tb, on="id_b", right_on="_db", num_buckets=8,
-            left_schema=pa.schema(
-                list(pair_schema) + [pa.field("_da", idt), pa.field("_ta", text_t)]
-            ),
-            right_schema=pa.schema([("_db", idt), ("_tb", text_t)]),
-        )
-
-        def exact_verify(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            # shingle each distinct doc once per batch (hot docs appear
-            # in many candidate pairs)
-            cache: dict = {}
-
-            def sh(i, text):
-                s = cache.get(i)
-                if s is None:
-                    s = set(shingles(text or "", shingle_k).tolist())
-                    cache[i] = s
-                return s
-
-            jac = []
-            for ia, ib, t_a, t_b in zip(
-                batch["id_a"].to_pylist(), batch["id_b"].to_pylist(),
-                batch["_ta"].to_pylist(), batch["_tb"].to_pylist(),
-            ):
-                sa, sb = sh(ia, t_a), sh(ib, t_b)
-                if not sa and not sb:
-                    jac.append(1.0)
-                    continue
-                inter = len(sa & sb)
-                jac.append(inter / (len(sa) + len(sb) - inter))
-            out = pa.table(
-                {"id_a": batch["id_a"], "id_b": batch["id_b"],
-                 "est_jaccard": pa.array(jac, pa.float64())}
-            )
-            return out.filter(pc.greater_equal(out["est_jaccard"], threshold))
-
-        exact_verify.__name__ = "minhash_verify_exact"
-        return with_ab.map_batches(exact_verify, batch_format="pyarrow")
 
     if verify == "shuffle":
         # keyed-shuffle verify: hash-join the signature table onto the
@@ -683,7 +651,7 @@ def minhash_candidates(
         # per-worker cache in every task (documented ~10M-doc ceiling)
         import ray
 
-        from .util_ray import collect_small
+        from .util_ray import broadcast_cached, collect_small
 
         sig_small = collect_small(sig_ds)
         sig_map = {
@@ -693,7 +661,7 @@ def minhash_candidates(
         ref = ray.put(sig_map)
 
         def verify_fn(batch: pa.Table) -> pa.Table:
-            sigs = _broadcast_sig_cache(ref)
+            sigs = broadcast_cached(ref)
             ia = batch["id_a"].to_pylist()
             ib = batch["id_b"].to_pylist()
             if not ia:
@@ -877,9 +845,9 @@ def minhash_dedup(
     ``verify`` overrides the verification strategy: ``"broadcast"``
     (signature estimate, driver sig map — fastest under ~10M docs),
     ``"shuffle"`` (signature estimate, keyed-shuffle routing — the
-    100-TB path), or ``"exact"`` (true char-k-gram Jaccard, signatures
-    AND texts both routed to the pairs by keyed-shuffle joins; what the
-    DuckDB oracle checks).  Both ``"shuffle"`` and ``"exact"`` build no
+    100-TB path), or ``"exact"`` (true char-k-gram Jaccard over only the
+    pair-touched signatures and texts, by keyed-shuffle joins at scale;
+    what the DuckDB oracle checks).  Both ``"shuffle"`` and ``"exact"`` build no
     driver-side corpus structure and carry no size ceiling."""
     from .util_ray import collect_small
 

@@ -11,11 +11,14 @@ Jaccard ≥ threshold — deterministic and scalable:
     left + right (side-tagged)
       -> minhash bands per row      (map, vectorized)
       -> ONE keyed exchange on the band bucket (``partitioned_map``)
-         -> cross-side candidate pairs, deduplicated by a grouped count
-      -> texts routed TO the pairs by two keyed-shuffle hash joins
-         (never a whole-side broadcast — scales to corpora far larger
-         than driver memory)
-      -> exact-Jaccard verify + per-side match ``limits``
+         -> cross-side candidate pairs
+      -> distinct pairs + exact-Jaccard verify, the pipeline shared with
+         the MinHash exact dedup (``dedup._distinct_pairs`` /
+         ``dedup._verify_text_pairs``): on the driver while the pair set
+         is sparse (only pair ids and the pair-touched texts are
+         collected), else through keyed exchanges, the texts routed TO
+         the pairs by two hash joins (never a whole-side broadcast)
+      -> per-side match ``limits``
 
 Per-side ``limits`` mirror ``equijoin.py:474-489`` (cap matches per
 left/right row, keeping the highest-similarity pairs deterministically).
@@ -23,16 +26,15 @@ left/right row, keeping the highest-similarity pairs deterministically).
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from .dedup import (
     _band_buckets_vec,
+    _distinct_pairs,
     _perm_params,
-    jaccard_ngram,
+    _verify_text_pairs,
     minhash_signatures_batch,
 )
 
@@ -52,8 +54,6 @@ def fuzzy_join(
     limits: tuple[int | None, int | None] = (None, None),
     left_schema=None,
     right_schema=None,
-    prefilter: bool = False,
-    sparse_text_pairs: int = 100_000,
 ):
     """Similarity join; returns Dataset of
     ``(left_id, right_id, jaccard)`` pairs with exact n-gram Jaccard >=
@@ -61,23 +61,8 @@ def fuzzy_join(
     ``hash_join`` on the id columns.
 
     ``left_schema`` / ``right_schema``: optional input wire schemas; when
-    given (or lazily inferable) the internal text-routing hash joins
-    stream instead of materializing their inputs.
-
-    ``sparse_text_pairs``: when the deduped candidate count fits under
-    it, the needed texts are fetched with one map-only ``is_in`` pass
-    per side and broadcast for verification instead of two keyed-shuffle
-    text joins (measured 6.5 -> 4.6 s on the sf0.1 bench query).  The
-    bound is DRIVER memory: ~2x pairs texts are collected once, so the
-    default (100k) assumes ~KB texts; lower it for big documents.
-    ``prefilter=True`` adds an est-Jaccard pass (two extra signature
-    scans) that kills ~99% of band-collision candidates BEFORE the pair
-    aggregate — a net loss at fixture scale but the right trade when
-    candidate volume explodes (boilerplate-heavy web corpora), since it
-    shrinks both the aggregate shuffle and the pair table below any
-    sparse threshold."""
-    from .reduces import grouped_aggregate
-
+    given (or lazily inferable) the text-routing hash joins of a dense
+    pair set stream instead of materializing their inputs."""
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm)
 
@@ -118,8 +103,8 @@ def fuzzy_join(
         # buckets cost ~2.5 s per run before this)
         rid_dtype = group["rid"].dtype
         empty = pd.DataFrame(
-            {"lid": pd.Series([], dtype=rid_dtype),
-             "rid_": pd.Series([], dtype=rid_dtype)}
+            {"id_a": pd.Series([], dtype=rid_dtype),
+             "id_b": pd.Series([], dtype=rid_dtype)}
         )
         g = group.drop_duplicates(subset=["bucket", "side", "rid"])
         lmask = (g["side"] == "l").to_numpy()
@@ -166,7 +151,7 @@ def fuzzy_join(
         within = np.arange(total) - offs[pb]
         lid = lv[ls[pb] + within // nr[pb]]
         rid = rv[rs[pb] + within % nr[pb]]
-        return pd.DataFrame({"lid": lid, "rid_": rid})
+        return pd.DataFrame({"id_a": lid, "id_b": rid})
 
     # partition by hash(bucket), not per distinct bucket: per-bucket
     # map_groups pays ~ms task/pandas overhead per LSH bucket and there
@@ -177,241 +162,13 @@ def fuzzy_join(
 
     cand = partitioned_map(lb.union(rb), "bucket", cross_pairs,
                            num_partitions=32)
-    # est-Jaccard prefilter BEFORE the pair aggregate (the same 0.25
-    # margin as the minhash exact path — ≥4 sigma of the 64-perm
-    # estimator at any threshold ≥ 0.5, and DETERMINISTIC: signatures
-    # are a fixed function of the texts, so a pair's verdict never
-    # varies run-to-run): band-collision pairs nowhere near the
-    # threshold die here instead of paying the aggregate + text joins.
-    # The side signature maps broadcast through one ray.put (bounded
-    # ~10M total rows at 64 perms, the minhash broadcast ceiling).
-    pre_thr = max(0.0, threshold - 0.25)
-    if prefilter and pre_thr > 0:
-        import ray
-
-        from .dedup import _broadcast_sig_cache
-        from .util_ray import collect_small as _cs
-
-        def _sig_side(ds_side, text_col, id_col, tag):
-            def fn(batch: pa.Table) -> pa.Table:
-                sigs = minhash_signatures_batch(
-                    batch[text_col].to_pylist(), a, b, shingle_k
-                ).astype(np.int64)
-                flat = pa.array(sigs.reshape(-1), pa.int64())
-                col = pa.FixedSizeListArray.from_arrays(flat, num_perm).cast(
-                    pa.list_(pa.int64())
-                )
-                return pa.table({"_id": batch[id_col], "_sig": col})
-
-            fn.__name__ = f"fuzzy_sig_{tag}"
-            return _cs(ds_side.map_batches(fn, batch_format="pyarrow"))
-
-        lsig = _sig_side(left, left_text, left_id, "l")
-        rsig = _sig_side(right, right_text, right_id, "r")
-        sig_map = {
-            ("l", i): np.asarray(s, np.int64)
-            for i, s in zip(lsig["_id"].to_pylist(), lsig["_sig"].to_pylist())
-        }
-        sig_map.update({
-            ("r", i): np.asarray(s, np.int64)
-            for i, s in zip(rsig["_id"].to_pylist(), rsig["_sig"].to_pylist())
-        })
-        sref = ray.put(sig_map)
-
-        def pre(batch: pa.Table) -> pa.Table:
-            sigs = _broadcast_sig_cache(sref)
-            la = batch["lid"].to_pylist()
-            if not la:
-                return batch
-            sa = np.stack([sigs[("l", x)] for x in la])
-            sb = np.stack([sigs[("r", y)] for y in batch["rid_"].to_pylist()])
-            est = (sa == sb).mean(axis=1)
-            return batch.filter(pa.array(est >= pre_thr))
-
-        pre.__name__ = "fuzzy_join_prefilter"
-        cand = cand.map_batches(pre, batch_format="pyarrow")
-
-    uniq = grouped_aggregate(
-        cand.map_batches(
-            lambda t: t.append_column("_one", pa.array([1] * t.num_rows, pa.int8())),
-            batch_format="pyarrow",
-        ),
-        ["lid", "rid_"],
-        [("_one", "count", "_n")],
-    )
-    # pair table is bounded by the (prefiltered) candidate count —
-    # materializing it lets the sparse/dense decision read the count for
-    # free and the dense joins reuse it
-    uniq = uniq.materialize()
-    n_pairs = uniq.count()
-
     rid_out = right_id if right_id != left_id else f"{right_id}_right"
-
-    from .dedup import shingles
-
-    if n_pairs == 0:
-        import ray.data as rd
-
-        from .joins import _ds_arrow_schema_lazy
-
-        ls_ = left_schema or _ds_arrow_schema_lazy(left)
-        rs_ = right_schema or _ds_arrow_schema_lazy(right)
-        lidt = ls_.field(left_id).type if ls_ is not None else pa.int64()
-        ridt = rs_.field(right_id).type if rs_ is not None else pa.int64()
-        return rd.from_arrow(pa.schema(
-            [(left_id, lidt), (rid_out, ridt), ("jaccard", pa.float64())]
-        ).empty_table())
-
-    if n_pairs <= sparse_text_pairs:
-        # SPARSE fast path (same shape as the minhash exact verify): few
-        # enough surviving pairs that their texts fit a broadcast — one
-        # map-only ``is_in`` pass per side fetches exactly the needed
-        # texts, the verify runs over the pair table with dict lookups,
-        # and both keyed-shuffle text joins are skipped.
-        import ray
-
-        from .dedup import _broadcast_sig_cache
-        from .util_ray import collect_small as _cs
-
-        pt = _cs(uniq)
-        need_l = pa.array(sorted(set(pt["lid"].to_pylist())))
-        need_r = pa.array(sorted(set(pt["rid_"].to_pylist())))
-
-        def pick(ds_side, id_col, text_col, need, tag):
-            def fn(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                t = batch.filter(pc.is_in(batch[id_col], value_set=need))
-                return pa.table({"_pid": t[id_col], "_ptxt": t[text_col]})
-
-            fn.__name__ = f"fuzzy_pick_{tag}"
-            return _cs(ds_side.map_batches(fn, batch_format="pyarrow"))
-
-        lsmall = pick(left, left_id, left_text, need_l, "l")
-        rsmall = pick(right, right_id, right_text, need_r, "r")
-        tmap = {("l", i): t for i, t in zip(lsmall["_pid"].to_pylist(),
-                                            lsmall["_ptxt"].to_pylist())}
-        tmap.update({("r", i): t for i, t in zip(rsmall["_pid"].to_pylist(),
-                                                 rsmall["_ptxt"].to_pylist())})
-        tref = ray.put(tmap)
-
-        def verify_sparse(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            texts = _broadcast_sig_cache(tref)
-            cache: dict = {}
-
-            def sh(key):
-                s = cache.get(key)
-                if s is None:
-                    s = set(shingles(texts.get(key) or "", shingle_k).tolist())
-                    cache[key] = s
-                return s
-
-            jac = []
-            for lid_v, rid_v in zip(batch["lid"].to_pylist(),
-                                    batch["rid_"].to_pylist()):
-                sa, sb = sh(("l", lid_v)), sh(("r", rid_v))
-                if not sa and not sb:
-                    jac.append(1.0)
-                    continue
-                inter = len(sa & sb)
-                jac.append(inter / (len(sa) + len(sb) - inter))
-            out = pa.table(
-                {left_id: batch["lid"], rid_out: batch["rid_"],
-                 "jaccard": pa.array(jac, pa.float64())}
-            )
-            return out.filter(pc.greater_equal(out["jaccard"], threshold))
-
-        verify_sparse.__name__ = "fuzzy_verify_sparse"
-        pairs = uniq.map_batches(verify_sparse, batch_format="pyarrow")
-        return _fuzzy_apply_limits(pairs, left_id, rid_out, limits)
-
-    # Route each side's text TO its candidate pairs with a keyed-shuffle
-    # hash join (pairs are sparse; texts ship through the exchange once
-    # per side — no whole-corpus driver materialization or broadcast).
-    from .joins import _ds_arrow_schema_lazy, hash_join
-
-    def _proj(ds_side, id_col, text_col, id_out, text_out):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table({id_out: batch[id_col], text_out: batch[text_col]})
-
-        fn.__name__ = f"project_{id_out}"
-        return ds_side.map_batches(fn, batch_format="pyarrow")
-
-    lt = _proj(left, left_id, left_text, "_jl_id", "_jl_text")
-    rt = _proj(right, right_id, right_text, "_jr_id", "_jr_text")
-
-    # wire schemas: stream the (lazy) pair pipeline + text projections
-    # through the joins when the side schemas are known (caller-supplied
-    # or metadata-only inferable); else hash_join falls back to
-    # materialize-for-schema on that side only
-    ls = left_schema or _ds_arrow_schema_lazy(left)
-    rs = right_schema or _ds_arrow_schema_lazy(right)
-    jk = {}
-    if ls is not None and rs is not None:
-        lidt = ls.field(left_id).type
-        ridt = rs.field(right_id).type
-        pair_schema = pa.schema(
-            [("lid", lidt), ("rid_", ridt), ("_n", pa.int64())]
-        )
-        jk = {
-            "left_schema": pair_schema,
-            "right_schema": pa.schema(
-                [("_jl_id", lidt), ("_jl_text", ls.field(left_text).type)]
-            ),
-        }
-    with_l = hash_join(uniq, lt, on="lid", right_on="_jl_id", **jk)
-    jk2 = {}
-    if ls is not None and rs is not None:
-        jk2 = {
-            "left_schema": pa.schema(
-                list(pair_schema)
-                + [pa.field("_jl_id", lidt),
-                   pa.field("_jl_text", ls.field(left_text).type)]
-            ),
-            "right_schema": pa.schema(
-                [("_jr_id", ridt), ("_jr_text", rs.field(right_text).type)]
-            ),
-        }
-    with_lr = hash_join(with_l, rt, on="rid_", right_on="_jr_id", **jk2)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        # shingle each distinct doc ONCE per batch (hot docs appear in
-        # many candidate pairs; re-shingling per pair dominated)
-        cache: dict[int, set] = {}
-
-        def sh(rid, text):
-            s = cache.get(rid)
-            if s is None:
-                s = set(shingles(text or "", shingle_k).tolist())
-                cache[rid] = s
-            return s
-
-        jac = []
-        for lid_v, rid_v, a, b in zip(
-            batch["lid"].to_pylist(), batch["rid_"].to_pylist(),
-            batch["_jl_text"].to_pylist(), batch["_jr_text"].to_pylist(),
-        ):
-            sa, sb = sh(("l", lid_v), a), sh(("r", rid_v), b)
-            if not sa and not sb:
-                jac.append(1.0)
-                continue
-            inter = len(sa & sb)
-            jac.append(inter / (len(sa) + len(sb) - inter))
-        out = pa.table(
-            {
-                left_id: batch["lid"],
-                rid_out: batch["rid_"],
-                "jaccard": pa.array(jac, pa.float64()),
-            }
-        )
-        import pyarrow.compute as pc
-
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
-
-    verify.__name__ = "fuzzy_verify"
-    pairs = with_lr.map_batches(verify, batch_format="pyarrow")
+    pairs = _verify_text_pairs(
+        _distinct_pairs(cand), (left, left_id, left_text),
+        (right, right_id, right_text), threshold=threshold,
+        shingle_k=shingle_k, names=(left_id, rid_out, "jaccard"),
+        schemas=(left_schema, right_schema),
+    )
     return _fuzzy_apply_limits(pairs, left_id, rid_out, limits)
 
 

@@ -642,8 +642,12 @@ def zip_with_index(ds, col: str = "_idx", *, start: int = 0):
 
 
 def collect_small(ds) -> pa.Table:
-    """Materialize a small result Dataset into one Arrow table (skips
-    Ray's occasional zero-column empty blocks)."""
+    """Materialize a (small, result-sized) Dataset to one Arrow table
+    (``docetl_ray.util.collect`` is this function).
+
+    Zero-column empty blocks (Ray emits them for emptied inputs) are
+    skipped; the rest are concatenated with permissive schema promotion.
+    Only for results that fit on the driver — never the main input."""
     import pandas as pd
     import ray
 

@@ -39,24 +39,16 @@ def tumbling_window_aggregate(
 ):
     """Tumbling-window grouped aggregate with per-batch partial combine.
 
-    ``combine="tree"`` skips the final sort-shuffle (see
-    ``grouped_aggregate``) — right when keys × windows is bounded (the
-    window count grows with the TIME SPAN, not the data volume)."""
+    ``combine="tree"`` aggregates through ``tree_aggregate`` instead of
+    the keyed exchange (see ``grouped_aggregate``) — right when keys ×
+    windows is bounded (the window count grows with the TIME SPAN, not
+    the data volume).  ``window_col`` is ``timestamp[us]`` either way:
+    Arrow's ``group_by`` keeps the type ``add_tumbling_window`` gives it."""
     from .reduces import grouped_aggregate
 
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     withw = add_tumbling_window(ds, ts_col, window_seconds=window_seconds, out_col=window_col)
-    out = grouped_aggregate(withw, key_cols + [window_col], aggs, combine=combine)
-
-    # Ray's groupby round-trips keys through numpy and can downgrade the
-    # timestamp precision; restore the canonical timestamp[us] schema.
-    def fix(batch: pa.Table) -> pa.Table:
-        i = batch.column_names.index(window_col)
-        return batch.set_column(
-            i, window_col, pc.cast(batch[window_col], pa.timestamp("us"))
-        )
-
-    return out.map_batches(fix, batch_format="pyarrow")
+    return grouped_aggregate(withw, key_cols + [window_col], aggs, combine=combine)
 
 
 def session_windows(

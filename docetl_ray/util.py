@@ -2,29 +2,4 @@
 
 from __future__ import annotations
 
-import pyarrow as pa
-
-
-def collect(ds) -> pa.Table:
-    """Materialize a (small, result-sized) Dataset to one Arrow table.
-
-    Robust to Ray Data's empty blocks with empty schemas (sort/limit can
-    emit them): zero-column blocks are skipped; remaining blocks are
-    concatenated with permissive schema promotion.  Only for results that
-    fit on the driver — never call this on the main input.
-    """
-    import pandas as pd
-    import ray
-
-    from .stages.util_ray import arrow_refs
-
-    blocks = ray.get(arrow_refs(ds))
-    tables = []
-    for t in blocks:
-        if isinstance(t, pd.DataFrame):  # pandas-format blocks pass through
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_columns > 0:
-            tables.append(t)
-    if not tables:
-        return pa.table({})
-    return pa.concat_tables(tables, promote_options="permissive")
+from .stages.util_ray import collect_small as collect  # noqa: F401

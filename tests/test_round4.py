@@ -390,76 +390,6 @@ def test_quantiles_lazy_upstream_single_execution(tmp_path, ray_session):
     assert n_unpinned >= 2 * n_first
 
 
-def test_minhash_exact_sparse_matches_dense(ray_session):
-    """The sparse broadcast-text verify and the dense keyed-shuffle-join
-    verify must produce identical exact-Jaccard pairs."""
-    import numpy as np
-
-    from docetl_ray import synth
-    from docetl_ray.stages.dedup import minhash_candidates
-
-    docs = rd.from_arrow(synth.docs_for_indices(np.arange(300)))
-
-    def pairs_with(thr):
-        out = _collect(minhash_candidates(
-            docs, "text", "doc_id", threshold=0.8, verify="exact",
-            sparse_text_pairs=thr,
-        ))
-        return sorted(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist(),
-                          [round(j, 12) for j in out["est_jaccard"].to_pylist()]))
-
-    sparse = pairs_with(10_000)   # all pairs fit the broadcast path
-    dense = pairs_with(0)         # force the keyed-shuffle join path
-    assert sparse == dense
-    assert len(sparse) == 30      # the planted i%10==1 near-dup pairs
-
-
-def test_fuzzy_join_paths_equivalent(ray_session):
-    """sparse broadcast-text, dense join, and prefiltered variants of
-    fuzzy_join must all produce the same verified pairs."""
-    import numpy as np
-
-    from docetl_ray import synth
-    from docetl_ray.stages.fuzzy_join import fuzzy_join
-
-    # cross-side near-dups: right row j is a light mutation of left row j
-    # for j % 3 == 0, otherwise an unrelated doc
-    ltexts = [synth._distinct_text(i) for i in range(100)]
-    rtexts = [
-        ltexts[j] + " tail" if j % 3 == 0 else synth._distinct_text(1000 + j)
-        for j in range(100)
-    ]
-    left = rd.from_arrow(pa.table(
-        {"lid": pa.array(range(100), pa.int64()), "ltext": ltexts}))
-    right = rd.from_arrow(pa.table(
-        {"rid": pa.array(range(100, 200), pa.int64()), "rtext": rtexts}))
-
-    def run(**kw):
-        out = _collect(fuzzy_join(
-            left, right, left_text="ltext", right_text="rtext",
-            left_id="lid", right_id="rid", threshold=0.8, **kw,
-        ))
-        return sorted(zip(out["lid"].to_pylist(), out["rid"].to_pylist(),
-                          [round(j, 12) for j in out["jaccard"].to_pylist()]))
-
-    sparse = run()
-    dense = run(sparse_text_pairs=0)
-    pre = run(prefilter=True)
-    assert sparse == dense == pre
-    assert len(sparse) == 34  # j in {0,3,...,99}
-    # zero-match case returns an empty, correctly-typed pair set on
-    # every path (the sparse path must not KeyError on no candidates)
-    far = rd.from_arrow(pa.table(
-        {"rid": pa.array([500], pa.int64()),
-         "rtext": [synth._distinct_text(5000)]}))
-    for kw in ({}, {"sparse_text_pairs": 0}, {"prefilter": True}):
-        out = _collect(fuzzy_join(
-            left, far, left_text="ltext", right_text="rtext",
-            left_id="lid", right_id="rid", threshold=0.8, **kw,
-        ))
-        assert out.num_rows == 0
-
-
 def test_arrow_refs_single_execution(tmp_path, ray_session):
     """util_ray.arrow_refs must execute the pipeline exactly once —
     Ray's bare to_arrow_refs re-executes it behind a limit(1) schema

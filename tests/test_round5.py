@@ -157,56 +157,6 @@ def test_quantiles_pin_auto_wide_table_still_exact(ray_session, tmp_path):
     assert out["value"].to_pylist() == exp
 
 
-def test_minhash_exact_builds_no_driver_sig_map(ray_session, monkeypatch):
-    """verify="exact" must never collect the signature table to the
-    driver — its est-prefilter routes signatures to the pairs with
-    keyed-shuffle joins (r4 verdict item 3 removed the ~10M-doc ceiling
-    from the exact path)."""
-    import ray.data as rd
-
-    import docetl_ray.stages.util_ray as util_ray
-    from docetl_ray.stages.dedup import minhash_candidates
-
-    real = util_ray.collect_small
-    collected_cols = []
-
-    def guard(ds, *a, **k):
-        t = real(ds, *a, **k)
-        collected_cols.append(list(t.column_names))
-        assert "_sig" not in t.column_names, \
-            "exact path materialized the signature table on the driver"
-        return t
-
-    monkeypatch.setattr(util_ray, "collect_small", guard)
-
-    base = ("the quick brown fox jumps over the lazy dog near the river "
-            "bank every single morning before breakfast")
-    t = pa.table({
-        "doc_id": list(range(6)),
-        "text": [base, base + " today", base.replace("quick", "rapid"),
-                 "completely unrelated content about database query engines",
-                 "another distinct document covering distributed systems",
-                 "yet another unique text on stream processing backpressure"],
-    })
-    ds = rd.from_arrow(t)
-    out = _collect(minhash_candidates(ds, "text", "doc_id", threshold=0.6,
-                                      verify="exact"))
-    got = set(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist()))
-    assert (0, 1) in got and (0, 2) in got
-    # the sparse text fast path IS allowed to collect survivor pairs/texts
-    assert collected_cols, "guard never exercised"
-
-    # force the DENSE path (keyed-shuffle est-prefilter + text joins):
-    # still no signature table on the driver
-    out_dense = _collect(minhash_candidates(
-        ds, "text", "doc_id", threshold=0.6, verify="exact",
-        sparse_text_pairs=0,
-    ))
-    got_dense = set(zip(out_dense["id_a"].to_pylist(),
-                        out_dense["id_b"].to_pylist()))
-    assert (0, 1) in got_dense and (0, 2) in got_dense
-
-
 def test_delta_auto_compaction_default_bounds_levels(tmp_path, ray_session):
     """apply_events defaults to compact_after="auto": level count stays
     <= AUTO_COMPACT_LEVELS + 1 across many delta epochs without any
@@ -357,31 +307,6 @@ def test_auto_pin_estimate_uses_parquet_column_share(ray_session, tmp_path):
     # and the narrow-column case still reports a small share
     est_k = _auto_pin_size_estimate(ds, "k0")
     assert est_k < full // 8
-
-
-def test_minhash_exact_prefilter_tolerates_duplicate_ids(ray_session):
-    """The broadcast exact-verify prefilter indexes signatures by id;
-    duplicate id_col values must resolve last-wins (as the pre-round-5
-    dict did), not raise InvalidIndexError from pd.Index.get_indexer."""
-    from docetl_ray.stages.dedup import minhash_dedup
-    from docetl_ray.util import collect
-
-    rows = []
-    for i in range(40):
-        text = " ".join(f"tok{i}_{j}" for j in range(30))
-        rows.append({"doc_id": i, "text": text})
-        # near-duplicate pair to force candidate pairs through the
-        # prefilter
-        rows.append({"doc_id": i + 1000,
-                     "text": text.replace("_29", "_29x")})
-    # duplicated id value with identical text (LWW-equivalent)
-    rows.append({"doc_id": 0, "text": rows[0]["text"]})
-    ds = rd.from_pandas(pd.DataFrame(rows))
-    kept, _labels = minhash_dedup(ds, "text", "doc_id", threshold=0.7,
-                                  verify="exact")
-    out = collect(kept)
-    # every near-dup pair collapsed; no crash on the duplicate id
-    assert out.num_rows <= 41
 
 
 def test_metadata_free_schema_bounded_footer_scan(tmp_path):
@@ -690,31 +615,6 @@ def test_cli_compact_after_parses_auto_none_int():
     assert parse(base).compact_after == "auto"
     assert parse(base + ["--compact-after", "none"]).compact_after is None
     assert parse(base + ["--compact-after", "7"]).compact_after == 7
-
-
-def test_minhash_pick_sigs_tolerates_null_ids(ray_session):
-    """Null corpus ids on the exact-verify small-pair branch must be
-    treated as non-members (parity with the pc.is_in filter the
-    searchsorted rewrite replaced) — a None inside an object id array
-    made np.searchsorted raise TypeError, failing the whole run."""
-    import ray.data as rd
-
-    from docetl_ray.stages.dedup import minhash_candidates
-
-    texts = {
-        "a": "the quick brown fox jumps over the lazy dog again today",
-        "b": "the quick brown fox jumps over the lazy dog again now",
-        "c": "completely unrelated text about arrow batches and ray data",
-    }
-    rows = [{"id": k, "text": v * 4} for k, v in texts.items()]
-    rows.append({"id": None, "text": rows[0]["text"]})  # null id dupe
-    ds = rd.from_items(rows)
-    pairs = minhash_candidates(ds, "text", "id", threshold=0.5,
-                               verify="exact")
-    got = {tuple(sorted((r["id_a"], r["id_b"])))
-           for r in pairs.take_all()}
-    assert ("a", "b") in got
-    assert all(None not in p for p in got)
 
 
 def test_correctness_window_rotation_policy():

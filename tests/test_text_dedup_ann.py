@@ -129,6 +129,154 @@ def test_minhash_estimates_track_exact_jaccard():
         assert abs(exact - r["est_jaccard"]) < 0.15
 
 
+def _exact_pairs(ds, threshold=0.8, id_col="doc_id"):
+    from docetl_ray.stages.dedup import minhash_candidates
+
+    out = _collect(minhash_candidates(ds, "text", id_col, threshold=threshold,
+                                      verify="exact"))
+    assert out.schema.field("id_a").type == pa.int64()
+    return sorted(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist(),
+                      [round(j, 12) for j in out["est_jaccard"].to_pylist()]))
+
+
+def test_minhash_exact_sparse_matches_dense(monkeypatch):
+    """The driver text verify and the dense keyed-shuffle-join verify
+    produce identical exact-Jaccard pairs."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    import docetl_ray.stages.dedup as dedup
+
+    docs = rd.from_arrow(synth.docs_for_indices(np.arange(300)))
+    sparse = _exact_pairs(docs)
+    monkeypatch.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)
+    assert _exact_pairs(docs) == sparse
+    assert len(sparse) == 30      # the planted i%10==1 near-dup pairs
+
+
+def test_minhash_exact_distributed_pair_dedup_matches_driver(monkeypatch):
+    """Above ``_DRIVER_PAIRS`` raw candidates the pairs are deduplicated
+    by a keyed exchange and prefiltered by ``_sig_est_join`` instead of
+    on the driver; the verified pairs are the same, including when every
+    candidate fails verification."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    import docetl_ray.stages.dedup as dedup
+
+    docs = rd.from_arrow(synth.docs_for_indices(np.arange(300)))
+    driver = _exact_pairs(docs)
+    # the planted pairs' Jaccard is 0.98-0.995: they pass the 0.749
+    # prefilter and fail verification
+    assert len(driver) == 30 and _exact_pairs(docs, threshold=0.999) == []
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    assert _exact_pairs(docs) == driver
+    assert _exact_pairs(docs, threshold=0.999) == []
+    monkeypatch.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)
+    assert _exact_pairs(docs) == driver
+
+
+def test_minhash_exact_builds_no_driver_sig_map(monkeypatch):
+    """verify="exact" never collects a corpus-sized signature table: the
+    driver branch fetches the signatures of exactly the ids in candidate
+    pairs, and the distributed branch routes signatures to the pairs
+    with keyed-shuffle joins and collects none."""
+    import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
+    import docetl_ray.stages.util_ray as util_ray
+    import docetl_ray.util  # noqa: F401  (bind util.collect before the spy)
+
+    real = util_ray.collect_small
+    collected = []
+
+    def spy(ds, *a, **k):
+        t = real(ds, *a, **k)
+        collected.append(t)
+        return t
+
+    monkeypatch.setattr(util_ray, "collect_small", spy)
+    base = ("the quick brown fox jumps over the lazy dog near the river "
+            "bank every single morning before breakfast")
+    ds = rd.from_arrow(pa.table({
+        "doc_id": list(range(6)),
+        "text": [base, base + " today", base.replace("quick", "rapid"),
+                 "completely unrelated content about database query engines",
+                 "another distinct document covering distributed systems",
+                 "yet another unique text on stream processing backpressure"],
+    }))
+
+    def sig_tables_collected():
+        collected.clear()
+        got = {(a, b) for a, b, _ in _exact_pairs(ds, threshold=0.6)}
+        assert (0, 1) in got and (0, 2) in got
+        pair_ids = set()
+        for t in collected:
+            if {"id_a", "id_b"} <= set(t.column_names):
+                pair_ids |= set(t["id_a"].to_pylist()) | set(t["id_b"].to_pylist())
+        sigs = [t for t in collected
+                if any(pa.types.is_list(f.type) for f in t.schema)]
+        for t in sigs:
+            assert t.num_rows <= len(pair_ids) < ds.count()
+        return sigs
+
+    assert sig_tables_collected()  # driver prefilter: pair-touched sigs
+    monkeypatch.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)  # dense text verify
+    assert sig_tables_collected()
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    assert not sig_tables_collected()
+
+
+def test_minhash_exact_prefilter_tolerates_duplicate_ids():
+    """The driver prefilter indexes signatures by id; duplicate id_col
+    values resolve last-wins, not raise InvalidIndexError from
+    pd.Index.get_indexer."""
+    import pandas as pd
+    import ray.data as rd
+
+    from docetl_ray.stages.dedup import minhash_dedup
+
+    rows = []
+    for i in range(40):
+        text = " ".join(f"tok{i}_{j}" for j in range(30))
+        rows.append({"doc_id": i, "text": text})
+        # near-duplicate pair to force candidate pairs through the
+        # prefilter
+        rows.append({"doc_id": i + 1000,
+                     "text": text.replace("_29", "_29x")})
+    # duplicated id value with identical text (LWW-equivalent)
+    rows.append({"doc_id": 0, "text": rows[0]["text"]})
+    ds = rd.from_pandas(pd.DataFrame(rows))
+    kept, _labels = minhash_dedup(ds, "text", "doc_id", threshold=0.7,
+                                  verify="exact")
+    # every near-dup pair collapsed; no crash on the duplicate id
+    assert _collect(kept).num_rows <= 41
+
+
+def test_minhash_pick_sigs_tolerates_null_ids():
+    """Null corpus ids are non-members of the candidate pairs on the
+    exact-verify driver branch — a None inside an object id array made
+    np.searchsorted raise TypeError, failing the whole run."""
+    import ray.data as rd
+
+    from docetl_ray.stages.dedup import minhash_candidates
+
+    texts = {
+        "a": "the quick brown fox jumps over the lazy dog again today",
+        "b": "the quick brown fox jumps over the lazy dog again now",
+        "c": "completely unrelated text about arrow batches and ray data",
+    }
+    rows = [{"id": k, "text": v * 4} for k, v in texts.items()]
+    rows.append({"id": None, "text": rows[0]["text"]})  # null id dupe
+    ds = rd.from_items(rows)
+    pairs = minhash_candidates(ds, "text", "id", threshold=0.5,
+                               verify="exact")
+    got = {tuple(sorted((r["id_a"], r["id_b"])))
+           for r in pairs.take_all()}
+    assert ("a", "b") in got
+    assert all(None not in p for p in got)
+
+
 def test_simhash_dedup_exact_duplicates():
     import ray.data as rd
     from docetl_ray.stages.dedup import simhash_dedup, simhash64
@@ -284,6 +432,21 @@ def test_tumbling_window_vs_duckdb():
     ).cast(pa.int64()).to_pylist()
     for a, b in zip(got["sum_value"].to_pylist(), want["sum_value"].to_pylist()):
         assert abs(a - b) < 1e-9
+
+
+@pytest.mark.parametrize("combine", ["shuffle", "tree"])
+def test_tumbling_window_start_is_timestamp_us(combine):
+    """``window_start`` is ``timestamp[us]`` on both combine paths, with
+    no cast after the aggregate: Arrow's group_by keeps the type."""
+    from docetl_ray.stages.window import tumbling_window_aggregate
+
+    ev = _read("events", columns=["user_id", "ts", "value"])
+    out = _collect(tumbling_window_aggregate(
+        ev, "ts", "user_id", window_seconds=3600,
+        aggs=[("value", "count", "n")], combine=combine,
+    ))
+    assert out.num_rows > 0
+    assert out.schema.field("window_start").type == pa.timestamp("us")
 
 
 def test_session_windows():
