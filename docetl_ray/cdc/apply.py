@@ -365,11 +365,9 @@ def apply_events(
     # the pre-combine runs inside the split tasks (map_fn): as a Ray Data
     # map operator in front of the exchange it cost more in scheduling
     # than in work (BASELINE.md round 8).  The lineage rows come straight
-    # from the reduce outputs: they go to the driver anyway, and the
-    # Dataset form (exchange_map_groups) would add a metadata return per
-    # partition.  Its ~0.2 s per epoch measured in round 6 (one CPU)
-    # was mostly from_arrow_refs' metadata task per partition, which
-    # exchange_map_groups now skips
+    # from the reduce outputs, one ref per partition: they go to the
+    # driver anyway, and the Dataset form (exchange_map_groups) would
+    # fuse each reduce task's partitions into one block with its metadata
     out = exchange_refs(events, "part", nparts, applier, map_fn=combine)
     lineage = [r for rows in ray.get(out) for r in rows]
     metrics = {

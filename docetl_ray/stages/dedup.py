@@ -271,6 +271,10 @@ def jaccard_ngram(a: str, b: str, k: int = 5) -> float:
     return float(_pair_jaccard((0,), (0,), (a,), (b,), k)[0])
 
 
+def _drop_duplicate_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    return df.drop_duplicates(subset=["id_a", "id_b"])
+
+
 def _distinct_pairs(cand):
     """The distinct ``(id_a, id_b)`` rows of a candidate-pair Dataset (a
     pair surfaces once per LSH band it collides in).  Up to
@@ -288,10 +292,7 @@ def _distinct_pairs(cand):
 
     from .grouped import partitioned_map
 
-    def distinct_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"])
-
-    return partitioned_map(cand, ["id_a", "id_b"], distinct_pairs).materialize()
+    return partitioned_map(cand, ["id_a", "id_b"], _drop_duplicate_pairs).materialize()
 
 
 def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
@@ -974,8 +975,6 @@ def simhash_near_dedup(
     or label materialization (the 100-TB path, same surface as
     ``minhash_dedup``).  Either way the per-row attach is vectorized
     (Arrow join / is_in), never a per-row dict lookup."""
-    from .grouped import grouped_map
-    from .reduces import grouped_aggregate
     from .util_ray import collect_small
 
     bands = max_hamming + 1
@@ -1047,18 +1046,9 @@ def simhash_near_dedup(
 
     cand = partitioned_map(banded, "bkey", pairs, num_partitions=32)
     if distributed:
-        # same pair can surface from several bands: dedup with a grouped
-        # count so label propagation sees each edge once
-        uniq = grouped_aggregate(
-            cand.map_batches(
-                lambda t: t.append_column(
-                    "_one", pa.array([1] * t.num_rows, pa.int8())
-                ),
-                batch_format="pyarrow",
-            ),
-            ["id_a", "id_b"],
-            [("_one", "count", "_n")],
-        )
+        # same pair can surface from several bands: one exchange drops
+        # the copies so label propagation sees each edge once
+        uniq = partitioned_map(cand, ["id_a", "id_b"], _drop_duplicate_pairs)
         labels = connected_components_distributed(uniq)
         return _attach_labels_join(ds, id_col, labels, output_col), labels
 

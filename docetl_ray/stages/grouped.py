@@ -10,7 +10,8 @@ user, per LSH bucket...).  ``grouped_map`` instead:
      ``util_ray.bucket_codes`` — no per-row Python),
   2. shuffles ONCE on the bucket through the shared keyed exchange
      (``util_ray.exchange_map_groups``, whose reduce tasks each take a
-     contiguous run of buckets sized by bytes, at least one per CPU),
+     contiguous run of buckets sized by bytes, at least one per CPU,
+     and return one output block with the run's results in order),
   3. for each bucket, iterates the key-groups with pandas' C-level
      ``groupby`` and calls ``fn`` per key-group locally.
 
@@ -36,15 +37,18 @@ def _group_frame(group: pa.Table) -> pd.DataFrame:
     return group.drop_columns(["_gbucket"]).to_pandas()
 
 
-def _arrow_out(out: pd.DataFrame | None) -> pa.Table:
+def _arrow_out(out: pd.DataFrame | None, like: pa.Schema) -> pa.Table:
     """Wrap a pandas result for the exchange.  A ``None`` / no-column
     empty frame becomes a no-column table: collect()/union skip it, and
-    ``fn``'s output schema is unknown when a partition yielded nothing."""
+    ``fn``'s output schema is unknown when a partition yielded nothing.
+    A column pandas typed null (object, no values) takes ``like``'s type."""
     if out is None or not len(out.columns):
         return pa.table({})
-    return pa.Table.from_pandas(
-        out, preserve_index=False
-    ).replace_schema_metadata(None)
+    t = pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+    for i, f in enumerate(t.schema):
+        if pa.types.is_null(f.type) and f.name in like.names:
+            t = t.set_column(i, f.name, t.column(i).cast(like.field(f.name).type))
+    return t
 
 
 def _bucketed_exchange(ds, keys: list[str], num_partitions: int, arrow_fn):
@@ -92,7 +96,7 @@ def grouped_map(
         return pd.concat(outs, ignore_index=True)
 
     def per_bucket_arrow(group: pa.Table) -> pa.Table:
-        return _arrow_out(per_bucket(_group_frame(group)))
+        return _arrow_out(per_bucket(_group_frame(group)), group.schema)
 
     per_bucket_arrow.__name__ = getattr(fn, "__name__", "grouped_map")
     return _bucketed_exchange(ds, keys, num_partitions, per_bucket_arrow)
@@ -117,7 +121,7 @@ def partitioned_map(
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def whole_partition(group: pa.Table) -> pa.Table:
-        return _arrow_out(fn(_group_frame(group)))
+        return _arrow_out(fn(_group_frame(group)), group.schema)
 
     whole_partition.__name__ = getattr(fn, "__name__", "partitioned_map")
     return _bucketed_exchange(ds, keys, num_partitions, whole_partition)

@@ -86,16 +86,16 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
     keyed exchange (``util_ray.exchange_map_groups``): each split task
     runs the partial on its blocks and buckets the partial rows on
     ``hash(keys) % 16`` before partitioning, and the reduce side merges
-    each bucket with one Arrow ``group_by``, one output block per bucket
-    — right when the GROUP CARDINALITY itself is large (the result stays
-    distributed).  ``combine="tree"`` merges them through a shuffle-free
-    task tree (``util_ray.tree_aggregate``) into ONE block — right when
-    groups are few (keys × aggregates fits one block: pricing flags,
-    windows, hourly rollups).  The exchange packs its buckets into as
-    few reduce tasks as their bytes need (one per CPU at least), so a
+    each bucket with one Arrow ``group_by``, one output block per reduce
+    task — right when the GROUP CARDINALITY itself is large (the result
+    stays distributed).  ``combine="tree"`` merges them through a
+    shuffle-free task tree (``util_ray.tree_aggregate``) into ONE block —
+    right when groups are few (keys × aggregates fits one block: pricing
+    flags, windows, hourly rollups).  The exchange packs its buckets into
+    as few reduce tasks as their bytes need (one per CPU at least), so a
     few-group aggregate costs about the same few tasks either way; the
-    tree still wins when a map follows, which runs over the exchange's
-    16 blocks (BASELINE.md round 11).
+    tree still measured 13-21% faster on the tumbling-window query
+    (BASELINE.md round 13).
     """
     from .util_ray import bucket_codes, exchange_map_groups, tree_aggregate
 

@@ -240,6 +240,17 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
     return out + [[t.nbytes for t in out]]
 
 
+def _concat(tables, empty):
+    """``tables`` concatenated in order with permissive promotion,
+    zero-column ones dropped; when no typed table has a row, the first
+    typed one, and ``empty`` when none is typed."""
+    typed = [t for t in tables if t.num_columns > 0]
+    tabs = [t for t in typed if t.num_rows > 0]
+    if len(tabs) > 1:
+        return pa.concat_tables(tabs, promote_options="permissive")
+    return tabs[0] if tabs else typed[0] if typed else empty
+
+
 def _reduce_group(fn, sizes, schemas, *shards):
     """Reduce side: concat one partition's shards per input and run
     ``fn(*groups)``, empty groups included.  ``sizes`` counts each
@@ -249,44 +260,35 @@ def _reduce_group(fn, sizes, schemas, *shards):
     was known; ``fn`` is not called when that holds for every input."""
     groups, lo = [], 0
     for n, schema in zip(sizes, schemas):
-        typed = [t for t in shards[lo:lo + n] if t.num_columns > 0]
-        tabs = [t for t in typed if t.num_rows > 0]
+        groups.append(_concat(
+            shards[lo:lo + n], schema.empty_table() if schema is not None else pa.table({})
+        ))
         lo += n
-        groups.append(
-            pa.concat_tables(tabs, promote_options="permissive") if tabs
-            else typed[0] if typed
-            else schema.empty_table() if schema is not None else pa.table({})
-        )
     if all(g.num_columns == 0 for g in groups):
         return pa.table({})
     return fn(*groups)
 
 
-def _reduce_group_with_meta(fn, sizes, schemas, *shards):
-    """``_reduce_group`` plus the Ray Data block metadata of its output,
-    computed where the table already is — what ``from_arrow_refs`` would
-    launch one remote task per block to learn."""
-    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
-
-    stats = BlockExecStats.builder()
-    out = _reduce_group(fn, sizes, schemas, *shards)
-    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
-
-
 def _reduce_range(fn, sizes, schemas, with_meta: bool, *shards):
-    """One packed reduce task: ``_reduce_group`` (``with_meta``:
-    ``_reduce_group_with_meta``) for each partition of a contiguous
-    range, in partition order.  ``shards`` holds the range's partitions
-    one after another, ``sum(sizes)`` shards each.  Returns one object
-    per partition (``with_meta``: the tables, then their metadata), as
-    the task's ``num_returns`` separate values."""
-    n = sum(sizes)
-    reduce = _reduce_group_with_meta if with_meta else _reduce_group
-    outs = [reduce(fn, sizes, schemas, *shards[lo:lo + n])
-            for lo in range(0, len(shards), n)]
+    """One packed reduce task: ``_reduce_group`` for each partition of a
+    contiguous range, in partition order.  ``shards`` holds the range's
+    partitions one after another, ``sum(sizes)`` shards each.  Returns
+    one object per partition, as the task's ``num_returns`` separate
+    values; ``with_meta`` (the Dataset form), ONE block instead: the
+    outputs concatenated in partition order (``_concat``), and its Ray
+    Data block metadata, computed where the table already is — what
+    ``from_arrow_refs`` would launch a remote task to learn."""
     if with_meta:
-        return [t for t, _ in outs] + [m for _, m in outs]
-    return outs if len(outs) > 1 else outs[0]
+        from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+        stats = BlockExecStats.builder()
+    n = sum(sizes)
+    outs = [_reduce_group(fn, sizes, schemas, *shards[lo:lo + n])
+            for lo in range(0, len(shards), n)]
+    if not with_meta:
+        return outs if len(outs) > 1 else outs[0]
+    block = _concat(outs, pa.table({}))
+    return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
 def _pack(nbytes, ncpus: int) -> list:
@@ -322,8 +324,8 @@ def _pack(nbytes, ncpus: int) -> list:
 
 def _reduce_phase(fn, split_rows, schemas, packing, with_meta: bool):
     """Launch one ``_reduce_range`` task per packed range; returns the
-    per-partition output refs in partition order (and, ``with_meta``,
-    their metadata refs).
+    per-partition output refs in partition order (``with_meta``: one
+    block ref per range, in range order, and their metadata refs).
 
     A packed task retries as a unit, re-running the partitions it had
     finished: reduce ``fn``s are deterministic (the CDC reduce writes
@@ -339,11 +341,13 @@ def _reduce_phase(fn, split_rows, schemas, packing, with_meta: bool):
         n = hi - lo
         shards = [row[pid] for pid in range(lo, hi) for rows in split_rows for row in rows]
         out = reduce.options(
-            num_returns=2 * n if with_meta else n, max_retries=3 * n,
+            num_returns=2 if with_meta else n, max_retries=3 * n,
         ).remote(fn, sizes, schemas, with_meta, *shards)
-        out = out if with_meta or n > 1 else [out]
-        tables += out[:n]
-        metas += out[n:]
+        if with_meta:
+            tables.append(out[0])
+            metas.append(out[1])
+        else:
+            tables += out if n > 1 else [out]
     return tables, metas
 
 
@@ -499,9 +503,11 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
                         map_fn=None):
     """``exchange_refs`` with ``fn``'s per-partition output tables as a
     Dataset (data never leaves the object store) — the form the
-    operators chain on.  The Dataset has one block per partition, in
-    partition order; each packed reduce task also returns its outputs'
-    block metadata, so the Dataset costs no task beyond the reduce side.
+    operators chain on.  The Dataset has one block per packed reduce
+    task (``_pack``), its range's outputs in partition order: an op
+    chained on it pays a task per reduce task, not per partition.  Each
+    task also returns its block's metadata, so the Dataset costs no task
+    beyond the reduce side.
 
     ``ds`` may be a tuple of Datasets, with ``schema`` and ``map_fn``
     tuples of the same length (None entries allowed): every input goes

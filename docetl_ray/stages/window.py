@@ -10,25 +10,25 @@ shuffle); session windows sort each key's events inside ``map_groups``
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 
 def add_tumbling_window(ds, ts_col: str, *, window_seconds: int, out_col: str = "window_start"):
-    """Add a window-start timestamp column: floor(ts / w) * w.
+    """Add a ``timestamp[us]`` window-start column: floor(ts / w) * w,
+    from the epoch, for a timestamp column of any unit.
 
     Oracle SQL: ``to_timestamp(floor(epoch(ts) / w) * w)`` (DuckDB) or
-    ``time_bucket(INTERVAL w, ts)``."""
-    w_us = window_seconds * 1_000_000
+    ``time_bucket(INTERVAL w, ts, TIMESTAMP '1970-01-01')``."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch[ts_col], pa.int64())
-        start = pc.multiply(pc.floor(pc.divide(pc.cast(us, pa.float64()), w_us)), float(w_us))
-        return batch.append_column(
-            out_col, pc.cast(pc.cast(start, pa.int64()), pa.timestamp("us"))
-        )
+        ts = batch[ts_col]
+        # floor UTC instants in the column's own unit (floor_temporal
+        # floors a zoned type's local time); whole seconds cast exactly
+        ts = pc.cast(ts, pa.timestamp(ts.type.unit))
+        start = pc.floor_temporal(ts, multiple=window_seconds, unit="second")
+        return batch.append_column(out_col, pc.cast(start, pa.timestamp("us")))
 
     return ds.map_batches(fn, batch_format="pyarrow")
 

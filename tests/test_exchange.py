@@ -143,7 +143,8 @@ def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
     metadata, with no ``from_arrow_refs`` (and its one metadata task per
     block).  It rests on Ray Data internals, so this is the test to run
     first after a Ray upgrade: the result must still have one block per
-    partition, the right schema and count, and chain downstream."""
+    packed reduce task with its partitions in order, the right schema and
+    count, and chain downstream."""
     t = pa.table({"k": list(range(500)), "v": [f"v{i}" for i in range(500)]})
     ds = rd.from_arrow([t.slice(i, 100) for i in range(0, 500, 100)])
     filtered = rd.from_arrow(t).filter(lambda r: False)
@@ -154,7 +155,9 @@ def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
     monkeypatch.setattr(rd, "from_arrow_refs", boom)
     monkeypatch.setattr(rd.read_api, "from_arrow_refs", boom)
     out = exchange_map_groups(ds, "part", 6, lambda g: g, map_fn=_with_part(6))
-    assert out.num_blocks() == 6
+    assert out.num_blocks() == len(_pack([1] * 6, _ncpus()))
+    parts = [b["part"].to_pylist() for b in ray.get(out.to_arrow_refs())]
+    assert sum(parts, []) == sorted(sum(parts, []))  # partition order, block to block
     assert out.count() == 500
     assert out.schema().names == ["k", "v", "part"]
     assert out.schema().types == [pa.int64(), pa.string(), pa.int32()]
@@ -228,6 +231,10 @@ def test_pack_zero_bytes():
     assert _pack([0] * 3, 4) == [(0, 1), (1, 2), (2, 3)]
 
 
+def _ncpus() -> int:
+    return int(ray.cluster_resources()["CPU"])
+
+
 def _logging_reduce(log: str):
     """Reduce fn appending ``<task id> <rows>`` to ``log`` per call and
     returning ``part`` (-1 for an empty group) and the row count."""
@@ -246,23 +253,25 @@ def _logging_reduce(log: str):
 @pytest.mark.parametrize("form", ["refs", "dataset"])
 def test_packed_reduce_keeps_one_output_per_partition(tmp_path, form):
     """16 partitions on the session's 4 CPUs: ``fn`` runs once per
-    partition (the 4 empty ones included) in fewer than 16 reduce tasks,
-    and output ``i`` (ref ``i``, or block ``i`` of the Dataset) holds
-    partition ``i``'s."""
+    partition (the 4 empty ones included) in fewer than 16 reduce tasks.
+    ``exchange_refs`` returns one ref per partition, ref ``i`` holding
+    partition ``i``'s output; the Dataset has one block per reduce task,
+    each holding its range's outputs in partition order."""
     log = str(tmp_path / "calls")
     keys = [k for k in range(400) if k % 16 < 12]  # partitions 12-15 get no rows
     t = pa.table({"k": keys, "v": [f"v{k}" for k in keys]})
     ds = rd.from_arrow([t.slice(i, 60) for i in range(0, len(keys), 60)])
+    ntasks = len(_pack([1] * 16, _ncpus()))
     if form == "refs":
         refs = exchange_refs(ds, "part", 16, _logging_reduce(log), map_fn=_with_part(16))
     else:
         out = exchange_map_groups(ds, "part", 16, _logging_reduce(log), map_fn=_with_part(16))
-        assert out.num_blocks() == 16
+        assert out.num_blocks() == ntasks
         refs = out.to_arrow_refs()
     outs = [o.to_pylist() for o in ray.get(refs)]
-    assert len(outs) == 16
+    assert len(outs) == (16 if form == "refs" else ntasks)
     rows = [sum(1 for k in keys if k % 16 == pid) for pid in range(16)]
-    assert outs == [[{"part": pid if n else -1, "rows": n}] for pid, n in enumerate(rows)]
+    assert sum(outs, []) == [{"part": pid if n else -1, "rows": n} for pid, n in enumerate(rows)]
     with open(log) as f:
         calls = [line.split() for line in f]
     assert sorted(int(n) for _, n in calls) == sorted(rows)
@@ -539,6 +548,24 @@ def test_grouped_map_all_empty_groups_keeps_schema():
     out = grouped_map(ds, ["k"], lambda g: g.iloc[0:0], num_partitions=4)
     total = sum(t.num_rows for t in ray.get(out.to_arrow_refs()))
     assert total == 0
+
+
+def test_partitioned_map_all_empty_keeps_fn_schema():
+    """Every partition's output empty: ``Dataset.schema()`` and
+    ``collect`` still give fn's columns, with the input's types (pandas
+    types an emptied string column as null).  ``to_pandas`` is not
+    pinned: Ray 2.49 returns a frame without columns for any 0-row
+    Dataset, ``rd.from_arrow`` of a typed empty table included."""
+    from docetl_ray.stages.grouped import partitioned_map
+
+    t = pa.table({"k": list(range(50)), "v": [f"v{i}" for i in range(50)]})
+    out = partitioned_map(rd.from_arrow(t), "k", lambda df: df[df.k > 100],
+                          num_partitions=8).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["k", "v"]
+    assert out.schema().types == [pa.int64(), pa.string()]
+    got = collect(out)
+    assert got.num_rows == 0 and got.column_names == ["k", "v"]
 
 
 def test_grouped_map_payload_roundtrip():

@@ -81,3 +81,32 @@ def test_entry_smoke():
     t = _as_table(res)
     assert t.num_rows > 0
     assert {"url", "warc_ts", "lsn", "text", "lang"} <= set(t.column_names)
+
+
+def _launches(monkeypatch) -> list:
+    """The names of the remote functions the driver launches, in order
+    (Ray Data's map and read tasks included)."""
+    from ray.remote_function import RemoteFunction
+
+    names, real = [], RemoteFunction._remote
+
+    def counted(self, *args, **kwargs):
+        names.append(self._function.__name__)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    return names
+
+
+@pytest.mark.parametrize("name", ["dedup_exact_documents", "resolve_fuzzy_documents"])
+def test_op_chained_on_an_exchange_pays_per_reduce_task(monkeypatch, name):
+    """The ``select_columns`` after dedup_exact's and resolve_fuzzy's
+    32-partition exchange runs one map task per block of the exchange's
+    Dataset, and that Dataset has one block per packed reduce task: no
+    more ``_map_task``s launch after the exchange than it has reduce
+    tasks (32 before the blocks were fused)."""
+    names = _launches(monkeypatch)
+    entrymod.queries()[name](SF).materialize()
+    reduces = names.count("_reduce_range")
+    assert 0 < reduces < 32
+    assert names[names.index("_reduce_range"):].count("_map_task") <= reduces

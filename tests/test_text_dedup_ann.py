@@ -449,6 +449,32 @@ def test_tumbling_window_start_is_timestamp_us(combine):
     assert out.schema.field("window_start").type == pa.timestamp("us")
 
 
+@pytest.mark.parametrize("unit", ["s", "ms", "us", "ns"])
+def test_tumbling_window_start_in_any_unit_vs_duckdb(unit):
+    """Window starts are floored in the timestamp's own unit and come out
+    ``timestamp[us]``: s, ms, us and ns inputs (sub-second parts and
+    pre-1970 instants included) get DuckDB's epoch-origin ``time_bucket``."""
+    import duckdb
+    import ray.data as rd
+    from docetl_ray.stages.window import add_tumbling_window
+
+    per_s = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[unit]
+    rng = np.random.default_rng(7)
+    secs = np.concatenate([rng.integers(-3 * 86400, 3 * 86400, 100),
+                           rng.integers(1_600_000_000, 1_700_000_000, 100)])
+    vals = secs * per_s + rng.integers(0, per_s, len(secs))
+    t = pa.table({"i": np.arange(len(vals)), "ts": pa.array(vals, pa.timestamp(unit))})
+    for w in (3600, 7 * 86400):
+        got = _collect(add_tumbling_window(rd.from_arrow(t), "ts", window_seconds=w))
+        got = got.sort_by([("i", "ascending")])["window_start"]
+        want = duckdb.sql(
+            f"SELECT time_bucket(INTERVAL '{w} seconds', ts::TIMESTAMP, "
+            "TIMESTAMP '1970-01-01') AS w FROM t ORDER BY i"
+        ).arrow()["w"]
+        assert got.type == pa.timestamp("us")
+        assert got.to_pylist() == want.cast(pa.timestamp("us")).to_pylist()
+
+
 def test_session_windows():
     import ray.data as rd
     from docetl_ray.stages.window import session_windows
