@@ -6,9 +6,9 @@ Pipeline shape (streaming, zero-copy Arrow batches)::
     events (Dataset: the WAL read, no map operator of its own)
       | exchange_refs("part", _ApplyPartition, map_fn=partial_apply)
       |   split tasks, each given a run of consecutive upstream blocks
-      |   as they arrive: partial_apply per block -- extract text,
-      |   drop html, per-batch LWW winners per url, add part col -- then
-      |   cut the pre-combined rows by part and report each part's bytes
+      |   as they arrive: partial_apply per block -- per-batch LWW
+      |   winners per url, their text extracted and html dropped, add
+      |   part col -- then cut the rows by part, report each part's bytes
       |   reduce tasks, each a contiguous run of partitions packed by
       |   bytes (one task per CPU at least): per partition, final LWW
       |   merge + base-state merge, writes staging parquet, emits a
@@ -110,42 +110,39 @@ def events_to_state(batch: pa.Table, *, extract: bool = True) -> pa.Table:
     return batch.append_column("_deleted", deleted)
 
 
-def _lww_with_ranges(t: pa.Table) -> pa.Table:
-    """LWW winners per url plus exact per-url applied-LSN range columns
-    ``_lsn_lo`` / ``_lsn_hi`` (for partition lineage)."""
+def _lww_with_ranges(t: pa.Table) -> tuple[pa.Table, pa.Array, pa.Array]:
+    """LWW winners per url plus exact per-url applied-LSN ranges
+    ``(lo, hi)``, aligned with the winners (for partition lineage)."""
     n = t.num_rows
     idx = pc.sort_indices(t, sort_keys=_LWW_KEYS)
-    t = t.take(idx)
-    u = t["url"].to_numpy(zero_copy_only=False)
+    u = t["url"].take(idx).to_numpy(zero_copy_only=False)
     last = np.empty(n, dtype=bool)
     last[:-1] = u[1:] != u[:-1]
     last[-1] = True
     starts = np.flatnonzero(np.concatenate(([True], last[:-1])))
-    lsn = t["lsn"].to_numpy(zero_copy_only=False)
+    lsn = t["lsn"].take(idx).to_numpy(zero_copy_only=False)
     lo = np.minimum.reduceat(lsn, starts)
     hi = np.maximum.reduceat(lsn, starts)
-    w = t.filter(pa.array(last))
-    return w.append_column("_lsn_lo", pa.array(lo, type=pa.int64())).append_column(
-        "_lsn_hi", pa.array(hi, type=pa.int64())
-    )
+    # gather only the winners' rows: raw events carry the html
+    return (t.take(idx.filter(pa.array(last))), pa.array(lo, type=pa.int64()),
+            pa.array(hi, type=pa.int64()))
 
 
 def partial_apply(
     batch: pa.Table, *, num_partitions: int, extract: bool = True,
     part_version: str = "v2",
 ) -> pa.Table:
-    """Per-batch combiner: state-form + per-url LWW winner + part column."""
-    state = events_to_state(batch, extract=extract)
-    if state.num_rows == 0:
-        return state.append_column("_lsn_lo", pa.array([], pa.int64())) \
-                    .append_column("_lsn_hi", pa.array([], pa.int64())) \
-                    .append_column("part", pa.array([], pa.int32()))
-    winners = _lww_with_ranges(state)
+    """Per-batch combiner: per-url LWW winners of the raw events, then
+    their state form (html->text for winners only) + part column."""
+    winners, lo, hi = _lww_with_ranges(batch) if batch.num_rows else (
+        batch, pa.array([], pa.int64()), pa.array([], pa.int64()))
+    state = events_to_state(winners, extract=extract)
     part = url_partition(
-        winners["url"].to_numpy(zero_copy_only=False), num_partitions,
+        state["url"].to_numpy(zero_copy_only=False), num_partitions,
         version=part_version,
     )
-    return winners.append_column("part", pa.array(part, type=pa.int32()))
+    return state.append_column("_lsn_lo", lo).append_column("_lsn_hi", hi) \
+        .append_column("part", pa.array(part, type=pa.int32()))
 
 
 def last_per_key(t: pa.Table, key_col: str, order_cols: list[str]) -> pa.Table:
@@ -205,36 +202,53 @@ def lww_latest(ds, key_col: str, order_cols):
 def _atomic_write_parquet(t: pa.Table, path: str):
     """Write-temp + rename so a task killed mid-write never leaves a
     truncated file behind (Ray retries the task; the rename is atomic and
-    the rewrite is deterministic, so retries are safe)."""
+    the rewrite is deterministic, so retries are safe).  ``url`` and
+    ``text`` are unique per row, so they skip the dictionary pass."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(t, tmp)
+    pq.write_table(t, tmp, use_dictionary=[
+        c for c in t.column_names if c not in ("url", "text")])
     os.replace(tmp, path)
+
+
+def _combine_hashes(arrays: list[np.ndarray]) -> np.ndarray:
+    """Row hash of a tuple of per-column hashes: pandas' combine rule
+    (``hash_pandas_object`` on a DataFrame, after CPython's tuple hash)."""
+    mult = np.uint64(1000003)
+    out = np.full_like(arrays[0], 0x345678)
+    for i, a in enumerate(arrays):
+        out ^= a
+        out *= mult
+        mult += np.uint64(82520 + 2 * (len(arrays) - i))
+    return out + np.uint64(97531)
 
 
 def _state_checksum(t: pa.Table) -> str:
     """Order-independent logical checksum of a partition state.
 
-    uint64 sum of vectorized per-row hashes over (url, lsn, warc_ts_us,
-    deleted, text-null-flag, text) — deterministic (fixed-key C siphash
-    via ``hash_pandas_object``), chunking- and file-format-independent,
-    no per-row Python.  Rides the write path of EVERY epoch, so it must
-    stay O(columns) vectorized work, not O(rows) interpreter work.
+    ``md5(rows:sum)``: sum mod 2^64 of row hashes over (url, lsn,
+    warc_ts_us, deleted, text-null-flag, text or "") -- per column pandas'
+    fixed-key siphash (no categorize pass: url and text are unique per
+    row), combined by ``_combine_hashes``.  The value is that of
+    ``hash_pandas_object`` on the six-column frame, as in earlier
+    manifests.  Chunking- and file-format-independent, no per-row Python.
     """
     if t.num_rows == 0:
         return "0"
     import pandas as pd
 
-    df = pd.DataFrame(
-        {
-            "url": t["url"].to_pandas(),
-            "lsn": t["lsn"].to_pandas(),
-            "ts": t["warc_ts"].cast(pa.int64()).to_pandas(),
-            "dead": t["_deleted"].cast(pa.int8()).to_pandas(),
-            "tnull": pc.is_null(t["text"]).cast(pa.int8()).to_pandas(),
-            "text": t["text"].to_pandas().fillna(""),
-        }
-    )
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy()
+    tnull = pc.is_null(t["text"])
+    # bytes hash as their str would, without the decode; nulls -> b""
+    text = t["text"].cast(pa.large_binary()).to_numpy(zero_copy_only=False)
+    text[tnull.to_numpy(zero_copy_only=False)] = b""
+    cols = [
+        t["url"].cast(pa.large_binary()).to_numpy(zero_copy_only=False),
+        t["lsn"].to_numpy(),
+        t["warc_ts"].cast(pa.int64()).to_numpy(),
+        t["_deleted"].cast(pa.int8()).to_numpy(),
+        tnull.cast(pa.int8()).to_numpy(),
+        text,
+    ]
+    h = _combine_hashes([pd.util.hash_array(c, categorize=False) for c in cols])
     with np.errstate(over="ignore"):
         total = int(h.sum(dtype=np.uint64))
     return hashlib.md5(f"{t.num_rows}:{total}".encode()).hexdigest()

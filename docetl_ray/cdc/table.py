@@ -32,7 +32,8 @@ appends, tiered folds) it is the latest delta / folded middle run only.
 Either way it is deterministic for a given event history + fold
 schedule, so cross-run comparison and corruption audits stay sound; an
 audit that needs a whole-state checksum on a multi-level partition
-should full-fold first (``compact(policy="full")``).
+should full-fold first (``compact(policy="full")``).  The formula
+(``apply._state_checksum``) is unchanged since the first manifests.
 """
 
 from __future__ import annotations

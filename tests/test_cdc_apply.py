@@ -350,3 +350,202 @@ def test_every_written_run_is_url_sorted(tmp_path):
     assert all(seen.values()), seen
     _assert_state_matches(_engine_state(delta),
                           replay_oracle(synth.events_table(0, 7500)))
+
+
+def test_tiered_fold_checksum_and_live_rows_contract(tmp_path, ray_session):
+    """Tiered folds must record a non-null newest-level checksum (the
+    same multi-level contract delta commits use — deterministic per fold
+    schedule, so cross-run audits stay sound) and a live_rows upper
+    bound, without scanning the kept base run's columns."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    from docetl_ray.cdc import LakeTable, apply_events, read_state
+    from docetl_ray.cdc.apply import compact
+    from docetl_ray.util import collect
+
+    def build(root):
+        table = LakeTable(root, num_partitions=2)
+        apply_events(table, rd.from_arrow(synth.events_table(0, 2000)),
+                     epoch=0, mode="delta", compact_after=None)
+        for e in range(1, 3):
+            apply_events(
+                table, rd.from_arrow(synth.events_table(2000 + e * 40, 40)),
+                epoch=e, mode="delta", compact_after=None)
+        compact(table, tag="tier", policy="tiered")
+        return table
+
+    t1 = build(str(tmp_path / "lake1"))
+    t2 = build(str(tmp_path / "lake2"))
+    m1 = t1.manifest(refresh=True)["partitions"]
+    m2 = t2.manifest(refresh=True)["partitions"]
+    for pid, rec in m1.items():
+        assert len(rec["paths"]) == 2, "expected a tiered [base, middle]"
+        assert rec["checksum"], "tiered fold must not void the checksum"
+        assert rec["checksum"] == m2[pid]["checksum"], \
+            "identical histories+schedules must reproduce the checksum"
+        assert rec["rows"] >= rec["live_rows"] >= 0
+    live = collect(read_state(t1)).num_rows
+    assert sum(r["live_rows"] for r in m1.values()) >= live, \
+        "live_rows must upper-bound logical live rows"
+
+
+def _checksum_oracle(t: pa.Table) -> str:
+    """The state checksum as first written: a six-column pandas frame
+    hashed by ``hash_pandas_object`` (categorize on), summed mod 2^64."""
+    import hashlib
+
+    import numpy as np
+    import pandas as pd
+
+    if t.num_rows == 0:
+        return "0"
+    df = pd.DataFrame(
+        {
+            "url": t["url"].to_pandas(),
+            "lsn": t["lsn"].to_pandas(),
+            "ts": t["warc_ts"].cast(pa.int64()).to_pandas(),
+            "dead": t["_deleted"].cast(pa.int8()).to_pandas(),
+            "tnull": pc.is_null(t["text"]).cast(pa.int8()).to_pandas(),
+            "text": t["text"].to_pandas().fillna(""),
+        }
+    )
+    h = pd.util.hash_pandas_object(df, index=False).to_numpy()
+    with np.errstate(over="ignore"):
+        total = int(h.sum(dtype=np.uint64))
+    return hashlib.md5(f"{t.num_rows}:{total}".encode()).hexdigest()
+
+
+def _tiny_state(texts: list) -> pa.Table:
+    n = len(texts)
+    return pa.table(
+        {
+            "lsn": pa.array(range(7, 7 + n), pa.int64()),
+            "url": [f"https://e.x/{i}" for i in range(n)],
+            "warc_ts": pa.array([1_700_000_000_000_000 + i for i in range(n)],
+                                pa.timestamp("us")),
+            "lang": ["en"] * n,
+            "text": pa.array(texts, pa.string()),
+            "_deleted": [t is None for t in texts],
+        }
+    )
+
+
+def test_state_checksum_matches_dataframe_formula(tmp_path):
+    """``_state_checksum`` keeps the value of the original DataFrame
+    formula on every state shape, so old manifests stay comparable."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from docetl_ray.cdc.apply import _state_checksum, events_to_state
+
+    rng = np.random.default_rng(12)
+    ev = synth.events_table(4000, 6000)
+    ev = ev.take(pa.array(rng.permutation(ev.num_rows)))
+    state = lww_last_per_url(events_to_state(ev))
+    assert pc.sum(state["_deleted"]).as_py() > 0
+
+    # a live row with "" text next to a tombstone (null text)
+    mixed = _tiny_state(["", None, "plain", "naïve café — 東京 🚀", ""])
+    # the same rows with the null turned into "": only tnull tells them apart
+    no_null = mixed.set_column(
+        4, "text", pc.fill_null(mixed["text"], "")
+    )
+
+    path = str(tmp_path / "run.parquet")
+    pq.write_table(state, path, row_group_size=1000)
+    chunked = pq.read_table(path)
+    assert chunked["text"].num_chunks > 1 and chunked["url"].num_chunks > 1
+
+    cases = {
+        "synth": state,
+        "mixed": mixed,
+        "no_null": no_null,
+        "one_row": mixed.slice(3, 1),
+        "empty": state.slice(0, 0),
+        "chunked": chunked,
+    }
+    for name, t in cases.items():
+        assert _state_checksum(t) == _checksum_oracle(t), name
+    assert _state_checksum(cases["empty"]) == "0"
+    assert _state_checksum(chunked) == _state_checksum(state)
+    assert _state_checksum(mixed) != _state_checksum(no_null)
+    # pinned: the DataFrame formula's value for this table, so the
+    # kernel and its oracle cannot drift together
+    assert _state_checksum(mixed) == "a748208c94c4d05f7df9552b2f06b667"
+
+
+def _partial_apply_extract_first(batch: pa.Table, num_partitions: int,
+                                 extract: bool) -> pa.Table:
+    """``partial_apply`` as first written: state form for every event,
+    then the per-batch LWW winners."""
+    from docetl_ray.cdc.apply import _lww_with_ranges, events_to_state, url_partition
+
+    state = events_to_state(batch, extract=extract)
+    if state.num_rows == 0:
+        return state.append_column("_lsn_lo", pa.array([], pa.int64())) \
+                    .append_column("_lsn_hi", pa.array([], pa.int64())) \
+                    .append_column("part", pa.array([], pa.int32()))
+    w, lo, hi = _lww_with_ranges(state)
+    part = url_partition(w["url"].to_numpy(zero_copy_only=False), num_partitions)
+    return w.append_column("_lsn_lo", lo).append_column("_lsn_hi", hi) \
+            .append_column("part", pa.array(part, pa.int32()))
+
+
+@pytest.mark.parametrize("extract", [True, False])
+def test_partial_apply_extracts_only_winners(monkeypatch, extract):
+    """LWW before extraction gives the same table (schema, column order,
+    values) as extraction before LWW, and the html->text kernel sees only
+    the batch's winners."""
+    import numpy as np
+
+    from docetl_ray.cdc import apply as cdc_apply
+
+    rng = np.random.default_rng(5)
+    # lsn > 5000: hot urls, ~5% out-of-order timestamps and ~10% deletes
+    ev = synth.events_table(5000, 5000)
+    ts = ev["warc_ts"].cast(pa.int64()).to_numpy()
+    assert (np.diff(ts) < 0).any()
+    assert pc.sum(pc.equal(ev["op"], "delete")).as_py() > 0
+    assert len(set(ev["url"].to_pylist())) < ev.num_rows
+    ev = ev.take(pa.array(rng.permutation(ev.num_rows)))
+    if not extract:
+        # pre-extracted text travels as is; deletes still null it
+        ev = ev.append_column(
+            "text", pa.array([f"t{i}" for i in ev["lsn"].to_pylist()])
+        )
+
+    batches = (ev, ev.slice(0, 0))
+    wants = [_partial_apply_extract_first(b, 8, extract) for b in batches]
+    seen = []
+    real = cdc_apply.extract_text_batch
+    monkeypatch.setattr(cdc_apply, "extract_text_batch",
+                        lambda b: seen.append(b.num_rows) or real(b))
+    for batch, want in zip(batches, wants):
+        seen.clear()
+        got = partial_apply(batch, num_partitions=8, extract=extract)
+        assert got.schema.equals(want.schema)
+        assert got.column_names == want.column_names
+        assert got.equals(want)
+        assert seen == ([got.num_rows] if extract else [])
+        assert got.num_rows < max(batch.num_rows, 1)
+
+
+def test_atomic_write_parquet_plain_url_and_text(tmp_path):
+    """State runs write url and text without a dictionary (both are unique
+    per row); other columns (``lang``) keep it, and the file reads back
+    equal."""
+    import pyarrow.parquet as pq
+
+    from docetl_ray.cdc.apply import _atomic_write_parquet, events_to_state
+
+    state = lww_last_per_url(events_to_state(synth.events_table(0, 3000)))
+    path = str(tmp_path / "part-00000.parquet")
+    _atomic_write_parquet(state, path)
+    assert os.listdir(tmp_path) == ["part-00000.parquet"]
+    assert pq.read_table(path).equals(state)
+    rg = pq.ParquetFile(path).metadata.row_group(0)
+    enc = {rg.column(i).path_in_schema: rg.column(i).encodings
+           for i in range(rg.num_columns)}
+    for name, dictionary in (("url", False), ("text", False), ("lang", True)):
+        assert any("DICTIONARY" in e for e in enc[name]) == dictionary, enc

@@ -384,44 +384,6 @@ def test_tiered_compaction_keeps_base_and_bounds_write_cost(
     assert engine2["text"].to_pylist() == oracle2["text"].to_pylist()
 
 
-def test_tiered_fold_checksum_and_live_rows_contract(tmp_path, ray_session):
-    """Tiered folds must record a non-null newest-level checksum (the
-    same multi-level contract delta commits use — deterministic per fold
-    schedule, so cross-run audits stay sound) and a live_rows upper
-    bound, without scanning the kept base run's columns."""
-    import ray.data as rd
-
-    from docetl_ray import synth
-    from docetl_ray.cdc import LakeTable, apply_events, read_state
-    from docetl_ray.cdc.apply import compact
-    from docetl_ray.util import collect
-
-    def build(root):
-        table = LakeTable(root, num_partitions=2)
-        apply_events(table, rd.from_arrow(synth.events_table(0, 2000)),
-                     epoch=0, mode="delta", compact_after=None)
-        for e in range(1, 3):
-            apply_events(
-                table, rd.from_arrow(synth.events_table(2000 + e * 40, 40)),
-                epoch=e, mode="delta", compact_after=None)
-        compact(table, tag="tier", policy="tiered")
-        return table
-
-    t1 = build(str(tmp_path / "lake1"))
-    t2 = build(str(tmp_path / "lake2"))
-    m1 = t1.manifest(refresh=True)["partitions"]
-    m2 = t2.manifest(refresh=True)["partitions"]
-    for pid, rec in m1.items():
-        assert len(rec["paths"]) == 2, "expected a tiered [base, middle]"
-        assert rec["checksum"], "tiered fold must not void the checksum"
-        assert rec["checksum"] == m2[pid]["checksum"], \
-            "identical histories+schedules must reproduce the checksum"
-        assert rec["rows"] >= rec["live_rows"] >= 0
-    live = collect(read_state(t1)).num_rows
-    assert sum(r["live_rows"] for r in m1.values()) >= live, \
-        "live_rows must upper-bound logical live rows"
-
-
 def test_tombstone_gc_watermark_forces_full_fold(tmp_path, ray_session):
     """drop_tombstones_below_lsn with policy="tiered" must fold every
     level: GC'ing a tombstone in a partial fold would resurrect an
