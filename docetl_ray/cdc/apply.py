@@ -110,15 +110,22 @@ def events_to_state(batch: pa.Table, *, extract: bool = True) -> pa.Table:
     return batch.append_column("_deleted", deleted)
 
 
+def _sorted_runs(t: pa.Table, key_col: str, sort_keys) -> tuple[pa.Array, np.ndarray]:
+    """Every LWW's run-boundary kernel: ``t``'s sort indices by ``sort_keys``
+    (``key_col`` first) and a mask over them marking each key's last row,
+    its winner; callers gather only the winners (``idx.filter(mask)``)."""
+    idx = pc.sort_indices(t, sort_keys=sort_keys)
+    u = t[key_col].take(idx).to_numpy(zero_copy_only=False)
+    last = np.empty(len(u), dtype=bool)
+    last[:-1] = u[1:] != u[:-1]
+    last[-1:] = True
+    return idx, last
+
+
 def _lww_with_ranges(t: pa.Table) -> tuple[pa.Table, pa.Array, pa.Array]:
     """LWW winners per url plus exact per-url applied-LSN ranges
     ``(lo, hi)``, aligned with the winners (for partition lineage)."""
-    n = t.num_rows
-    idx = pc.sort_indices(t, sort_keys=_LWW_KEYS)
-    u = t["url"].take(idx).to_numpy(zero_copy_only=False)
-    last = np.empty(n, dtype=bool)
-    last[:-1] = u[1:] != u[:-1]
-    last[-1] = True
+    idx, last = _sorted_runs(t, "url", _LWW_KEYS)
     starts = np.flatnonzero(np.concatenate(([True], last[:-1])))
     lsn = t["lsn"].take(idx).to_numpy(zero_copy_only=False)
     lo = np.minimum.reduceat(lsn, starts)
@@ -147,16 +154,11 @@ def partial_apply(
 
 def last_per_key(t: pa.Table, key_col: str, order_cols: list[str]) -> pa.Table:
     """Generic LWW combine: last row per key by ascending ``order_cols``."""
-    n = t.num_rows
-    if n <= 1:
+    if t.num_rows <= 1:
         return t
     keys = [(key_col, "ascending")] + [(c, "ascending") for c in order_cols]
-    t = t.take(pc.sort_indices(t, sort_keys=keys))
-    u = t[key_col].to_numpy(zero_copy_only=False)
-    mask = np.empty(n, dtype=bool)
-    mask[:-1] = u[1:] != u[:-1]
-    mask[-1] = True
-    return t.filter(pa.array(mask))
+    idx, last = _sorted_runs(t, key_col, keys)
+    return t.take(idx.filter(pa.array(last)))
 
 
 def lww_latest(ds, key_col: str, order_cols):

@@ -386,6 +386,15 @@ def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
     return pairs.filter(pa.array(keep))
 
 
+def _id_type(ds, col: str, schema=None) -> pa.DataType:
+    """``ds``'s ``col`` type, to type an empty result: read from the
+    upstream when Ray knows no lazy schema (an empty ``from_arrow``)."""
+    from .joins import _ds_arrow_schema, _ds_arrow_schema_lazy
+
+    s = schema or _ds_arrow_schema_lazy(ds) or _ds_arrow_schema(ds)
+    return s.field(col).type if col in s.names else pa.int64()
+
+
 def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
                        names, schemas=(None, None)):
     """The distinct candidate pairs whose texts' exact char-k-gram
@@ -395,7 +404,7 @@ def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
 
     ``left`` / ``right`` are ``(Dataset, id column, text column)`` and
     ``schemas`` their wire schemas (None: inferred lazily when Ray can;
-    unknown ids type the empty result as int64).  ``pairs`` is an Arrow
+    an empty result is typed by ``_id_type``).  ``pairs`` is an Arrow
     table or a materialized Dataset of ``(id_a, id_b)`` (other columns
     are ignored).  Up to
     ``_SPARSE_TEXT_PAIRS`` pairs are verified on the driver after one
@@ -422,8 +431,7 @@ def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
     n = pairs.num_rows if isinstance(pairs, pa.Table) else pairs.count()
     if n == 0:
         return rd.from_arrow(pa.schema([
-            (names[0], ls.field(lid).type if ls is not None else pa.int64()),
-            (names[1], rs.field(rid).type if rs is not None else pa.int64()),
+            (names[0], _id_type(lds, lid, ls)), (names[1], _id_type(rds, rid, rs)),
             (names[2], pa.float64()),
         ]).empty_table())
 
@@ -1135,13 +1143,10 @@ def embedding_dedup(
     the correctness claim)."""
     from .util_ray import collect_small, md5_int_planes, quantized_lsh_codes
 
-    dim_probe = ds.take(1)[0][emb_col]
-    dim = len(dim_probe)
-    planes = md5_int_planes(num_planes, dim, tag=f"emb{seed}")
-
     def bucketize(batch: pa.Table) -> pa.Table:
         embs = np.asarray(batch[emb_col].to_pylist(), dtype=np.float64)
-        code = quantized_lsh_codes(embs, planes)
+        code = quantized_lsh_codes(
+            embs, md5_int_planes(num_planes, embs.shape[1], tag=f"emb{seed}"))
         return pa.table(
             {
                 id_col: batch[id_col],

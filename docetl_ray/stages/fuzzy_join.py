@@ -8,10 +8,10 @@ here blocking is MinHash-LSH over the join-text columns (same banding
 machinery as ``stages/dedup.py``) and confirmation is exact n-gram
 Jaccard ≥ threshold — deterministic and scalable:
 
-    left + right (side-tagged)
-      -> minhash bands per row      (map, vectorized)
-      -> ONE keyed exchange on the band bucket (``partitioned_map``)
-         -> cross-side candidate pairs
+    left, right
+      -> ONE two-input keyed exchange on the band bucket (each side's
+         ``map_fn``: its minhash bands per row, vectorized)
+         -> cross-side candidate pairs of the buckets on both sides
       -> distinct pairs + exact-Jaccard verify, the pipeline shared with
          the MinHash exact dedup (``dedup._distinct_pairs`` /
          ``dedup._verify_text_pairs``): on the driver while the pair set
@@ -20,23 +20,100 @@ Jaccard ≥ threshold — deterministic and scalable:
          the pairs by two hash joins (never a whole-side broadcast)
       -> per-side match ``limits``
 
-Per-side ``limits`` mirror ``equijoin.py:474-489`` (cap matches per
-left/right row, keeping the highest-similarity pairs deterministically).
+``embedding_blocked_join`` blocks on the same two-input exchange.  Per-side
+``limits`` mirror ``equijoin.py:474-489`` (cap matches per left/right row,
+keeping the highest-similarity pairs deterministically).
 """
 
 from __future__ import annotations
 
+import logging
+from collections import defaultdict
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+import ray.data as rd
 
 from .dedup import (
+    _BUCKET_CAP,
     _band_buckets_vec,
     _distinct_pairs,
+    _id_type,
     _perm_params,
     _verify_text_pairs,
     minhash_signatures_batch,
 )
+from .grouped import partitioned_map
+from .joins import hash_join
+from .llm import FakeDeterministicClient, _safe_eval, render_prompt
+from .reduces import grouped_aggregate
+from .util_ray import (broadcast_cached, bucket_codes, collect_small, md5_int_planes,
+                       quantized_lsh_codes)
+
+# hash partitions of the candidate phases' bucket exchange
+_NUM_PARTS = 32
+
+
+def _with_part(t: pa.Table) -> pa.Table:
+    """``t`` plus the exchange's partition column, the hash of ``bucket``."""
+    return t.append_column("_part", pa.array(bucket_codes(t, "bucket", _NUM_PARTS)))
+
+
+def _common_runs(l: pa.Table, r: pa.Table):
+    """Two sides' groups of a bucket exchange: each side's distinct
+    ``(bucket, rid)`` rows sorted by them, then the run (start, length)
+    in it of each bucket both sides hold, aligned by bucket: ``(l table,
+    r table, l starts, l lengths, r starts, r lengths)``."""
+    runs = []
+    for t in (l, r):
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[("bucket", "ascending"), ("rid", "ascending")]))
+        b = t["bucket"].to_numpy()
+        v = t["rid"].to_numpy(zero_copy_only=False)
+        keep = np.ones(len(b), dtype=bool)
+        keep[1:] = (b[1:] != b[:-1]) | (v[1:] != v[:-1])
+        runs.append((t.filter(pa.array(keep)),
+                     *np.unique(b[keep], return_index=True, return_counts=True)))
+    (lt, lu, ls, nl), (rt, ru, rs, nr) = runs
+    _, li, ri = np.intersect1d(lu, ru, assume_unique=True, return_indices=True)
+    return lt, rt, ls[li], nl[li], rs[ri], nr[ri]
+
+
+def _cross_pairs(l: pa.Table, r: pa.Table) -> pa.Table:
+    """fuzzy_join's reduce: the cross-side ``(id_a, id_b)`` candidate
+    pairs of every band bucket present in both sides' groups, FULLY
+    vectorized across the partition's buckets — index arithmetic over
+    their runs, no per-bucket Python (a pandas-groupby iteration over
+    ~80k LSH buckets cost ~2.5 s per run)."""
+    if not (l.num_columns and r.num_columns):
+        return pa.table({})
+    lt, rt, ls, nl, rs, nr = _common_runs(l, r)
+    # degenerate-bucket guard: a band bucket with a huge cross product
+    # (boilerplate collisions) is clamped to the first _BUCKET_CAP
+    # id-ordered members per side (the reference's comparison caps,
+    # equijoin.py:549-603), and logged: genuine matches concentrate in
+    # small buckets, giant ones are low-information collisions.
+    big = (nl * nr) > _BUCKET_CAP * _BUCKET_CAP
+    if big.any():
+        logging.getLogger("docetl_ray.dedup").warning(
+            "capped %d degenerate fuzzy-join bucket(s) (> %d^2 pairs) "
+            "to %d members per side", int(big.sum()), _BUCKET_CAP, _BUCKET_CAP,
+        )
+        nl = np.where(big, np.minimum(nl, _BUCKET_CAP), nl)
+        nr = np.where(big, np.minimum(nr, _BUCKET_CAP), nr)
+    per_bucket = nl * nr
+    total = int(per_bucket.sum())
+    # pair index arithmetic: within-bucket pair p -> (p // nr, p % nr)
+    pb = np.repeat(np.arange(len(per_bucket)), per_bucket)
+    offs = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
+    within = np.arange(total) - offs[pb]
+    return pa.table({
+        "id_a": lt["rid"].take(ls[pb] + within // nr[pb]),
+        "id_b": rt["rid"].take(rs[pb] + within % nr[pb]),
+    })
 
 
 def fuzzy_join(
@@ -66,13 +143,8 @@ def fuzzy_join(
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm)
 
-    def bander(text_col, id_col, side):
+    def bander(text_col, id_col):
         def fn(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table(
-                    {"bucket": pa.array([], pa.int64()), "rid": batch[id_col],
-                     "side": pa.array([], pa.string())}
-                )
             sigs = minhash_signatures_batch(
                 batch[text_col].to_pylist(), a, b, shingle_k
             ).astype(np.int64)
@@ -81,87 +153,21 @@ def fuzzy_join(
             bucket, ids_rep = _band_buckets_vec(
                 sigs, batch[id_col], bands, rows_per_band
             )
-            return pa.table(
-                {
-                    "bucket": bucket,
-                    "rid": ids_rep,
-                    "side": pa.array([side] * len(bucket), pa.string()),
-                }
-            )
+            return _with_part(pa.table({"bucket": bucket, "rid": ids_rep}))
 
-        fn.__name__ = f"bands_{side}"
         return fn
 
-    lb = left.map_batches(bander(left_text, left_id, "l"), batch_format="pyarrow")
-    rb = right.map_batches(bander(right_text, right_id, "r"), batch_format="pyarrow")
+    # ONE two-input exchange on the band bucket's hash: whole buckets of
+    # both sides meet in one reduce task (per-bucket map_groups would pay
+    # ~ms task/pandas overhead per LSH bucket, and there are ~docs x
+    # bands buckets), and _cross_pairs runs vectorized across them.  Imported
+    # here: perfbench's tracer counts exchanges by wrapping this attribute
+    from .util_ray import exchange_map_groups
 
-    def cross_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # FULLY vectorized cross products across every bucket in the
-        # partition at once: dedup (bucket, side, rid), count l/r per
-        # bucket, then index arithmetic generates all pairs with zero
-        # per-bucket Python (a pandas-groupby iteration over ~80k LSH
-        # buckets cost ~2.5 s per run before this)
-        rid_dtype = group["rid"].dtype
-        empty = pd.DataFrame(
-            {"id_a": pd.Series([], dtype=rid_dtype),
-             "id_b": pd.Series([], dtype=rid_dtype)}
-        )
-        g = group.drop_duplicates(subset=["bucket", "side", "rid"])
-        lmask = (g["side"] == "l").to_numpy()
-        l = g[lmask].sort_values(["bucket", "rid"], kind="mergesort")
-        r = g[~lmask].sort_values(["bucket", "rid"], kind="mergesort")
-        if not len(l) or not len(r):
-            return empty
-        lb_arr = l["bucket"].to_numpy()
-        rb_arr = r["bucket"].to_numpy()
-        lv = l["rid"].to_numpy()
-        rv = r["rid"].to_numpy()
-        # per-bucket runs on each side
-        lu, l_start, l_cnt = np.unique(lb_arr, return_index=True, return_counts=True)
-        ru, r_start, r_cnt = np.unique(rb_arr, return_index=True, return_counts=True)
-        common, li, ri = np.intersect1d(lu, ru, assume_unique=True,
-                                        return_indices=True)
-        if len(common) == 0:
-            return empty
-        nl, nr = l_cnt[li], r_cnt[ri]
-        ls, rs = l_start[li], r_start[ri]
-        # degenerate-bucket guard: a band bucket with a huge cross product
-        # (boilerplate collisions) is clamped to the first _BUCKET_CAP
-        # id-ordered members per side — bounded pair volume, mirroring the
-        # reference's comparison caps (equijoin.py:549-603); dropped
-        # volume is logged.  Genuine matches in real corpora concentrate
-        # in small buckets; giant ones are low-information collisions.
-        from .dedup import _BUCKET_CAP
-
-        big = (nl.astype(np.int64) * nr.astype(np.int64)) > _BUCKET_CAP * _BUCKET_CAP
-        if big.any():
-            import logging
-
-            logging.getLogger("docetl_ray.dedup").warning(
-                "capped %d degenerate fuzzy-join bucket(s) (> %d^2 pairs) "
-                "to %d members per side", int(big.sum()), _BUCKET_CAP, _BUCKET_CAP,
-            )
-            nl = np.where(big, np.minimum(nl, _BUCKET_CAP), nl)
-            nr = np.where(big, np.minimum(nr, _BUCKET_CAP), nr)
-        per_bucket = nl * nr
-        total = int(per_bucket.sum())
-        # pair index arithmetic: within-bucket pair p -> (p // nr, p % nr)
-        pb = np.repeat(np.arange(len(common)), per_bucket)
-        offs = np.concatenate(([0], np.cumsum(per_bucket)[:-1]))
-        within = np.arange(total) - offs[pb]
-        lid = lv[ls[pb] + within // nr[pb]]
-        rid = rv[rs[pb] + within % nr[pb]]
-        return pd.DataFrame({"id_a": lid, "id_b": rid})
-
-    # partition by hash(bucket), not per distinct bucket: per-bucket
-    # map_groups pays ~ms task/pandas overhead per LSH bucket and there
-    # are ~docs x bands buckets; partitioned_map co-locates whole
-    # buckets through the take()-based exchange and cross_pairs runs
-    # vectorized across them inside the task
-    from .grouped import partitioned_map
-
-    cand = partitioned_map(lb.union(rb), "bucket", cross_pairs,
-                           num_partitions=32)
+    cand = exchange_map_groups(
+        (left, right), "_part", _NUM_PARTS, _cross_pairs,
+        map_fn=(bander(left_text, left_id), bander(right_text, right_id)),
+    )
     rid_out = right_id if right_id != left_id else f"{right_id}_right"
     pairs = _verify_text_pairs(
         _distinct_pairs(cand), (left, left_id, left_text),
@@ -178,8 +184,6 @@ def _fuzzy_apply_limits(pairs, left_id: str, rid_col: str, limits):
     lim_l, lim_r = limits
     if lim_l is None and lim_r is None:
         return pairs
-
-    from .grouped import partitioned_map
 
     def cap(key: str, other: str, n: int):
         # vectorized across every key in the partition: global sort once,
@@ -215,7 +219,6 @@ def embedding_blocked_join(
     probe_flips: int = 1,
     limit_comparisons: int | None = None,
     seed: int = 11,
-    num_partitions: int = 32,
 ):
     """Embedding-blocked join candidates: the reference equijoin's
     embedding blocking phase (``/root/reference/docetl/operations/
@@ -227,9 +230,11 @@ def embedding_blocked_join(
       ``quantized_lsh_codes`` — exact integer arithmetic, so a SQL oracle
       recomputes the buckets bit-for-bit); the right side also lands in
       every code within ``probe_flips`` bit flips, so a cross-side pair
-      surfaces iff ``hamming(code_l, code_r) <= probe_flips``,
+      surfaces iff ``hamming(code_l, code_r) <= probe_flips``.  Each
+      side's bucketing is its ``map_fn`` of one two-input exchange on the
+      bucket's hash (no side column, no union),
     - exact cosine within co-bucketed cross-side pairs (vectorized
-      matmul per bucket),
+      matmul per bucket present on both sides),
     - ``limit_comparisons``: deterministic stratified cap mirroring the
       reference's ``stratified_length_sample`` (``equijoin.py:549-603``):
       stratify by the smaller-cardinality side and round-robin the BEST
@@ -238,79 +243,71 @@ def embedding_blocked_join(
       stratified round-robin shape).
 
     Returns ``(left_id, right_id)`` pairs (ids only — downstream
-    verification/LLM compare attaches payloads by id).
+    verification/LLM compare attaches payloads by id); the right column
+    is ``{right_id}_right`` when the two id names are equal, as in
+    ``fuzzy_join``.
     """
-    from .grouped import grouped_map
-    from .util_ray import md5_int_planes, quantized_lsh_codes
+    rid_out = right_id if right_id != left_id else f"{right_id}_right"
 
-    dim = len(left.take(1)[0][left_emb])
-    planes = md5_int_planes(num_planes, dim, tag=f"emb{seed}")
-
-    def bucketer(emb_col, id_col, side, probe: bool):
+    def bucketer(emb_col, id_col, probe: bool):
         def fn(batch: pa.Table) -> pa.Table:
             embs = np.asarray(batch[emb_col].to_pylist(), dtype=np.float64)
-            codes = quantized_lsh_codes(embs, planes)
-            ids = batch[id_col]
-            bks, out_idx = [], []
-            for i, c in enumerate(codes.tolist()):
-                bks.append(c)
-                out_idx.append(i)
-                if probe and probe_flips >= 1:
-                    for b in range(num_planes):
-                        bks.append(c ^ (1 << b))
-                        out_idx.append(i)
-            emb_list = batch[emb_col].take(pa.array(out_idx))
-            return pa.table(
-                {
-                    "bucket": pa.array(bks, pa.int64()),
-                    "rid": ids.take(pa.array(out_idx)),
-                    "side": pa.array([side] * len(bks), pa.string()),
-                    "emb": emb_list,
-                }
-            )
+            codes = quantized_lsh_codes(
+                embs, md5_int_planes(num_planes, embs.shape[1], tag=f"emb{seed}"))
+            # each code, then (probing side) its num_planes one-bit flips
+            flips = np.array([0] + [1 << i for i in range(num_planes)
+                                    if probe and probe_flips >= 1], np.int64)
+            codes = (codes[:, None] ^ flips[None, :]).reshape(-1)
+            idx = pa.array(np.repeat(np.arange(batch.num_rows), len(flips)))
+            return _with_part(pa.table({
+                "bucket": pa.array(codes, pa.int64()),
+                "rid": batch[id_col].take(idx),
+                "emb": batch[emb_col].take(idx),
+            }))
 
-        fn.__name__ = f"ebucket_{side}"
         return fn
 
-    lb = left.map_batches(bucketer(left_emb, left_id, "l", False),
-                          batch_format="pyarrow")
-    rb = right.map_batches(bucketer(right_emb, right_id, "r", True),
-                           batch_format="pyarrow")
+    def unit_rows(col) -> np.ndarray:
+        m = np.asarray(col.to_pylist(), dtype=np.float64)
+        n = np.linalg.norm(m, axis=1)
+        n[n == 0] = 1.0
+        return m / n[:, None]
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        lm = (g["side"] == "l").to_numpy()
-        lg = g[lm].drop_duplicates(subset=["rid"]).sort_values("rid", kind="mergesort")
-        rg = g[~lm].drop_duplicates(subset=["rid"]).sort_values("rid", kind="mergesort")
-        if not len(lg) or not len(rg):
-            return pd.DataFrame({"lid": [], "rid_": [], "cosine": []})
-        ml = np.asarray([np.asarray(e, dtype=np.float64) for e in lg["emb"]])
-        mr = np.asarray([np.asarray(e, dtype=np.float64) for e in rg["emb"]])
-        for m in (ml, mr):
-            n = np.linalg.norm(m, axis=1)
-            n[n == 0] = 1.0
-            m /= n[:, None]
-        sim = ml @ mr.T
-        xs, ys = np.where(sim >= blocking_threshold)
-        return pd.DataFrame(
-            {
-                "lid": lg["rid"].to_numpy()[xs],
-                "rid_": rg["rid"].to_numpy()[ys],
-                "cosine": sim[xs, ys],
-            }
-        )
+    def pairs(l: pa.Table, r: pa.Table) -> pa.Table:
+        if not (l.num_columns and r.num_columns):
+            return pa.table({})
+        lt, rt, ls, nl, rs, nr = _common_runs(l, r)
+        xs, ys, cos = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+        for a, na, b, nb in zip(ls, nl, rs, nr):
+            sim = unit_rows(lt["emb"].slice(a, na)) @ unit_rows(rt["emb"].slice(b, nb)).T
+            x, y = np.where(sim >= blocking_threshold)
+            xs.append(a + x)
+            ys.append(b + y)
+            cos.append(sim[x, y])
+        return pa.table({
+            "lid": lt["rid"].take(np.concatenate(xs)),
+            "rid_": rt["rid"].take(np.concatenate(ys)),
+            "cosine": pa.array(np.concatenate(cos), pa.float64()),
+        })
 
-    pairs.__name__ = "embedding_block_pairs"
-    cand = grouped_map(lb.union(rb), "bucket", pairs,
-                       num_partitions=num_partitions)
+    from .util_ray import exchange_map_groups
+
+    cand = exchange_map_groups(
+        (left, right), "_part", _NUM_PARTS, pairs,
+        map_fn=(bucketer(left_emb, left_id, False),
+                bucketer(right_emb, right_id, True)),
+    )
+    if cand.count() == 0:  # block metadata: no execution
+        return rd.from_arrow(pa.schema([
+            (left_id, _id_type(left, left_id)), (rid_out, _id_type(right, right_id)),
+        ]).empty_table())
 
     # probe buckets overlap -> same pair can surface several times
-    from .reduces import grouped_aggregate
-
     uniq = grouped_aggregate(cand, ["lid", "rid_"], [("cosine", "max", "cosine")])
 
     if limit_comparisons is None:
         def ids_only(t: pa.Table) -> pa.Table:
-            return pa.table({left_id: t["lid"], right_id: t["rid_"]})
+            return pa.table({left_id: t["lid"], rid_out: t["rid_"]})
 
         ids_only.__name__ = "pairs_ids"
         return uniq.map_batches(ids_only, batch_format="pyarrow")
@@ -319,8 +316,6 @@ def embedding_blocked_join(
     # the smaller-cardinality side, order each stratum best-first, take
     # round-robin across strata until the cap fills.  Pairs are sparse
     # post-blocking, so the cap runs on the driver like the reference.
-    from .util_ray import collect_small
-
     t = collect_small(uniq)
     df = t.to_pandas()
     n_l, n_r = df["lid"].nunique(), df["rid_"].nunique()
@@ -331,11 +326,9 @@ def embedding_blocked_join(
     capped = df.sort_values(["_rr", "cosine"], ascending=[True, False],
                             kind="mergesort").head(limit_comparisons)
     capped = capped.sort_values(["lid", "rid_"], kind="mergesort")
-    import ray.data as rd
-
     return rd.from_arrow(
         pa.table({left_id: pa.array(capped["lid"].to_numpy()),
-                  right_id: pa.array(capped["rid_"].to_numpy())})
+                  rid_out: pa.array(capped["rid_"].to_numpy())})
     )
 
 
@@ -361,12 +354,6 @@ def condition_blocked_pairs(
     This is inherently a small-side blocking strategy: at scale use LSH
     (``minhash_candidates``) or ``embedding_blocked_join`` and reserve
     predicates for the compare stage."""
-    import ray
-
-    from .util_ray import broadcast_cached
-    from .llm import _safe_eval
-    from .util_ray import collect_small
-
     if left_id == right_id:
         raise ValueError(
             "condition_blocked_pairs needs distinct left_id/right_id "
@@ -415,7 +402,8 @@ def llm_equijoin(
 
     - ``blocked_pairs``: Dataset of ``(left_id, right_id)`` candidates
       (from ``embedding_blocked_join``, ``fuzzy_join`` pairs, or a code
-      blocking stage),
+      blocking stage); its right column is ``{right_id}_right`` when the
+      two id names are equal,
     - both sides' full rows are routed TO the pairs with keyed-shuffle
       hash joins (never a whole-side broadcast),
     - ``comparison_prompt`` rendered with ``input1``/``input2`` per pair;
@@ -429,10 +417,6 @@ def llm_equijoin(
       order — the reference caps in completion order, which is
       thread-timing dependent; sorted order is the reproducible recast.
     """
-    from .joins import _ds_arrow_schema_lazy, hash_join
-    from .llm import FakeDeterministicClient, render_prompt
-    from .util_ray import collect_small
-
     def proj(ds_side, prefix):
         def fn(batch: pa.Table) -> pa.Table:
             return batch.rename_columns([f"{prefix}{c}" for c in batch.column_names])
@@ -442,8 +426,11 @@ def llm_equijoin(
 
     lp = proj(left, "_l_")
     rp = proj(right, "_r_")
+    # the pairs name their right ids as fuzzy_join and
+    # embedding_blocked_join do: {right_id}_right when the names are equal
+    pair_rid = right_id if right_id != left_id else f"{right_id}_right"
     with_l = hash_join(blocked_pairs, lp, on=left_id, right_on=f"_l_{left_id}")
-    with_lr = hash_join(with_l, rp, on=right_id, right_on=f"_r_{right_id}")
+    with_lr = hash_join(with_l, rp, on=pair_rid, right_on=f"_r_{right_id}")
 
     def compare(batch: pa.Table) -> pa.Table:
         client = (client_factory or FakeDeterministicClient)()
@@ -482,19 +469,14 @@ def llm_equijoin(
 
     lim_l, lim_r = limits
     if lim_l is None and lim_r is None:
-        out = matches.map_batches(merge_names, batch_format="pyarrow")
-        return out
+        return matches.map_batches(merge_names, batch_format="pyarrow")
 
     # caps need global per-key match counts; matches are sparse
     # post-compare, so the cap runs on the driver like the reference
     t = collect_small(matches)
     if t.num_rows == 0:
-        import ray.data as rd
-
         return rd.from_arrow(merge_names(t)) if t.num_columns else rd.from_arrow(t)
     t = t.sort_by([(f"_l_{left_id}", "ascending"), (f"_r_{right_id}", "ascending")])
-    from collections import defaultdict
-
     lcount: dict = defaultdict(int)
     rcount: dict = defaultdict(int)
     keep = []
@@ -508,6 +490,4 @@ def llm_equijoin(
         if ok:
             lcount[lv] += 1
             rcount[rv] += 1
-    import ray.data as rd
-
     return rd.from_arrow(merge_names(t.filter(pa.array(keep, pa.bool_()))))

@@ -6,7 +6,8 @@ Two phases, mirroring the reference ``execute`` (rank.py:671-885):
 1. **Initial ordering** — distributed.  ``likert``: every row is rated
    1-7 against the criteria by the pluggable client inside an actor-pool
    ``map_batches`` (reference ``_execute_likert_rating_qurk``); the
-   rated dataset is then sorted (stable id tiebreak).  ``score``: a
+   rated rows are then ordered (stable id tiebreak): the top k per block
+   first, or all of them by Ray's sort for ``return_all``.  ``score``: a
    caller-supplied deterministic ``score_fn(row) -> float`` replaces the
    embedding-similarity initial ordering (no embedding service here).
 2. **Picky-window refinement** — driver-side over the TOP-K PREFIX only
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .sample import _topk_table
 
 
 def _window_plan(k: int, budget: int, num_top_items: int, overlap_fraction: float):
@@ -206,7 +209,6 @@ def rank(
     desc_flags = [descending] + ([False] if id_col else [])
     n = ds.count() if k is None else None
     k_eff = n if k is None else k
-    sorted_ds = scored.sort(sort_keys, descending=desc_flags)
 
     if return_all:
         # reference semantics (rank.py:874-885): EVERY row comes back
@@ -216,6 +218,7 @@ def rank(
         # visits the driver; only the budget-bounded k-prefix does.
         from .util_ray import zip_with_index
 
+        sorted_ds = scored.sort(sort_keys, descending=desc_flags)
         indexed = zip_with_index(sorted_ds, rank_col, start=1)
         top = indexed.limit(k_eff)
         tail = None
@@ -232,8 +235,9 @@ def rank(
             ).drop_columns(["_rating"])
     else:
         # top-k prefix to the driver (small by contract: the budget
-        # bounds how much of the ordering the windows can touch)
-        top = sorted_ds.limit(k_eff)
+        # bounds how much of the ordering the windows can touch), each
+        # block's own top k first: no global sort
+        top = _topk_table(scored, sort_keys, k_eff, desc_flags)
         tail = None
 
     items = [dict(r) for r in top.to_pandas().to_dict("records")]

@@ -250,7 +250,9 @@ def sample_outliers_embedding(
         )
 
     stats = collect_small(ds.map_batches(partial, batch_format="pyarrow"))
-    n = sum(stats["n"].to_pylist())
+    n = sum(stats["n"].to_pylist()) if stats.num_rows else 0
+    if n == 0:  # no rows: nothing to filter
+        return ds
     s = np.asarray(stats["s"].to_pylist(), dtype=np.float64).sum(axis=0)
     s2 = np.asarray(stats["s2"].to_pylist(), dtype=np.float64).sum(axis=0)
     ctr = np.asarray(center, dtype=np.float64) if center is not None else s / n

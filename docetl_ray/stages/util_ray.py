@@ -9,6 +9,7 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio odd constant
 
 
 from collections import OrderedDict
+from functools import lru_cache
 
 _BROADCAST_CACHE: "OrderedDict[str, object]" = OrderedDict()
 # A zero-copy ``ray.get`` of a numpy-bearing object keeps its plasma
@@ -87,14 +88,16 @@ def closure_broadcast(obj, *, threshold: int = _CLOSURE_BCAST_THRESHOLD):
     return get
 
 
+@lru_cache(maxsize=64)
 def md5_int_planes(num_planes: int, dim: int, *, tag: str, mod: int = 2001) -> np.ndarray:
     """SQL-replicable pseudo-random integer hyperplanes for sign-LSH.
 
     ``w[d, j] = (uint64(md5(f"{tag}:{j}:{d}")[:8]) % mod) - mod // 2`` —
     exactly ``(('0x' || substr(md5(tag || ':' || j || ':' || d), 1, 16))
     ::UBIGINT % mod) - mod // 2`` in DuckDB, so an oracle can recompute
-    the planes (and therefore every bucket code) bit-for-bit.  Computed
-    once on the driver (num_planes x dim md5 calls) and broadcast."""
+    the planes (and therefore every bucket code) bit-for-bit.  Cached
+    per process (num_planes x dim md5 calls), so a map function can
+    derive them from its batch's embedding width; read-only."""
     import hashlib
 
     w = np.empty((dim, num_planes), dtype=np.int64)
@@ -105,6 +108,7 @@ def md5_int_planes(num_planes: int, dim: int, *, tag: str, mod: int = 2001) -> n
                 hashlib.md5(f"{tag}:{j}:{d}".encode("utf-8")).digest()[:8], "big"
             )
             w[d, j] = (h % mod) - half
+    w.setflags(write=False)
     return w
 
 
@@ -514,7 +518,9 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
     through split tasks running its own ``map_fn``, each must add
     ``part_col``, and ``fn(*groups)`` is called per partition with one
     group per input — the repartition join's co-partitioning, with no
-    side column and no union.  An input with no rows in a partition
+    side column and no union.  ``hash_join``, ``asof_join``,
+    ``fuzzy_join`` and ``embedding_blocked_join`` co-partition their two
+    inputs this way.  An input with no rows in a partition
     arrives as an empty table of its wire schema.  When no input has a
     block, the result is an empty Dataset of the first input's schema."""
     import ray

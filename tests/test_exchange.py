@@ -590,21 +590,28 @@ def test_grouped_map_payload_roundtrip():
 
 
 def test_operators_run_without_ray_sort_shuffle(monkeypatch):
-    """grouped_aggregate, llm_reduce and topk go through the keyed
-    exchange or per-block work: none of them calls Dataset.groupby or
-    Dataset.sort."""
+    """grouped_aggregate, llm_reduce, topk, rank's top k, fuzzy_join and
+    embedding_blocked_join go through the keyed exchange or per-block
+    work: none of them calls Dataset.groupby or Dataset.sort, and the two
+    joins co-partition their inputs with no Dataset.union."""
+    from docetl_ray.stages.fuzzy_join import embedding_blocked_join, fuzzy_join
     from docetl_ray.stages.llm import llm_reduce
+    from docetl_ray.stages.rank import rank
     from docetl_ray.stages.reduces import grouped_aggregate
     from docetl_ray.stages.sample import topk
 
     t = pa.table({"k": [i % 3 for i in range(60)], "v": [float(i) for i in range(60)]})
     ds = rd.from_arrow([t.slice(i, 20) for i in range(0, 60, 20)])
+    texts = [f"document number {i} about topic {i % 4}" for i in range(20)]
+    docs = rd.from_arrow(pa.table({"id": list(range(20)), "text": texts,
+                                   "emb": [[1.0, float(i % 4)] for i in range(20)]}))
 
     def boom(*args, **kwargs):
-        raise AssertionError("Ray sort shuffle called")
+        raise AssertionError("Ray sort shuffle or union called")
 
     monkeypatch.setattr(rd.Dataset, "groupby", boom)
     monkeypatch.setattr(rd.Dataset, "sort", boom)
+    monkeypatch.setattr(rd.Dataset, "union", boom)
 
     agg = collect(grouped_aggregate(ds, ["k"], [("v", "sum", "s")]))
     assert sorted(agg.to_pylist(), key=lambda r: r["k"]) == [
@@ -613,6 +620,19 @@ def test_operators_run_without_ray_sort_shuffle(monkeypatch):
     red = collect(llm_reduce(ds, "k", "{{ inputs | length }}", {"n": "str"}))
     assert sorted(red["_counts_prereduce"].to_pylist()) == [20, 20, 20]
     assert collect(topk(ds, "v", 4))["v"].to_pylist() == [59.0, 58.0, 57.0, 56.0]
+    ranked = collect(rank(ds, criteria="v", input_keys=["v"], k=3,
+                          initial_ordering_method="score", score_fn=lambda r: r["v"],
+                          id_col="k", rerank_call_budget=1))
+    assert sorted(ranked["v"].to_pylist()) == [57.0, 58.0, 59.0]
+    fj = collect(fuzzy_join(docs, docs, left_text="text", right_text="text",
+                            left_id="id", right_id="id", threshold=1.0))
+    assert sorted(zip(fj["id"].to_pylist(), fj["id_right"].to_pylist())) == [
+        (i, i) for i in range(20)]
+    eb = collect(embedding_blocked_join(docs, docs, left_emb="emb", right_emb="emb",
+                                        left_id="id", right_id="id",
+                                        blocking_threshold=0.9999))
+    assert sorted(zip(eb["id"].to_pylist(), eb["id_right"].to_pylist())) == sorted(
+        (i, j) for i in range(20) for j in range(20) if i % 4 == j % 4)
 
 
 # --- the CDC apply and resplit ------------------------------------------

@@ -1,4 +1,6 @@
+import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def _collect(ds):
@@ -134,3 +136,181 @@ def test_fuzzy_join_distributed_pair_dedup_matches_driver(monkeypatch):
     assert _verified_pairs(left, right, threshold=0.999) == []
     monkeypatch.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)
     assert _verified_pairs(left, right) == driver
+
+
+def test_embedding_blocked_join_limit_comparisons(ray_session):
+    import ray.data as rd
+
+    from docetl_ray.stages.fuzzy_join import embedding_blocked_join
+    from docetl_ray.stages.util_ray import collect_small
+
+    # two tight cross-side clusters + noise; cap to 2 pairs
+    rng = np.random.RandomState(3)
+    base1 = rng.randn(64)
+    base2 = rng.randn(64)
+    lrows, rrows = [], []
+    for i in range(4):
+        lrows.append({"lid": i, "emb": (base1 + rng.randn(64) * 0.01).tolist()})
+        rrows.append({"rid": 100 + i, "remb": (base1 + rng.randn(64) * 0.01).tolist()})
+    lrows.append({"lid": 50, "emb": (base2 + rng.randn(64) * 0.01).tolist()})
+    rrows.append({"rid": 150, "remb": (base2 + rng.randn(64) * 0.01).tolist()})
+    left = rd.from_items(lrows).map_batches(
+        lambda t: pa.table({"lid": t["lid"],
+                            "emb": pa.array(t["emb"].to_pylist(),
+                                            pa.list_(pa.float64()))}),
+        batch_format="pyarrow")
+    right = rd.from_items(rrows).map_batches(
+        lambda t: pa.table({"rid": t["rid"],
+                            "remb": pa.array(t["remb"].to_pylist(),
+                                             pa.list_(pa.float64()))}),
+        batch_format="pyarrow")
+    full = collect_small(embedding_blocked_join(
+        left, right, left_emb="emb", right_emb="remb",
+        left_id="lid", right_id="rid", blocking_threshold=0.9))
+    assert full.num_rows >= 17  # 4x4 cluster + 1 pair (minus any probe misses)
+    capped = collect_small(embedding_blocked_join(
+        left, right, left_emb="emb", right_emb="remb",
+        left_id="lid", right_id="rid", blocking_threshold=0.9,
+        limit_comparisons=3))
+    assert capped.num_rows == 3
+    # stratified round-robin: no stratum gets a 2nd pair before every
+    # stratum got its 1st — the 3 capped pairs span 3 distinct lids
+    assert len(set(capped["lid"].to_pylist())) == 3
+
+
+def _emb_rows(ids, centers):
+    """One row per id: its center plus small seeded noise, as float64 lists."""
+    rng = np.random.RandomState(7)
+    embs = [(c + rng.randn(len(c)) * 0.01).tolist() for c in centers]
+    return pa.table({"id": pa.array(ids, pa.string()),
+                     "emb": pa.array(embs, pa.list_(pa.float64()))})
+
+
+def _two_clusters():
+    rng = np.random.RandomState(3)
+    return rng.randn(16), rng.randn(16)
+
+
+def _candidate_phase_cases():
+    """Per two-input candidate phase: (run(left table, right table) ->
+    output table, left table, right table, the expected id pairs, the
+    expected output schema), with string ids on both sides."""
+    from docetl_ray.stages.fuzzy_join import embedding_blocked_join, fuzzy_join
+
+    l_text = pa.table({"lid": ["L1", "L2", "L3"], "name": [
+        "international business machines corporation",
+        "apache software foundation ray project",
+        "acme widgets limited"]})
+    r_text = pa.table({"rid": ["R10", "R11", "R12", "R13"], "title": [
+        "international business machines corp",
+        "the apache software foundation ray projects",
+        "zzz totally unrelated entity qqq",
+        "international business machines corporation"]})
+
+    def run_fuzzy(lt, rt):
+        import ray.data as rd
+
+        return _collect(fuzzy_join(
+            rd.from_arrow(lt), rd.from_arrow(rt), left_text="name",
+            right_text="title", left_id="lid", right_id="rid", threshold=0.5))
+
+    a, b = _two_clusters()
+    l_emb = _emb_rows(["L1", "L2", "L3"], [a, a, b]).rename_columns(["lid", "emb"])
+    r_emb = _emb_rows(["R1", "R2"], [a, b]).rename_columns(["rid", "remb"])
+
+    def run_emb(lt, rt):
+        import ray.data as rd
+
+        return _collect(embedding_blocked_join(
+            rd.from_arrow(lt), rd.from_arrow(rt), left_emb="emb",
+            right_emb="remb", left_id="lid", right_id="rid",
+            blocking_threshold=0.9))
+
+    return [
+        (run_fuzzy, l_text, r_text, {("L1", "R10"), ("L1", "R13"), ("L2", "R11")},
+         pa.schema([("lid", pa.string()), ("rid", pa.string()),
+                    ("jaccard", pa.float64())])),
+        (run_emb, l_emb, r_emb, {("L1", "R1"), ("L2", "R1"), ("L3", "R2")},
+         pa.schema([("lid", pa.string()), ("rid", pa.string())])),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["fuzzy_join", "embedding_blocked_join"])
+def test_two_input_candidate_phase_string_ids_and_empty_sides(case):
+    """Each candidate phase co-partitions its two inputs through the
+    exchange's two-input form: string ids pair up, and an empty left or
+    right side gives an empty output typed like a non-empty one."""
+    run, lt, rt, want, schema = _candidate_phase_cases()[case]
+    out = run(lt, rt)
+    assert out.schema == schema
+    assert set(zip(out["lid"].to_pylist(), out["rid"].to_pylist())) == want
+    for empty_l, empty_r in ((lt.slice(0, 0), rt), (lt, rt.slice(0, 0))):
+        out = run(empty_l, empty_r)
+        assert out.num_rows == 0 and out.schema == schema
+
+
+def test_cross_pairs_caps_a_degenerate_bucket(monkeypatch):
+    """fuzzy_join's reduce drops duplicate (bucket, id) rows per side,
+    pairs only the buckets both sides hold, and clamps a bucket whose
+    cross product exceeds ``_BUCKET_CAP``^2 to the first ``_BUCKET_CAP``
+    ids of each side in id order."""
+    import docetl_ray.stages.fuzzy_join as fj
+
+    def side(buckets, ids):
+        return pa.table({"bucket": pa.array(buckets, pa.int64()),
+                         "rid": pa.array(ids, pa.string()),
+                         "_part": pa.array([0] * len(ids), pa.int32())})
+
+    l = side([7, 7, 7, 7, 9], ["a3", "a1", "a2", "a1", "a9"])
+    r = side([7, 7, 7, 9, 11], ["b2", "b1", "b3", "b9", "b0"])
+    monkeypatch.setattr(fj, "_BUCKET_CAP", 2)  # bucket 7: 3 x 3 > 2^2
+    out = fj._cross_pairs(l, r)
+    assert out.schema == pa.schema([("id_a", pa.string()), ("id_b", pa.string())])
+    assert sorted(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist())) == [
+        ("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"), ("a9", "b9")]
+    monkeypatch.setattr(fj, "_BUCKET_CAP", 3)  # 3 x 3 is not over 3^2
+    assert fj._cross_pairs(l, r).num_rows == 10
+    # a side with no rows: typed and empty; one without columns (no
+    # block upstream had any): no columns
+    assert fj._cross_pairs(l.slice(0, 0), r).schema == out.schema
+    assert fj._cross_pairs(l, r.slice(0, 0)).num_rows == 0
+    assert fj._cross_pairs(pa.table({}), r).num_columns == 0
+
+
+def test_embedding_self_join_with_equal_id_names():
+    """A self-join whose two id columns share one name keeps both: the
+    right ids come back as ``{id}_right`` (fuzzy_join's rule), and
+    llm_equijoin reads them by the same rule, so it compares the blocked
+    pairs and not each row with itself."""
+    import ray.data as rd
+
+    from docetl_ray.stages.fuzzy_join import embedding_blocked_join, llm_equijoin
+
+    a, b = _two_clusters()
+    t = _emb_rows(["x", "y", "z"], [a, a, b])
+    t = t.append_column("name", pa.array(["ex", "why", "zed"]))
+    ds = rd.from_arrow(t)
+    pairs = _collect(embedding_blocked_join(
+        ds, ds, left_emb="emb", right_emb="emb", left_id="id", right_id="id",
+        blocking_threshold=0.9))
+    assert pairs.column_names == ["id", "id_right"]
+    got = set(zip(pairs["id"].to_pylist(), pairs["id_right"].to_pylist()))
+    assert got == {("x", "x"), ("x", "y"), ("y", "x"), ("y", "y"), ("z", "z")}
+
+    class DistinctIds:
+        model = "scripted"
+
+        def complete(self, prompt, schema):
+            import re
+
+            ids = re.findall(r"'id': '(\w)'", prompt)
+            return {"is_match": len(ids) == 2 and ids[0] != ids[1]}
+
+    out = _collect(llm_equijoin(
+        ds, ds, rd.from_arrow(pairs), left_id="id", right_id="id",
+        comparison_prompt="{{ input1 }} vs {{ input2 }}",
+        client_factory=DistinctIds,
+    ))
+    assert sorted(zip(out["id_left"].to_pylist(), out["id_right"].to_pylist(),
+                      out["name_right"].to_pylist())) == [
+        ("x", "y", "why"), ("y", "x", "ex")]

@@ -361,42 +361,6 @@ def test_llm_resolve_limit_comparisons(ray_session):
     assert all(r["_canonical"] == r["eid"] for r in t.to_pylist())
 
 
-def test_rank_comparison_qurk(ray_session):
-    import ray.data as rd
-
-    from docetl_ray.stages.rank import rank_comparison_qurk
-
-    # single Arrow block: QuRK/calibrated ranking is order-sensitive by
-    # contract (the reference materializes the given list order), so the
-    # test pins the input order explicitly
-    ds = rd.from_arrow(pa.table({
-        "rid": pa.array(range(8), pa.int64()),
-        "quality": pa.array(range(8), pa.int64()),
-    }))
-
-    class Oracle:
-        """Ranks each batch by the quality field descending."""
-
-        model = "oracle"
-
-        def complete(self, prompt, schema):
-            import re
-
-            # lines like "[j] rid: X\nquality: Y"
-            entries = re.findall(r"\[(\d+)\] rid: (\d+)\nquality: (\d+)", prompt)
-            order = sorted(entries, key=lambda e: -int(e[2]))
-            return {"ranking": [int(e[0]) for e in order]}
-
-    out = rank_comparison_qurk(
-        ds, criteria="best quality", input_keys=["rid", "quality"],
-        batch_size=4, num_batches=20, client_factory=Oracle,
-    )
-    ranked = sorted(out.to_pylist(), key=lambda r: r["_rank"])
-    # enough deterministic batches -> overall order recovers quality desc
-    assert [r["rid"] for r in ranked][:3] == [7, 6, 5]
-    assert ranked[0]["_rank"] == 1
-
-
 def test_llm_reduce_observability(ray_session):
     import json
 
@@ -429,124 +393,6 @@ def test_safe_eval_no_builtins():
     assert _safe_eval("len(output['x']) > 1", {"output": {"x": "ab"}})
     with _pytest.raises(Exception):
         _safe_eval("__import__('os').getpid()", {"output": {}})
-
-
-def test_embedding_blocked_join_limit_comparisons(ray_session):
-    import ray.data as rd
-
-    from docetl_ray.stages.fuzzy_join import embedding_blocked_join
-    from docetl_ray.stages.util_ray import collect_small
-
-    # two tight cross-side clusters + noise; cap to 2 pairs
-    rng = np.random.RandomState(3)
-    base1 = rng.randn(64)
-    base2 = rng.randn(64)
-    lrows, rrows = [], []
-    for i in range(4):
-        lrows.append({"lid": i, "emb": (base1 + rng.randn(64) * 0.01).tolist()})
-        rrows.append({"rid": 100 + i, "remb": (base1 + rng.randn(64) * 0.01).tolist()})
-    lrows.append({"lid": 50, "emb": (base2 + rng.randn(64) * 0.01).tolist()})
-    rrows.append({"rid": 150, "remb": (base2 + rng.randn(64) * 0.01).tolist()})
-    left = rd.from_items(lrows).map_batches(
-        lambda t: pa.table({"lid": t["lid"],
-                            "emb": pa.array(t["emb"].to_pylist(),
-                                            pa.list_(pa.float64()))}),
-        batch_format="pyarrow")
-    right = rd.from_items(rrows).map_batches(
-        lambda t: pa.table({"rid": t["rid"],
-                            "remb": pa.array(t["remb"].to_pylist(),
-                                             pa.list_(pa.float64()))}),
-        batch_format="pyarrow")
-    full = collect_small(embedding_blocked_join(
-        left, right, left_emb="emb", right_emb="remb",
-        left_id="lid", right_id="rid", blocking_threshold=0.9))
-    assert full.num_rows >= 17  # 4x4 cluster + 1 pair (minus any probe misses)
-    capped = collect_small(embedding_blocked_join(
-        left, right, left_emb="emb", right_emb="remb",
-        left_id="lid", right_id="rid", blocking_threshold=0.9,
-        limit_comparisons=3))
-    assert capped.num_rows == 3
-    # stratified round-robin: no stratum gets a 2nd pair before every
-    # stratum got its 1st — the 3 capped pairs span 3 distinct lids
-    assert len(set(capped["lid"].to_pylist())) == 3
-
-
-def test_rank_embedding_initial_ordering(ray_session):
-    import ray.data as rd
-
-    from docetl_ray.stages.rank import rank
-
-    rng = np.random.RandomState(5)
-    q = rng.randn(16)
-    rows = []
-    for i in range(12):
-        # doc i points increasingly away from the query direction
-        v = q + rng.randn(16) * (0.1 + i * 0.5)
-        rows.append({"rid": i, "emb": v.tolist()})
-    ds = rd.from_items(rows).map_batches(
-        lambda t: pa.table({"rid": t["rid"],
-                            "emb": pa.array(t["emb"].to_pylist(),
-                                            pa.list_(pa.float64()))}),
-        batch_format="pyarrow")
-
-    class NoRefine:
-        model = "none"
-
-        def complete(self, prompt, schema):
-            return {"top_indices": []}  # refinement keeps the initial order
-
-    out = rank(
-        ds, criteria="closest to query", input_keys=["rid"], k=5,
-        initial_ordering_method="embedding", emb_col="emb",
-        criteria_embedding=q.tolist(), id_col="rid", client_factory=NoRefine,
-    )
-    got = [r["rid"] for r in out.take_all()]
-    assert len(got) == 5
-    assert got[0] == 0  # the tightest doc ranks first
-
-
-def test_rank_calibrated_embedding(ray_session):
-    import ray.data as rd
-
-    from docetl_ray.stages.rank import rank_calibrated_embedding
-
-    rng = np.random.RandomState(9)
-    good = rng.randn(16)
-    bad = -good
-    embs = []
-    for i in range(10):
-        base = good if i < 5 else bad
-        embs.append((base + rng.randn(16) * 0.05).tolist())
-    # single Arrow block: input order pinned (see test_rank_comparison_qurk)
-    ds = rd.from_arrow(pa.table({
-        "rid": pa.array(range(10), pa.int64()),
-        "quality": pa.array([10 - i for i in range(10)], pa.int64()),
-        "emb": pa.array(embs, pa.list_(pa.float64())),
-    }))
-
-    class Oracle:
-        model = "oracle"
-
-        def complete(self, prompt, schema):
-            import re
-
-            entries = re.findall(r"\[(\d+)\] rid: (\d+)\nquality: (\d+)", prompt)
-            order = sorted(entries, key=lambda e: -int(e[2]))
-            return {"ranking": [int(e[0]) for e in order]}
-
-    out = rank_calibrated_embedding(
-        ds, criteria="best quality", input_keys=["rid", "quality"],
-        emb_col="emb", sample_size=10, batch_size=4, qurk_num_batches=40,
-        client_factory=Oracle,
-    )
-    ranked = sorted(out.to_pylist(), key=lambda r: r["_rank"])
-    # the good-cluster docs dominate the top: win-count ranking can swap
-    # adjacent docs (appearance counts differ across the fixed batches —
-    # inherent QuRK estimator noise, same as the reference with its
-    # seeded random batches), so assert dominance not exact order
-    top5 = {r["rid"] for r in ranked[:5]}
-    assert len(top5 & {0, 1, 2, 3, 4}) >= 4
-    assert ranked[0]["rid"] in {0, 1, 2, 3, 4} and ranked[0]["_rank"] == 1
 
 
 def test_runner_dispatch_round3_surfaces(ray_session):
@@ -764,60 +610,3 @@ def test_runner_gather_reference_dispatch(ray_session):
     })).sort_by([("num", "ascending")])
     r2 = out["text_rendered"].to_pylist()[1]
     assert "<<<" in r2 and ">>>" in r2 and "[Chunk 1]" in r2
-
-
-# ---------------------------------------------------------------------------
-# zip_with_index + full-dataset rank (two-pass block-offset scan)
-# ---------------------------------------------------------------------------
-
-def test_zip_with_index_dataset_order(ray_session):
-    import ray.data as rd
-    from docetl_ray.stages.util_ray import collect_small, zip_with_index
-
-    vals = list(range(1000))
-    ds = rd.from_arrow(pa.table({"v": pa.array(vals, pa.int64())}))
-    # sort descending, then index: _idx must equal the sorted position
-    out = collect_small(
-        zip_with_index(ds.sort("v", descending=True), "_idx", start=1)
-    ).sort_by([("_idx", "ascending")])
-    assert out["_idx"].to_pylist() == list(range(1, 1001))
-    assert out["v"].to_pylist() == sorted(vals, reverse=True)
-
-
-def test_rank_return_all_full_dataset(ray_session):
-    import ray.data as rd
-    from docetl_ray.stages.rank import rank
-    from docetl_ray.stages.util_ray import collect_small
-
-    n = 200
-    t = pa.table({
-        "id": pa.array(list(range(n)), pa.int64()),
-        "text": [f"doc {i % 13}" for i in range(n)],
-    })
-
-    def score(row):
-        return float(row["id"] % 41)
-
-    kw = dict(criteria="score order", input_keys=["text"], direction="desc",
-              k=10, initial_ordering_method="score", score_fn=score,
-              id_col="id", rerank_call_budget=4)
-    full = collect_small(rank(rd.from_arrow(t), return_all=True, **kw))
-    assert full.num_rows == n
-    ranks = sorted(full["_rank"].to_pylist())
-    assert ranks == list(range(1, n + 1))
-    assert "_rating" not in full.column_names
-
-    # prefix agrees with the driver-only path; tail keeps sorted order
-    topk = collect_small(rank(rd.from_arrow(t), **kw)).sort_by(
-        [("_rank", "ascending")])
-    full_sorted = full.sort_by([("_rank", "ascending")])
-    assert full_sorted["id"].to_pylist()[:10] == topk["id"].to_pylist()
-    tail_ids = full_sorted["id"].to_pylist()[10:]
-    tail_scores = [i % 41 for i in tail_ids]
-    # descending by score with ascending id tiebreak
-    assert tail_scores == sorted(tail_scores, reverse=True) or all(
-        (tail_scores[j] > tail_scores[j + 1])
-        or (tail_scores[j] == tail_scores[j + 1]
-            and tail_ids[j] < tail_ids[j + 1])
-        for j in range(len(tail_ids) - 1)
-    )
