@@ -291,7 +291,7 @@ def run_bench() -> dict:
 
     # 1M-row dedup/ANN block: the dedup/ANN family is oracle-checked on
     # ~5k-row fixtures; this measures the advertised scale paths
-    # (distributed CC + keyed-shuffle verify, IVF probed reads) at 200x
+    # (verify and components placed by pair count, IVF probed reads) at 200x
     # fixture size so the design claims carry a data point.
     scale1m = None
     if not os.environ.get("GRAFT_BENCH_SKIP_SCALE1M") and not os.environ.get(
@@ -319,9 +319,7 @@ def run_bench() -> dict:
         c0 = _cpu_sample()
         t0 = time.perf_counter()
         docs = rd.read_parquet(docs_dir, columns=["doc_id", "text"])
-        deduped, _labels = minhash_dedup(
-            docs, "text", "doc_id", threshold=0.8, distributed=True
-        )
+        deduped, _labels = minhash_dedup(docs, "text", "doc_id", threshold=0.8)
         kept = deduped.count()
         dedup_sec = time.perf_counter() - t0
         dedup_steal = _steal_pct(c0, _cpu_sample())

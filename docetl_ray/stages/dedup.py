@@ -10,20 +10,22 @@ shuffle-consciously:
     -> explode to (band bucket, id) rows
     -> ONE keyed exchange on the band bucket (``partitioned_map``)
        -> candidate pairs per bucket
-    -> verify: signature-estimated Jaccard (``verify="broadcast"`` /
-       ``"shuffle"``), or the exact candidate-pair pipeline shared with
-       ``fuzzy_join`` (``verify="exact"``): ``_distinct_pairs`` ->
-       estimate prefilter -> ``_verify_text_pairs`` (true char-k-gram
-       Jaccard, ``_pair_jaccard``), each step on the driver under its
-       size bound and through keyed exchanges above it
-    -> connected components -> canonical id per cluster
+    -> verify: ``_distinct_pairs`` -> ``_est_prefilter`` (signature-
+       estimated Jaccard over the pair-touched signatures only); at the
+       threshold that is the answer (``verify="estimate"``), and at
+       threshold - margin it prefilters ``_verify_text_pairs`` (true
+       char-k-gram Jaccard, ``_pair_jaccard``; ``verify="exact"``, the
+       pipeline shared with ``fuzzy_join``).  Each step runs on the
+       driver under its size bound and through keyed exchanges above it
+    -> connected components (``_components``) -> canonical id per cluster
 
-Connected components: candidate edges after thresholding are a tiny
-fraction of the corpus, so components run on the driver's union-find by
-default; ``distributed=True`` switches to
+Connected components follow the same rule: thresholded edges are a tiny
+fraction of the corpus, so up to ``_DRIVER_PAIRS`` of them run through
+the driver's union-find (a dict canonical map); more run through
 ``connected_components_distributed`` — min-label propagation where each
-round is one keyed-shuffle join + one partial-combined grouped min —
-when the edge set is itself too large for one machine.
+round is one keyed-shuffle join + one partial-combined grouped min — and
+the canonical map is an ``(id, label)`` Dataset.  The keep-filter and
+the label attach follow the form the map came back in.
 """
 
 from __future__ import annotations
@@ -176,15 +178,12 @@ def _bucket_pair_indices(
     return np.concatenate(xs), np.concatenate(ys), n_capped
 
 
-def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float, *,
-                  name: str = "minhash_est_join"):
+def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float):
     """Signature-estimated Jaccard per pair with the signatures routed
     TO the pairs by two keyed-shuffle hash joins — no driver-side
     id->signature map, so the path has no corpus-size ceiling.  Returns
-    ``(id_a, id_b, est_jaccard)`` filtered to ``est_jaccard >= thr``.
-    Shared by ``verify="shuffle"`` (thr = threshold) and the
-    ``verify="exact"`` prefilter above ``_DRIVER_PAIRS`` (thr = threshold
-    - margin)."""
+    ``(id_a, id_b, est_jaccard)`` filtered to ``est_jaccard >= thr``:
+    ``_est_prefilter``'s branch above ``_DRIVER_PAIRS``."""
     from .joins import _ds_arrow_schema_lazy, hash_join
 
     def ren(suffix):
@@ -229,18 +228,19 @@ def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float, *,
         )
         return out.filter(pa.compute.greater_equal(out["est_jaccard"], thr))
 
-    est_pair.__name__ = name
+    est_pair.__name__ = "minhash_est_join"
     return with_ab.map_batches(est_pair, batch_format="pyarrow")
 
 
-# Candidate-pair verification, shared by ``minhash_candidates(verify=
-# "exact")`` and ``fuzzy_join``: the distinct pairs, then the exact
-# shingle Jaccard of their texts.  Under each bound the step runs on the
-# driver (only pair ids, then the pair-touched texts, are collected);
-# above it, through keyed exchanges.  The text bound is driver memory:
-# up to twice as many texts as pairs are collected, so it assumes ~KB
-# texts.
-_DRIVER_PAIRS = 2_000_000  # raw candidate pairs deduplicated on the driver
+# Candidate-pair verification, shared by ``minhash_candidates`` and
+# ``fuzzy_join``: the distinct pairs, their signature estimate, then (for
+# ``verify="exact"``) the exact shingle Jaccard of their texts.  Under
+# each bound the step runs on the driver (only pair ids, then the
+# pair-touched signatures or texts, are collected); above it, through
+# keyed exchanges.  ``_components`` puts connected components on the
+# same pair bound.  The text bound is driver memory: up to twice as many
+# texts as pairs are collected, so it assumes ~KB texts.
+_DRIVER_PAIRS = 2_000_000  # raw pairs deduplicated / edges unioned on the driver
 _SPARSE_TEXT_PAIRS = 100_000  # distinct pairs verified on the driver
 
 
@@ -297,20 +297,22 @@ def _distinct_pairs(cand):
 
 def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
     """The distinct pairs whose signature-estimated Jaccard is at least
-    ``thr``, in the form ``_distinct_pairs`` returned them.  A driver
-    table is filtered on the driver against the signatures of exactly the
-    ids it touches (one map-only pass fetches them: O(pairs), never
-    O(corpus)); a Dataset gets the signatures routed to it by
-    ``_sig_est_join`` (and keeps its ``est_jaccard`` column)."""
+    ``thr``, as ``(id_a, id_b, est_jaccard)`` in the form
+    ``_distinct_pairs`` returned them.  A driver table is filtered on the
+    driver against the signatures of exactly the ids it touches (one
+    map-only pass fetches them: O(pairs), never O(corpus)); a Dataset
+    gets the signatures routed to it by ``_sig_est_join``."""
     if not isinstance(pairs, pa.Table):
-        return _sig_est_join(
-            pairs, sig_ds, id_col, thr, name="minhash_exact_prefilter"
-        ).materialize()
-    if pairs.num_rows == 0:
-        return pairs
+        return _sig_est_join(pairs, sig_ds, id_col, thr).materialize()
     import pyarrow.compute as pc
 
+    from .joins import _ds_arrow_schema_lazy
     from .util_ray import closure_broadcast, collect_small
+
+    if pairs.num_rows == 0:
+        idt = _ds_arrow_schema_lazy(sig_ds).field(id_col).type
+        return pa.schema([("id_a", idt), ("id_b", idt),
+                          ("est_jaccard", pa.float64())]).empty_table()
 
     # sorted once so per-batch membership below is a searchsorted —
     # pc.is_in would rebuild its hash set from the value_set on EVERY
@@ -353,7 +355,7 @@ def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
     row_of, row_map = pos.index, pos.to_numpy()
     ids_a = pairs["id_a"].to_numpy(zero_copy_only=False)
     ids_b = pairs["id_b"].to_numpy(zero_copy_only=False)
-    keep = np.empty(pairs.num_rows, dtype=bool)
+    est = np.empty(pairs.num_rows, dtype=np.float64)
     # column-wise accumulation into PREALLOCATED buffers: a full (pairs,
     # num_perm) fancy-index gather allocates O(pairs x num_perm x 8 B) of
     # fresh pages, and first-touch page-fault cost dominated the
@@ -382,8 +384,9 @@ def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
             np.take(col, rb, out=cb)
             np.equal(ca, cb, out=eq)
             acc += eq
-        keep[lo:lo + n_ch] = acc >= thr * num_perm - 1e-9
-    return pairs.filter(pa.array(keep))
+        est[lo:lo + n_ch] = acc / num_perm  # == _sig_est_join's mean
+    out = pairs.append_column("est_jaccard", pa.array(est, pa.float64()))
+    return out.filter(pc.greater_equal(out["est_jaccard"], thr))
 
 
 def _id_type(ds, col: str, schema=None) -> pa.DataType:
@@ -519,32 +522,30 @@ def minhash_candidates(
     bands: int = 16,
     shingle_k: int = 5,
     threshold: float = 0.7,
-    verify: str = "broadcast",
+    verify: str = "estimate",
 ):
-    """MinHash+LSH candidate pairs with signature-estimated Jaccard.
+    """MinHash+LSH candidate pairs with their Jaccard.
 
     Returns a Dataset of ``(id_a, id_b, est_jaccard)`` rows with
     ``est_jaccard >= threshold`` (id_a < id_b, deduplicated).
 
-    ``verify="broadcast"`` ships the id->signature map once via
-    ``ray.put`` (right up to ~10M docs at 64 perms ≈ 5 GB);
-    ``verify="shuffle"`` instead routes signatures TO the candidate
-    pairs with two keyed-shuffle hash joins — no driver materialization,
-    the 100-TB path.  ``verify="exact"`` reports the TRUE char-k-gram
-    Jaccard instead (in ``est_jaccard``): the distinct pairs, an estimate
-    prefilter, then the text verify shared with ``fuzzy_join``; each
-    step holds only O(candidate pairs) on the driver, and moves to keyed
-    exchanges above ``_DRIVER_PAIRS`` / ``_SPARSE_TEXT_PAIRS``, so it is
-    ceiling-free too.
+    ``verify="estimate"``: ``est_jaccard`` is the signature estimate —
+    the distinct pairs, then ``_est_prefilter`` at the threshold.
+    ``verify="exact"`` reports the TRUE char-k-gram Jaccard instead: the
+    same two steps at threshold - margin, then the text verify shared
+    with ``fuzzy_join``.  Either way each step holds only O(candidate
+    pairs) on the driver — never an O(corpus) signature map — and moves
+    to keyed exchanges above ``_DRIVER_PAIRS`` / ``_SPARSE_TEXT_PAIRS``,
+    so neither carries a corpus-size ceiling.
     """
+    if verify not in ("estimate", "exact"):
+        raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm)
 
     # stage 1: per-doc signature; band rows carry ONLY (bucket, id) — the
-    # signatures themselves are shuffled once as a compact side table and
-    # broadcast for verification (at 64 perms a sig is 512 B; the id->sig
-    # map stays broadcastable up to ~10M docs.  Beyond that, switch the
-    # verify join to a second keyed shuffle).
+    # signatures stay a compact materialized side table that verification
+    # reads only for the ids in candidate pairs
     def sig_table(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -619,95 +620,51 @@ def minhash_candidates(
 
     cand = partitioned_map(banded, "bucket", pairs, num_partitions=32)
 
-    # stage 2: estimate Jaccard per candidate pair from the signatures.
-    if verify == "exact":
-        # exact-Jaccard verify: the distinct pairs, then an est-Jaccard
-        # PREFILTER at (threshold - margin) kills the ~99% of
-        # band-collision pairs that are nowhere near the threshold
-        # (margin 0.25 = 5 sigma of the 64-perm estimator at j=0.8 ->
-        # miss prob ~1e-6 per true pair; without it every candidate pair
-        # pays the text fetch), then the TRUE char k-gram Jaccard decides
-        # (``_verify_text_pairs``, shared with fuzzy_join) — no estimation
-        # error at the decision boundary.  With full banding recall at
-        # the threshold (miss prob (1 - j^rows)^bands per pair) the
-        # result equals the exact all-pairs answer, which is what makes
-        # the DuckDB oracle for minhash_dedup_documents exact.  No step
-        # builds a driver-side corpus structure: what reaches the driver
-        # is O(candidate pairs), and above the helpers' bounds nothing does.
-        from .joins import _ds_arrow_schema_lazy
+    # stage 2: the distinct pairs (a pair surfaces once per band it
+    # collides in), then their signature estimate over the pair-touched
+    # signatures only.  At the threshold that is the answer.
+    pairs = _distinct_pairs(cand)
+    if verify == "estimate":
+        est = _est_prefilter(pairs, sig_ds, id_col, num_perm, threshold)
+        if isinstance(est, pa.Table):
+            import ray.data as rd
 
-        in_schema = _ds_arrow_schema_lazy(ds)
-        text_t = in_schema.field(text_col).type if in_schema is not None else pa.string()
-        # id type from the (already-materialized) signature table
-        wire = pa.schema([_ds_arrow_schema_lazy(sig_ds).field(id_col),
-                          pa.field(text_col, text_t)])
-        pairs = _est_prefilter(_distinct_pairs(cand), sig_ds, id_col, num_perm,
-                               max(0.0, threshold - 0.25))
-        side = (ds, id_col, text_col)
-        return _verify_text_pairs(
-            pairs, side, side, threshold=threshold, shingle_k=shingle_k,
-            names=("id_a", "id_b", "est_jaccard"), schemas=(wire, wire),
-        )
+            return rd.from_arrow(est)
+        return est
 
-    if verify == "shuffle":
-        # keyed-shuffle verify: hash-join the signature table onto the
-        # pairs (twice) — never materializes the sig map on the driver.
-        survivors = _sig_est_join(
-            cand, sig_ds, id_col, threshold, name="minhash_verify_shuffle"
-        )
-    else:
-        # broadcast verify: ray.put the id->sig map once, zero-copy read +
-        # per-worker cache in every task (documented ~10M-doc ceiling)
-        import ray
+    # exact-Jaccard verify: the estimate as a PREFILTER at (threshold -
+    # margin) kills the ~99% of band-collision pairs that are nowhere
+    # near the threshold (margin 0.25 = 5 sigma of the 64-perm estimator
+    # at j=0.8 -> miss prob ~1e-6 per true pair; without it every
+    # candidate pair pays the text fetch), then the TRUE char k-gram
+    # Jaccard decides (``_verify_text_pairs``, shared with fuzzy_join) —
+    # no estimation error at the decision boundary.  With full banding
+    # recall at the threshold (miss prob (1 - j^rows)^bands per pair) the
+    # result equals the exact all-pairs answer, which is what makes the
+    # DuckDB oracle for minhash_dedup_documents exact.
+    from .joins import _ds_arrow_schema_lazy
 
-        from .util_ray import broadcast_cached, collect_small
-
-        sig_small = collect_small(sig_ds)
-        sig_map = {
-            i: np.asarray(s, dtype=np.int64)
-            for i, s in zip(sig_small[id_col].to_pylist(), sig_small["_sig"].to_pylist())
-        }
-        ref = ray.put(sig_map)
-
-        def verify_fn(batch: pa.Table) -> pa.Table:
-            sigs = broadcast_cached(ref)
-            ia = batch["id_a"].to_pylist()
-            ib = batch["id_b"].to_pylist()
-            if not ia:
-                return pa.table(
-                    {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                     "est_jaccard": pa.array([], pa.float64())}
-                )
-            sa = np.stack([sigs[x] for x in ia])
-            sb = np.stack([sigs[y] for y in ib])
-            est = (sa == sb).mean(axis=1)
-            out = pa.table(
-                {
-                    "id_a": batch["id_a"],
-                    "id_b": batch["id_b"],
-                    "est_jaccard": pa.array(est, pa.float64()),
-                }
-            )
-            return out.filter(pa.compute.greater_equal(out["est_jaccard"], threshold))
-
-        verify_fn.__name__ = "minhash_verify"
-        survivors = cand.map_batches(verify_fn, batch_format="pyarrow")
-
-    # cross-band duplicate pairs survive redundantly (bounded by band
-    # count); dedup with a partial-combined grouped max — one bounded
-    # shuffle of the (sparse) survivor set, no single-task bottleneck
-    from .reduces import grouped_aggregate
-
-    return grouped_aggregate(survivors, ["id_a", "id_b"],
-                             [("est_jaccard", "max", "est_jaccard")])
+    in_schema = _ds_arrow_schema_lazy(ds)
+    text_t = in_schema.field(text_col).type if in_schema is not None else pa.string()
+    # id type from the (already-materialized) signature table
+    wire = pa.schema([_ds_arrow_schema_lazy(sig_ds).field(id_col),
+                      pa.field(text_col, text_t)])
+    pairs = _est_prefilter(pairs, sig_ds, id_col, num_perm,
+                           max(0.0, threshold - 0.25))
+    side = (ds, id_col, text_col)
+    return _verify_text_pairs(
+        pairs, side, side, threshold=threshold, shingle_k=shingle_k,
+        names=("id_a", "id_b", "est_jaccard"), schemas=(wire, wire),
+    )
 
 
-def connected_components(edges: pa.Table, all_ids=None) -> dict:
-    """Driver-side union-find over candidate edges -> {id: canonical_id}.
+def connected_components(edges: pa.Table) -> dict:
+    """Driver-side union-find over candidate edges -> {id: canonical_id}
+    for every id that is not its component's minimum.
 
-    Edges are the *thresholded* candidates (sparse by construction); for
-    edge sets too big for one machine use iterative min-label propagation
-    (distributed) instead — see module docstring.
+    Edges are the *thresholded* candidates (sparse by construction);
+    ``_components`` sends edge sets above ``_DRIVER_PAIRS`` to
+    ``connected_components_distributed`` instead.
     """
     if edges.num_rows == 0 or "id_a" not in edges.column_names:
         return {}
@@ -795,27 +752,43 @@ def connected_components_distributed(
     return labels
 
 
-def _keep_representatives(ds, id_col: str, dup_ids_ds_or_set, *, how: str = "broadcast"):
-    """Drop ``dup_ids`` rows from ``ds``.
+def _components(edges):
+    """Connected components of the thresholded edges (an Arrow table or
+    a Dataset with ``id_a`` / ``id_b`` columns, each edge at least once),
+    placed by their count — block metadata once the Dataset is
+    materialized: up to ``_DRIVER_PAIRS`` edges go through the driver's
+    union-find and come back as the ``connected_components`` dict; more
+    go through ``connected_components_distributed`` and come back as its
+    ``(id, label)`` Dataset.  ``_keep_representatives`` and
+    ``_attach_labels`` take either form."""
+    from .util_ray import collect_small
 
-    ``how="broadcast"``: dup ids collected once, vectorized ``pc.is_in``
-    filter per batch (right when dups fit one machine — the common case).
-    ``how="antijoin"``: keyed-shuffle anti join (right when even the dup
-    id set is huge); ships the corpus through one exchange.
-    """
+    if not isinstance(edges, pa.Table):
+        edges = edges.materialize()
+        if edges.count() > _DRIVER_PAIRS:
+            return connected_components_distributed(edges)
+        edges = collect_small(edges)
+    return connected_components(edges)
+
+
+def _keep_representatives(ds, id_col: str, cmap):
+    """Drop every row of ``ds`` that is not its component's minimum id.
+
+    A ``_components`` dict: its keys are the dropped ids, collected once
+    into a vectorized ``pc.is_in`` filter per batch.  A label Dataset: a
+    keyed-shuffle anti join against its ``id != label`` rows."""
     import pyarrow.compute as pc
 
-    if how == "antijoin":
+    if not isinstance(cmap, dict):
         from .joins import hash_join
 
-        return hash_join(ds, dup_ids_ds_or_set, on=id_col, right_on="id", how="anti")
+        dups = cmap.map_batches(
+            lambda t: t.filter(pc.not_equal(t["id"], t["label"])).select(["id"]),
+            batch_format="pyarrow",
+        )
+        return hash_join(ds, dups, on=id_col, right_on="id", how="anti")
 
-    if not isinstance(dup_ids_ds_or_set, (set, frozenset, list)):
-        from .util_ray import collect_small
-
-        t = collect_small(dup_ids_ds_or_set)
-        dup_ids_ds_or_set = set(t["id"].to_pylist()) if t.num_rows else set()
-    value_set = pa.array(sorted(dup_ids_ds_or_set))
+    value_set = pa.array(sorted(cmap))
 
     def keep(batch: pa.Table) -> pa.Table:
         if len(value_set) == 0:
@@ -835,52 +808,25 @@ def minhash_dedup(
     bands: int = 16,
     shingle_k: int = 5,
     threshold: float = 0.7,
-    distributed: bool | str = False,
-    auto_doc_threshold: int = 5_000_000,
-    verify: str | None = None,
+    verify: str = "estimate",
 ):
     """End-to-end near-dup removal: keep one representative (min id) per
     near-duplicate cluster.  Returns (deduped_ds, canonical_map).
 
-    ``distributed=True`` runs connected components as distributed
-    min-label propagation and the keep-filter as an anti join — no
-    driver-side edge materialization; ``canonical_map`` is then returned
-    as a Dataset ``(id, label)`` instead of a dict.  ``"auto"`` probes
-    the corpus size with one cheap ``ds.count()`` BEFORE the candidate
-    pass (so the broadcast-verify driver signature map is never built
-    for a corpus above ``auto_doc_threshold`` docs — the scenario auto
-    mode exists to protect).
-
-    ``verify`` overrides the verification strategy: ``"broadcast"``
-    (signature estimate, driver sig map — fastest under ~10M docs),
-    ``"shuffle"`` (signature estimate, keyed-shuffle routing — the
-    100-TB path), or ``"exact"`` (true char-k-gram Jaccard over only the
-    pair-touched signatures and texts, by keyed-shuffle joins at scale;
-    what the DuckDB oracle checks).  Both ``"shuffle"`` and ``"exact"`` build no
-    driver-side corpus structure and carry no size ceiling."""
-    from .util_ray import collect_small
-
-    if distributed == "auto":
-        distributed = ds.count() > auto_doc_threshold
+    ``verify`` is ``minhash_candidates``': ``"estimate"`` (signature
+    estimate) or ``"exact"`` (true char-k-gram Jaccard; what the DuckDB
+    oracle checks).  Components run through ``_components``:
+    ``canonical_map`` is a dict ``{id: min id}`` of the non-minimum ids
+    when the verified edges fit the driver bound, else an ``(id, label)``
+    Dataset covering every id in an edge (the keep-filter is then an anti
+    join).  No step holds an O(corpus) structure on the driver."""
     cand = minhash_candidates(
         ds, text_col, id_col,
         num_perm=num_perm, bands=bands, shingle_k=shingle_k, threshold=threshold,
-        verify=verify or ("shuffle" if distributed else "broadcast"),
+        verify=verify,
     )
-    if distributed:
-        labels = connected_components_distributed(cand)
-        import pyarrow.compute as pc
-
-        dups = labels.map_batches(
-            lambda t: t.filter(pc.not_equal(t["id"], t["label"])).select(["id"]),
-            batch_format="pyarrow",
-        )
-        return _keep_representatives(ds, id_col, dups, how="antijoin"), labels
-
-    edges = collect_small(cand)
-    cmap = connected_components(edges)
-    dup_ids = {k for k, v in cmap.items() if v != k}
-    return _keep_representatives(ds, id_col, dup_ids), cmap
+    cmap = _components(cand)
+    return _keep_representatives(ds, id_col, cmap), cmap
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +910,6 @@ def simhash_near_dedup(
     *,
     max_hamming: int = 3,
     output_col: str = "canonical_id",
-    distributed: bool = False,
 ):
     """SimHash near-dup clustering within a hamming radius.
 
@@ -976,15 +921,14 @@ def simhash_near_dedup(
     ``bit_count(xor) <= r``) is exact.  One keyed exchange on the band
     key (``partitioned_map``); in-bucket verification is a vectorized
     XOR-popcount; components -> ``output_col`` = min-id representative
-    per row.
+    per row.  Returns (ds with ``output_col``, canonical_map).
 
-    ``distributed=True`` runs components as min-label propagation and
-    attaches labels with a keyed-shuffle hash join — no driver-side edge
-    or label materialization (the 100-TB path, same surface as
-    ``minhash_dedup``).  Either way the per-row attach is vectorized
-    (Arrow join / is_in), never a per-row dict lookup."""
-    from .util_ray import collect_small
-
+    The same pair can surface from several bands: ``_distinct_pairs``
+    drops the copies, and ``_components`` places the components by the
+    distinct edge count — a driver union-find dict attached by a
+    broadcast binary search, or above ``_DRIVER_PAIRS`` min-label
+    propagation attached by a keyed-shuffle join.  Either way the
+    per-row attach is vectorized, never a per-row dict lookup."""
     bands = max_hamming + 1
     base_w, extra = divmod(64, bands)
     offsets, widths = [], []
@@ -1053,18 +997,16 @@ def simhash_near_dedup(
     from .grouped import partitioned_map
 
     cand = partitioned_map(banded, "bkey", pairs, num_partitions=32)
-    if distributed:
-        # same pair can surface from several bands: one exchange drops
-        # the copies so label propagation sees each edge once
-        uniq = partitioned_map(cand, ["id_a", "id_b"], _drop_duplicate_pairs)
-        labels = connected_components_distributed(uniq)
-        return _attach_labels_join(ds, id_col, labels, output_col), labels
+    cmap = _components(_distinct_pairs(cand))
+    return _attach_labels(ds, id_col, cmap, output_col), cmap
 
-    # driver path: union-find is idempotent under duplicate edges, so the
-    # cross-band pair-dedup shuffle is pure overhead — collect the raw
-    # candidates (≤ bands x the deduped volume, still sparse) directly
-    cmap = connected_components(collect_small(cand))
-    return _attach_labels_broadcast(ds, id_col, cmap, output_col), cmap
+
+def _attach_labels(ds, id_col: str, cmap, output_col: str):
+    """Attach ``output_col`` = the row's component label (itself when it
+    is in no edge) for either form ``_components`` returns."""
+    if isinstance(cmap, dict):
+        return _attach_labels_broadcast(ds, id_col, cmap, output_col)
+    return _attach_labels_join(ds, id_col, cmap, output_col)
 
 
 def _attach_labels_broadcast(ds, id_col: str, cmap: dict, output_col: str):
@@ -1095,20 +1037,26 @@ def _attach_labels_broadcast(ds, id_col: str, cmap: dict, output_col: str):
 
 def _attach_labels_join(ds, id_col: str, labels, output_col: str):
     """Attach component labels with a keyed-shuffle LEFT hash join
-    (ids without an edge keep themselves) — no driver materialization."""
+    (ids without an edge keep themselves) — no driver materialization.
+    The labels travel under private names, so an input column called
+    ``id`` or ``label`` (or ``id_col == "id"``) survives the join."""
     import pyarrow.compute as pc
 
     from .joins import hash_join
 
-    joined = hash_join(ds, labels, on=id_col, right_on="id", how="left")
+    def private(batch: pa.Table) -> pa.Table:
+        return pa.table({"_cc_id": batch["id"], "_cc_label": batch["label"]})
+
+    joined = hash_join(
+        ds, labels.map_batches(private, batch_format="pyarrow"),
+        on=id_col, right_on="_cc_id", how="left",
+    )
 
     def finish(batch: pa.Table) -> pa.Table:
         lab = pc.coalesce(
-            pc.cast(batch["label"], batch[id_col].type), batch[id_col]
+            pc.cast(batch["_cc_label"], batch[id_col].type), batch[id_col]
         )
-        out = batch.drop_columns(
-            [c for c in ("label", "id") if c in batch.column_names]
-        )
+        out = batch.drop_columns(["_cc_id", "_cc_label"])
         return out.append_column(output_col, lab)
 
     finish.__name__ = "attach_labels_join"
@@ -1127,12 +1075,12 @@ def embedding_dedup(
     threshold: float = 0.95,
     num_planes: int = 12,
     seed: int = 11,
-    distributed: bool = False,
 ):
     """Embedding near-dup: LSH-bucket by hyperplane sign code, then
     exact pairwise cosine within buckets -> candidate edges -> components.
-    Returns (deduped_ds, canonical_map); with ``distributed=True``,
-    components run as min-label propagation and the map is a Dataset.
+    Returns (deduped_ds, canonical_map); as in ``minhash_dedup`` the map
+    is a dict, or an ``(id, label)`` Dataset above ``_DRIVER_PAIRS``
+    edges.
 
     Hyperplanes are md5-derived INTEGER planes applied to
     4096-quantized embeddings (``util_ray.md5_int_planes`` /
@@ -1141,7 +1089,7 @@ def embedding_dedup(
     "same bucket AND cosine >= threshold" semantics exactly checkable
     (the oracle conditions on the buckets, so LSH recall is not part of
     the correctness claim)."""
-    from .util_ray import collect_small, md5_int_planes, quantized_lsh_codes
+    from .util_ray import md5_int_planes, quantized_lsh_codes
 
     def bucketize(batch: pa.Table) -> pa.Table:
         embs = np.asarray(batch[emb_col].to_pylist(), dtype=np.float64)
@@ -1200,17 +1148,5 @@ def embedding_dedup(
     cand = grouped_map(
         ds.map_batches(bucketize, batch_format="pyarrow"), "_code", pairs
     )
-    if distributed:
-        labels = connected_components_distributed(cand)
-        import pyarrow.compute as pc
-
-        dups = labels.map_batches(
-            lambda t: t.filter(pc.not_equal(t["id"], t["label"])).select(["id"]),
-            batch_format="pyarrow",
-        )
-        return _keep_representatives(ds, id_col, dups, how="antijoin"), labels
-
-    edges = collect_small(cand)
-    cmap = connected_components(edges)
-    dup_ids = {k for k, v in cmap.items() if v != k}
-    return _keep_representatives(ds, id_col, dup_ids), cmap
+    cmap = _components(cand)
+    return _keep_representatives(ds, id_col, cmap), cmap

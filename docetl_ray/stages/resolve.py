@@ -196,7 +196,6 @@ def resolve_embedding_blocked(
     text_col: str | None = None,
     jaccard_threshold: float | None = None,
     output_col: str = "canonical_id",
-    distributed_cc: bool = False,
 ):
     """Entity resolution with EMBEDDING-COSINE BLOCKING — the reference's
     ``blocking_threshold`` path (``resolve.py:296-340``): candidate pairs
@@ -211,6 +210,10 @@ def resolve_embedding_blocked(
 
     Confirmed pairs -> connected components -> ``output_col`` = the
     min-id representative for EVERY input row (self for singletons).
+    Components and the attach are ``dedup._components`` /
+    ``dedup._attach_labels``: a driver union-find attached by a
+    broadcast binary search, or above ``dedup._DRIVER_PAIRS`` confirmed
+    pairs min-label propagation attached by a keyed-shuffle join.
 
     Blocking here is brute-force cosine per batch against the broadcast
     normalized matrix (exact recall — the oracle-grade path, same shape
@@ -221,10 +224,7 @@ def resolve_embedding_blocked(
     import ray
     import pyarrow.compute as pc
 
-    from .dedup import (
-        connected_components,
-        connected_components_distributed,
-    )
+    from .dedup import _attach_labels, _components
     from .util_ray import collect_small
 
     base = collect_small(ds.select_columns([id_col, emb_col]))
@@ -291,21 +291,7 @@ def resolve_embedding_blocked(
     else:
         raise ValueError("need match_threshold or (text_col + jaccard_threshold)")
 
-    if distributed_cc:
-        labels_ds = connected_components_distributed(edges_ds)
-        lab_t = collect_small(labels_ds)
-        cmap = dict(zip(lab_t["id"].to_pylist(), lab_t["label"].to_pylist())) \
-            if lab_t.num_rows else {}
-    else:
-        cmap = connected_components(collect_small(edges_ds))
-    cmap_ref = ray.put(cmap)
-
-    def attach(batch: pa.Table) -> pa.Table:
-        mapping = ray.get(cmap_ref)
-        vals = [mapping.get(i, i) for i in batch[id_col].to_pylist()]
-        return batch.append_column(output_col, pa.array(vals, batch[id_col].type))
-
-    return ds.map_batches(attach, batch_format="pyarrow")
+    return _attach_labels(ds, id_col, _components(edges_ds), output_col)
 
 
 def llm_resolve(

@@ -1,5 +1,4 @@
-"""Round-3 additions: manifest-versioned partition hash, degenerate
-LSH-bucket guards, distributed simhash components, dendrogram
+"""Round-3 additions: manifest-versioned partition hash, dendrogram
 collapse/path parity, float hash_codes hardening."""
 
 import numpy as np
@@ -67,97 +66,6 @@ def test_new_table_manifest_records_v2(tmp_path):
     t = LakeTable(str(tmp_path / "lake2"), num_partitions=4)
     apply_events(t, synth.events_dataset(500, parallelism=2), epoch=0)
     assert t.manifest(refresh=True)["partition_hash"] == "v2"
-
-
-# ---------------------------------------------------------------------------
-# degenerate LSH buckets stay bounded (and correct for identical docs)
-# ---------------------------------------------------------------------------
-
-def _identical_docs(n):
-    import ray.data as rd
-
-    text = "the same boilerplate paragraph repeated verbatim across the corpus " * 5
-    return rd.from_arrow(
-        pa.table({"doc_id": pa.array(range(n), pa.int64()),
-                  "text": pa.array([text] * n)})
-    )
-
-
-def test_minhash_degenerate_bucket_bounded():
-    from docetl_ray.stages.dedup import minhash_dedup
-
-    n = 4000  # uncapped this is n^2 x bands ~ 256M transient pairs; capped ~n*w*bands
-    deduped, cmap = minhash_dedup(_identical_docs(n), "text", "doc_id", threshold=0.8)
-    ids = sorted(r["doc_id"] for r in deduped.take_all())
-    assert ids == [0]  # one survivor, the min id — chain pairs keep connectivity
-    assert all(v == 0 for v in cmap.values())
-
-
-def test_simhash_degenerate_bucket_bounded():
-    from docetl_ray.stages.dedup import simhash_near_dedup
-
-    n = 4000
-    out, cmap = simhash_near_dedup(_identical_docs(n), "text", "doc_id", max_hamming=3)
-    t = pa.concat_tables(
-        [pa.Table.from_pylist(out.take_all())], promote_options="permissive"
-    )
-    assert set(t["canonical_id"].to_pylist()) == {0}
-
-
-def test_bucket_pair_indices_small_unchanged():
-    from docetl_ray.stages.dedup import _bucket_pair_indices
-
-    starts = np.array([0, 3])
-    counts = np.array([3, 2])
-    xi, yi, capped = _bucket_pair_indices(starts, counts)
-    assert capped == 0
-    # full cross products: 9 + 4 index pairs
-    assert len(xi) == 13 and len(yi) == 13
-
-
-def test_bucket_pair_indices_capped_chain():
-    from docetl_ray.stages.dedup import _bucket_pair_indices
-
-    starts = np.array([0])
-    counts = np.array([2000])
-    xi, yi, capped = _bucket_pair_indices(starts, counts, cap=512, window=4)
-    assert capped == 1
-    # n*w - w(w+1)/2 pairs, all strictly increasing positions
-    assert len(xi) == 2000 * 4 - 10
-    assert (xi < yi).all()
-
-
-# ---------------------------------------------------------------------------
-# simhash distributed components == driver components
-# ---------------------------------------------------------------------------
-
-def test_simhash_near_dedup_distributed_matches_driver():
-    import ray.data as rd
-
-    from docetl_ray.stages.dedup import simhash_near_dedup
-    from docetl_ray.stages.util_ray import collect_small
-
-    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 4
-    rows = []
-    for i in range(60):
-        fam = i % 6
-        words = (base + f"family{fam} " * 3).split()
-        if i % 2:
-            words[5] = f"tweak{fam}"
-        rows.append({"doc_id": i, "text": " ".join(words)})
-    ds = rd.from_items(rows).map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"], "text": t["text"]}),
-        batch_format="pyarrow",
-    )
-    out_b, _ = simhash_near_dedup(ds, "text", "doc_id", max_hamming=3)
-    out_d, _ = simhash_near_dedup(ds, "text", "doc_id", max_hamming=3, distributed=True)
-    tb = collect_small(out_b).select(["doc_id", "canonical_id"]).sort_by(
-        [("doc_id", "ascending")]
-    )
-    td = collect_small(out_d).select(["doc_id", "canonical_id"]).sort_by(
-        [("doc_id", "ascending")]
-    )
-    assert tb.cast(td.schema).equals(td)
 
 
 # ---------------------------------------------------------------------------

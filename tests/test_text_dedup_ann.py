@@ -129,11 +129,11 @@ def test_minhash_estimates_track_exact_jaccard():
         assert abs(exact - r["est_jaccard"]) < 0.15
 
 
-def _exact_pairs(ds, threshold=0.8, id_col="doc_id"):
+def _exact_pairs(ds, threshold=0.8, id_col="doc_id", verify="exact"):
     from docetl_ray.stages.dedup import minhash_candidates
 
     out = _collect(minhash_candidates(ds, "text", id_col, threshold=threshold,
-                                      verify="exact"))
+                                      verify=verify))
     assert out.schema.field("id_a").type == pa.int64()
     return sorted(zip(out["id_a"].to_pylist(), out["id_b"].to_pylist(),
                       [round(j, 12) for j in out["est_jaccard"].to_pylist()]))
@@ -177,7 +177,7 @@ def test_minhash_exact_distributed_pair_dedup_matches_driver(monkeypatch):
 
 
 def test_minhash_exact_builds_no_driver_sig_map(monkeypatch):
-    """verify="exact" never collects a corpus-sized signature table: the
+    """Neither verify collects a corpus-sized signature table: the
     driver branch fetches the signatures of exactly the ids in candidate
     pairs, and the distributed branch routes signatures to the pairs
     with keyed-shuffle joins and collects none."""
@@ -206,9 +206,10 @@ def test_minhash_exact_builds_no_driver_sig_map(monkeypatch):
                  "yet another unique text on stream processing backpressure"],
     }))
 
-    def sig_tables_collected():
+    def sig_tables_collected(verify):
         collected.clear()
-        got = {(a, b) for a, b, _ in _exact_pairs(ds, threshold=0.6)}
+        got = {(a, b) for a, b, _ in _exact_pairs(ds, threshold=0.6,
+                                                  verify=verify)}
         assert (0, 1) in got and (0, 2) in got
         pair_ids = set()
         for t in collected:
@@ -220,11 +221,43 @@ def test_minhash_exact_builds_no_driver_sig_map(monkeypatch):
             assert t.num_rows <= len(pair_ids) < ds.count()
         return sigs
 
-    assert sig_tables_collected()  # driver prefilter: pair-touched sigs
-    monkeypatch.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)  # dense text verify
-    assert sig_tables_collected()
-    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
-    assert not sig_tables_collected()
+    for verify in ("exact", "estimate"):
+        with monkeypatch.context() as m:
+            # driver prefilter: pair-touched sigs
+            assert sig_tables_collected(verify)
+            m.setattr(dedup, "_SPARSE_TEXT_PAIRS", 0)  # dense text verify
+            assert sig_tables_collected(verify)
+            m.setattr(dedup, "_DRIVER_PAIRS", 0)
+            assert not sig_tables_collected(verify)
+
+
+@pytest.mark.parametrize("verify", ["estimate", "exact"])
+def test_minhash_candidates_one_document_typed_empty(verify):
+    """One document has no candidate pair: the result is an empty,
+    typed ``(id_a, id_b, est_jaccard)`` table on either verify."""
+    import ray.data as rd
+
+    from docetl_ray.stages.dedup import minhash_candidates
+
+    one = rd.from_arrow(pa.table({"doc_id": pa.array([7], pa.int64()),
+                                  "text": ["only document"]}))
+    out = _collect(minhash_candidates(one, "text", "doc_id", verify=verify))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                                    ("est_jaccard", pa.float64())])
+
+
+def test_minhash_unknown_verify_raises():
+    import ray.data as rd
+
+    from docetl_ray.stages.dedup import minhash_candidates, minhash_dedup
+
+    ds = rd.from_arrow(pa.table({"doc_id": [1, 2], "text": ["a b c", "a b d"]}))
+    for verify in ("broadcast", "shuffle", "Exact"):
+        with pytest.raises(ValueError, match="verify"):
+            minhash_candidates(ds, "text", "doc_id", verify=verify)
+        with pytest.raises(ValueError, match="verify"):
+            minhash_dedup(ds, "text", "doc_id", verify=verify)
 
 
 def test_minhash_exact_prefilter_tolerates_duplicate_ids():
@@ -310,6 +343,75 @@ def test_embedding_dedup():
     kept = sorted(_collect(deduped)["vec_id"].to_pylist())
     assert kept == [10, 12]
     assert cmap.get(11) == 10
+
+
+def _resolve_corpus(ids):
+    """Four tight embedding families of three rows plus one outlier,
+    one id per row from ``ids``."""
+    rng = np.random.RandomState(5)
+    vecs = []
+    for _ in range(4):
+        b = rng.randn(32)
+        vecs += [b + rng.randn(32) * 0.01 for _ in range(3)]
+    vecs.append(rng.randn(32))
+    return pa.table({
+        "id": ids,
+        "embedding": pa.array([v.tolist() for v in vecs], pa.list_(pa.float64())),
+        "note": [f"row{i}" for i in range(len(ids))],
+    })
+
+
+def test_resolve_embedding_blocked_string_ids():
+    """String ids on the driver branch: the broadcast binary-search
+    attach gives every row the union-find dict's label (itself when it
+    is in no confirmed pair)."""
+    import ray.data as rd
+
+    from docetl_ray.stages.dedup import connected_components
+    from docetl_ray.stages.resolve import resolve_embedding_blocked
+
+    ids = ["zeta", "b", "longer-id-7", "m", "aa", "q-2", "x", "c9", "delta",
+           "n", "kk", "e", "solo"]
+    t = _resolve_corpus(ids)
+    out = _collect(resolve_embedding_blocked(
+        rd.from_arrow(t), emb_col="embedding", id_col="id",
+        blocking_threshold=0.9, match_threshold=0.95,
+    ))
+    m = np.asarray(t["embedding"].to_pylist())
+    m = m / np.linalg.norm(m, axis=1)[:, None]
+    xs, ys = np.where(np.triu(m @ m.T, 1) >= 0.95)
+    pairs = sorted({tuple(sorted((ids[x], ids[y]))) for x, y in zip(xs, ys)})
+    cmap = connected_components(pa.table({"id_a": [a for a, _ in pairs],
+                                          "id_b": [b for _, b in pairs]}))
+    assert len(cmap) == 8  # two non-minimum members per family
+    got = dict(zip(out["id"].to_pylist(), out["canonical_id"].to_pylist()))
+    assert got == {i: cmap.get(i, i) for i in ids}
+    assert out.schema.field("canonical_id").type == pa.string()
+    assert sorted(out["note"].to_pylist()) == sorted(t["note"].to_pylist())
+
+
+def test_resolve_embedding_blocked_label_join_keeps_id_column(monkeypatch):
+    """Above ``_DRIVER_PAIRS`` the labels are attached by a keyed join;
+    an id column named ``id`` (the label Dataset's own key name) keeps
+    its values and the result equals the driver branch's."""
+    import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
+    from docetl_ray.stages.resolve import resolve_embedding_blocked
+
+    t = _resolve_corpus(list(range(100, 113)))
+
+    def run():
+        out = _collect(resolve_embedding_blocked(
+            rd.from_arrow(t), emb_col="embedding", id_col="id",
+            blocking_threshold=0.9, match_threshold=0.95,
+        ))
+        return out.select(["id", "note", "canonical_id"]).sort_by("id")
+
+    driver = run()
+    assert driver["canonical_id"].to_pylist() != driver["id"].to_pylist()
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    assert run().equals(driver)
 
 
 def test_ann_bruteforce_matches_numpy():
@@ -548,17 +650,17 @@ def test_minhash_dedup_edge_cases():
     assert sorted(_collect(out2)["doc_id"].to_pylist()) == [1]
 
 
-def test_minhash_dedup_distributed_matches_driver():
-    """distributed=True (shuffle verify + min-label-propagation CC +
-    anti-join keep) must keep exactly the same representatives as the
-    driver union-find path."""
+def test_minhash_dedup_distributed_matches_driver(monkeypatch):
+    """Above ``_DRIVER_PAIRS`` (keyed-exchange verify + min-label-
+    propagation CC + anti-join keep) the same representatives are kept
+    as on the driver union-find path."""
+    import docetl_ray.stages.dedup as dedup
     from docetl_ray.stages.dedup import minhash_dedup
 
     docs = _read("documents", columns=["doc_id", "text"])
     kept_driver, cmap = minhash_dedup(docs, "text", "doc_id", threshold=0.7)
-    kept_dist, labels = minhash_dedup(
-        docs, "text", "doc_id", threshold=0.7, distributed=True
-    )
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    kept_dist, labels = minhash_dedup(docs, "text", "doc_id", threshold=0.7)
     a = sorted(_collect(kept_driver)["doc_id"].to_pylist())
     b = sorted(_collect(kept_dist)["doc_id"].to_pylist())
     assert a == b and len(a) < docs.count()  # corpus has near-dups
@@ -568,6 +670,99 @@ def test_minhash_dedup_distributed_matches_driver():
     }
     for k, v in cmap.items():
         assert lab.get(k, k) == v
+
+
+# ---------------------------------------------------------------------------
+# degenerate LSH buckets stay bounded (and correct for identical docs)
+# ---------------------------------------------------------------------------
+
+def _identical_docs(n):
+    import ray.data as rd
+
+    text = "the same boilerplate paragraph repeated verbatim across the corpus " * 5
+    return rd.from_arrow(
+        pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                  "text": pa.array([text] * n)})
+    )
+
+
+def test_minhash_degenerate_bucket_bounded():
+    from docetl_ray.stages.dedup import minhash_dedup
+
+    n = 4000  # uncapped this is n^2 x bands ~ 256M transient pairs; capped ~n*w*bands
+    deduped, cmap = minhash_dedup(_identical_docs(n), "text", "doc_id", threshold=0.8)
+    ids = sorted(r["doc_id"] for r in deduped.take_all())
+    assert ids == [0]  # one survivor, the min id — chain pairs keep connectivity
+    assert all(v == 0 for v in cmap.values())
+
+
+def test_simhash_degenerate_bucket_bounded():
+    from docetl_ray.stages.dedup import simhash_near_dedup
+
+    n = 4000
+    out, cmap = simhash_near_dedup(_identical_docs(n), "text", "doc_id", max_hamming=3)
+    t = pa.concat_tables(
+        [pa.Table.from_pylist(out.take_all())], promote_options="permissive"
+    )
+    assert set(t["canonical_id"].to_pylist()) == {0}
+
+
+def test_bucket_pair_indices_small_unchanged():
+    from docetl_ray.stages.dedup import _bucket_pair_indices
+
+    starts = np.array([0, 3])
+    counts = np.array([3, 2])
+    xi, yi, capped = _bucket_pair_indices(starts, counts)
+    assert capped == 0
+    # full cross products: 9 + 4 index pairs
+    assert len(xi) == 13 and len(yi) == 13
+
+
+def test_bucket_pair_indices_capped_chain():
+    from docetl_ray.stages.dedup import _bucket_pair_indices
+
+    starts = np.array([0])
+    counts = np.array([2000])
+    xi, yi, capped = _bucket_pair_indices(starts, counts, cap=512, window=4)
+    assert capped == 1
+    # n*w - w(w+1)/2 pairs, all strictly increasing positions
+    assert len(xi) == 2000 * 4 - 10
+    assert (xi < yi).all()
+
+
+# ---------------------------------------------------------------------------
+# simhash distributed components == driver components
+# ---------------------------------------------------------------------------
+
+def test_simhash_near_dedup_distributed_matches_driver(monkeypatch):
+    import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
+    from docetl_ray.stages.dedup import simhash_near_dedup
+    from docetl_ray.stages.util_ray import collect_small
+
+    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 4
+    rows = []
+    for i in range(60):
+        fam = i % 6
+        words = (base + f"family{fam} " * 3).split()
+        if i % 2:
+            words[5] = f"tweak{fam}"
+        rows.append({"doc_id": i, "text": " ".join(words)})
+    ds = rd.from_items(rows).map_batches(
+        lambda t: pa.table({"doc_id": t["doc_id"], "text": t["text"]}),
+        batch_format="pyarrow",
+    )
+    out_b, _ = simhash_near_dedup(ds, "text", "doc_id", max_hamming=3)
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    out_d, _ = simhash_near_dedup(ds, "text", "doc_id", max_hamming=3)
+    tb = collect_small(out_b).select(["doc_id", "canonical_id"]).sort_by(
+        [("doc_id", "ascending")]
+    )
+    td = collect_small(out_d).select(["doc_id", "canonical_id"]).sort_by(
+        [("doc_id", "ascending")]
+    )
+    assert tb.cast(td.schema).equals(td)
 
 
 def test_connected_components_distributed_chain():
@@ -589,9 +784,13 @@ def test_connected_components_distributed_chain():
     assert lab[100] == 100 and lab[101] == 100
 
 
-def test_embedding_dedup_distributed():
+def test_embedding_dedup_distributed(monkeypatch):
     import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
     from docetl_ray.stages.dedup import embedding_dedup
+
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
 
     rng = np.random.RandomState(3)
     v1 = rng.randn(64)
@@ -604,7 +803,7 @@ def test_embedding_dedup_distributed():
         }
     )
     deduped, labels = embedding_dedup(
-        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98, distributed=True
+        rd.from_arrow(t), "embedding", "vec_id", threshold=0.98
     )
     assert sorted(_collect(deduped)["vec_id"].to_pylist()) == [10, 12]
 
@@ -653,20 +852,20 @@ def test_simhash_near_dedup_hamming_radius():
     assert (res[2] == 1) == within
 
 
-def test_minhash_dedup_auto_switches_on_edge_volume():
+def test_minhash_dedup_auto_switches_on_edge_volume(monkeypatch):
     import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
     from docetl_ray.stages.dedup import minhash_dedup
 
     ds = rd.from_arrow(_near_dup_corpus())
-    # tiny edge set -> auto picks the driver path (dict canonical map)
-    out_a, cmap_a = minhash_dedup(ds, "text", "doc_id", threshold=0.6,
-                                  distributed="auto")
+    # tiny edge set -> the driver path (dict canonical map)
+    out_a, cmap_a = minhash_dedup(ds, "text", "doc_id", threshold=0.6)
     assert isinstance(cmap_a, dict)
-    # force the doc-count probe to 0 -> auto picks the distributed path
-    # (auto now decides BEFORE the candidate pass, so the broadcast
-    # driver signature map is never built for huge corpora)
-    out_b, labels_b = minhash_dedup(ds, "text", "doc_id", threshold=0.6,
-                                    distributed="auto", auto_doc_threshold=0)
+    # pair bound 0 -> every step goes through its exchange branch and
+    # components through min-label propagation (a label Dataset)
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    out_b, labels_b = minhash_dedup(ds, "text", "doc_id", threshold=0.6)
     assert not isinstance(labels_b, dict)
     assert sorted(_collect(out_a)["doc_id"].to_pylist()) == \
         sorted(_collect(out_b)["doc_id"].to_pylist()) == [0, 3, 4]
