@@ -292,7 +292,11 @@ def run_bench() -> dict:
     # 1M-row dedup/ANN block: the dedup/ANN family is oracle-checked on
     # ~5k-row fixtures; this measures the advertised scale paths
     # (verify and components placed by pair count, IVF probed reads) at 200x
-    # fixture size so the design claims carry a data point.
+    # fixture size so the design claims carry a data point.  The corpus
+    # has ~n/10 verified edges, under the driver bound, so minhash_dedup
+    # takes the union-find branch; the components step is also timed both
+    # ways on the same verified edges, one data point on each side of the
+    # driver-or-exchange choice.
     scale1m = None
     if not os.environ.get("GRAFT_BENCH_SKIP_SCALE1M") and not os.environ.get(
         "GRAFT_BENCH_SKIP_QUERIES"
@@ -313,16 +317,30 @@ def run_bench() -> dict:
                 open(os.path.join(d, "_SUCCESS"), "w").close()
 
         from docetl_ray.stages.ann import ann_topk_ivf
-        from docetl_ray.stages.dedup import minhash_dedup
+        from docetl_ray.stages.dedup import (
+            connected_components,
+            connected_components_distributed,
+            minhash_candidates,
+            minhash_dedup,
+        )
+        from docetl_ray.stages.util_ray import collect_small
 
         load_dedup = round(os.getloadavg()[0], 2)
         c0 = _cpu_sample()
         t0 = time.perf_counter()
         docs = rd.read_parquet(docs_dir, columns=["doc_id", "text"])
-        deduped, _labels = minhash_dedup(docs, "text", "doc_id", threshold=0.8)
+        deduped, cmap = minhash_dedup(docs, "text", "doc_id", threshold=0.8)
         kept = deduped.count()
         dedup_sec = time.perf_counter() - t0
         dedup_steal = _steal_pct(c0, _cpu_sample())
+
+        edges = minhash_candidates(docs, "text", "doc_id", threshold=0.8).materialize()
+        t0 = time.perf_counter()
+        connected_components(collect_small(edges))
+        cc_driver_sec = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        connected_components_distributed(edges).materialize()
+        cc_exchange_sec = time.perf_counter() - t0
 
         import numpy as np
 
@@ -346,6 +364,10 @@ def run_bench() -> dict:
             "dedup_kept_rows": kept,
             "dedup_load1": load_dedup,
             "dedup_steal_pct": dedup_steal,
+            "dedup_components": "driver" if isinstance(cmap, dict) else "exchange",
+            "cc_edges": edges.count(),
+            "cc_driver_sec": round(cc_driver_sec, 3),
+            "cc_exchange_sec": round(cc_exchange_sec, 3),
             "ann_vectors": n_vecs,
             "ann_sec": round(ann_sec, 3),
             "ann_vectors_per_sec": round(n_vecs / ann_sec),

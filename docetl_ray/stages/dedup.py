@@ -22,10 +22,11 @@ shuffle-consciously:
 Connected components follow the same rule: thresholded edges are a tiny
 fraction of the corpus, so up to ``_DRIVER_PAIRS`` of them run through
 the driver's union-find (a dict canonical map); more run through
-``connected_components_distributed`` — min-label propagation where each
-round is one keyed-shuffle join + one partial-combined grouped min — and
-the canonical map is an ``(id, label)`` Dataset.  The keep-filter and
-the label attach follow the form the map came back in.
+``connected_components_distributed`` — min-label propagation with
+pointer jumping, each round one keyed-shuffle join + one partial-combined
+grouped min, run until no label changes — and the canonical map is an
+``(id, label)`` Dataset.  The keep-filter and the label attach follow
+the form the map came back in.
 """
 
 from __future__ import annotations
@@ -238,8 +239,12 @@ def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float):
 # each bound the step runs on the driver (only pair ids, then the
 # pair-touched signatures or texts, are collected); above it, through
 # keyed exchanges.  ``_components`` puts connected components on the
-# same pair bound.  The text bound is driver memory: up to twice as many
-# texts as pairs are collected, so it assumes ~KB texts.
+# same pair bound, and there too it is driver memory, not a speed
+# crossover: on one CPU the union-find beat min-label propagation at every
+# size measured (1M pair edges: 1.9 s vs 5.1 s; 2M: 3.1 s vs 8.3 s) while
+# its dict grew the driver by ~190 MB per 1M edges.  The text bound is
+# driver memory as well: up to twice as many texts as pairs are
+# collected, so it assumes ~KB texts.
 _DRIVER_PAIRS = 2_000_000  # raw pairs deduplicated / edges unioned on the driver
 _SPARSE_TEXT_PAIRS = 100_000  # distinct pairs verified on the driver
 
@@ -538,6 +543,21 @@ def minhash_candidates(
     to keyed exchanges above ``_DRIVER_PAIRS`` / ``_SPARSE_TEXT_PAIRS``,
     so neither carries a corpus-size ceiling.
     """
+    out = _minhash_pairs(ds, text_col, id_col, num_perm=num_perm, bands=bands,
+                         shingle_k=shingle_k, threshold=threshold, verify=verify)
+    if isinstance(out, pa.Table):
+        import ray.data as rd
+
+        return rd.from_arrow(out)
+    return out
+
+
+def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
+                   shingle_k: int, threshold: float, verify: str):
+    """``minhash_candidates``' pairs in the form the last step left them:
+    the estimate verify's driver branch returns its Arrow table, so
+    ``minhash_dedup`` hands it to ``_components`` without a round trip
+    through the object store."""
     if verify not in ("estimate", "exact"):
         raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
     rows_per_band = num_perm // bands
@@ -625,12 +645,7 @@ def minhash_candidates(
     # signatures only.  At the threshold that is the answer.
     pairs = _distinct_pairs(cand)
     if verify == "estimate":
-        est = _est_prefilter(pairs, sig_ds, id_col, num_perm, threshold)
-        if isinstance(est, pa.Table):
-            import ray.data as rd
-
-            return rd.from_arrow(est)
-        return est
+        return _est_prefilter(pairs, sig_ds, id_col, num_perm, threshold)
 
     # exact-Jaccard verify: the estimate as a PREFILTER at (threshold -
     # margin) kills the ~99% of band-collision pairs that are nowhere
@@ -686,32 +701,45 @@ def connected_components(edges: pa.Table) -> dict:
     return {x: find(x) for x in list(parent)}
 
 
-def connected_components_distributed(
-    edges,
-    *,
-    num_partitions: int = 32,
-    max_rounds: int = 16,
-):
-    """Distributed connected components by min-label propagation.
+def connected_components_distributed(edges, *, num_partitions: int = 32):
+    """Distributed connected components by min-label propagation with
+    pointer jumping.
 
     ``edges``: Dataset with ``id_a``/``id_b`` columns.  Returns a Dataset
     ``(id, label)`` covering every id that appears in an edge, with
     ``label`` = the minimum id of its connected component.
 
-    Each round is ONE keyed-shuffle hash join (labels onto the static
-    symmetrized edge list) plus one partial-combined grouped min — no
-    driver-side state, so the edge set may exceed single-machine memory.
-    Rounds stop when the global label sum stops decreasing (it is
-    monotone non-increasing, so equality == convergence); near-dup
-    clusters have tiny diameters, so 2-4 rounds is typical.
-    ``max_rounds`` bounds pathological chains.
+    Each round is ONE keyed-shuffle hash join plus one partial-combined
+    grouped min — no driver-side state, so the edge set may exceed
+    single-machine memory.  The join offers every id the labels of its
+    neighbours and the label of its own label (``L(v) <- L(L(v))``), so
+    a label travels a doubling distance per round along a path instead
+    of one hop: the capped chains ``_bucket_pair_indices`` builds in a
+    degenerate bucket (diameter ~ n / window) settle in about
+    log2(diameter) rounds, and no graph takes more than its diameter + 1.  Every
+    label is an id of the same component and labels never increase, so
+    the rounds run until no id's label changed (counted against its
+    previous label, which works for any id type); at that fixpoint each
+    component carries its minimum id.
 
     Reference anchor: the clustering step of resolve
     (``/root/reference/docetl/operations/resolve.py:441-477``) — an
     in-process union-find recast as iterated shuffles.
     """
+    import pyarrow.compute as pc
+    import ray.data as rd
+
     from .joins import hash_join
     from .reduces import global_aggregate, grouped_aggregate
+
+    edges = edges.materialize()
+    idt = _id_type(edges, "id_a")
+    if edges.count() == 0:
+        return rd.from_arrow(pa.schema([("id", idt), ("label", idt)]).empty_table())
+    req_schema = pa.schema([("src", idt), ("dst", idt)])
+    # labels carry the previous round's label as ``prev`` for the
+    # convergence count
+    lab_schema = pa.schema([("id", idt), ("label", idt), ("prev", idt)])
 
     def symmetrize(batch: pa.Table) -> pa.Table:
         fwd = pa.table({"src": batch["id_a"], "dst": batch["id_b"]})
@@ -721,35 +749,49 @@ def connected_components_distributed(
     sym = edges.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
     # 1-hop head start: label(v) = min(v, min neighbor)
-    import pyarrow.compute as pc
-
     def init_label(batch: pa.Table) -> pa.Table:
         lab = pc.min_element_wise(batch["src"], batch["_mindst"])
-        return pa.table({"id": batch["src"], "label": lab})
+        return pa.table({"id": batch["src"], "label": lab, "prev": batch["src"]})
 
     labels = (
         grouped_aggregate(sym, ["src"], [("dst", "min", "_mindst")])
         .map_batches(init_label, batch_format="pyarrow")
         .materialize()
     )
-    prev_sum = global_aggregate(labels, [("label", "sum", "s")])["s"]
 
-    for _ in range(max_rounds):
-        prop = hash_join(sym, labels, on="src", right_on="id",
-                         num_buckets=num_partitions)
+    def jump(batch: pa.Table) -> pa.Table:
+        # ask label(v) for its own label, on behalf of v
+        t = batch.filter(pc.not_equal(batch["id"], batch["label"]))
+        return pa.table({"src": t["label"], "dst": t["id"]})
 
-        def relabel(batch: pa.Table) -> pa.Table:
-            return pa.table({"id": batch["dst"], "label": batch["label"]})
+    def offer(batch: pa.Table) -> pa.Table:
+        return pa.table({"id": batch["dst"], "label": batch["label"],
+                         "prev": pa.nulls(batch.num_rows, idt)})
 
-        cand = prop.map_batches(relabel, batch_format="pyarrow")
+    def current(batch: pa.Table) -> pa.Table:
+        return pa.table({"id": batch["id"], "label": batch["label"],
+                         "prev": batch["label"]})
+
+    def changed(batch: pa.Table) -> pa.Table:
+        ne = pc.cast(pc.not_equal(batch["label"], batch["prev"]), pa.int64())
+        return pa.table({"n": [pc.sum(ne).as_py() or 0]})
+
+    n_changed = 1
+    while n_changed:
+        requests = sym.union(labels.map_batches(jump, batch_format="pyarrow"))
+        offers = hash_join(
+            requests, labels, on="src", right_on="id", num_buckets=num_partitions,
+            left_schema=req_schema, right_schema=lab_schema,
+        ).map_batches(offer, batch_format="pyarrow")
         labels = grouped_aggregate(
-            cand.union(labels), ["id"], [("label", "min", "label")]
+            offers.union(labels.map_batches(current, batch_format="pyarrow")),
+            ["id"], [("label", "min", "label"), ("prev", "min", "prev")],
         ).materialize()
-        s = global_aggregate(labels, [("label", "sum", "s")])["s"]
-        if s == prev_sum:
-            break
-        prev_sum = s
-    return labels
+        n_changed = global_aggregate(
+            labels.map_batches(changed, batch_format="pyarrow"), [("n", "sum", "n")]
+        )["n"]
+    return labels.map_batches(lambda t: t.select(["id", "label"]),
+                              batch_format="pyarrow")
 
 
 def _components(edges):
@@ -820,12 +862,11 @@ def minhash_dedup(
     when the verified edges fit the driver bound, else an ``(id, label)``
     Dataset covering every id in an edge (the keep-filter is then an anti
     join).  No step holds an O(corpus) structure on the driver."""
-    cand = minhash_candidates(
+    cmap = _components(_minhash_pairs(
         ds, text_col, id_col,
         num_perm=num_perm, bands=bands, shingle_k=shingle_k, threshold=threshold,
         verify=verify,
-    )
-    cmap = _components(cand)
+    ))
     return _keep_representatives(ds, id_col, cmap), cmap
 
 

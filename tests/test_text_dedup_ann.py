@@ -361,15 +361,21 @@ def _resolve_corpus(ids):
     })
 
 
-def test_resolve_embedding_blocked_string_ids():
-    """String ids on the driver branch: the broadcast binary-search
-    attach gives every row the union-find dict's label (itself when it
+@pytest.mark.parametrize("branch", ["driver", "exchange"])
+def test_resolve_embedding_blocked_string_ids(monkeypatch, branch):
+    """String ids on either components branch: the broadcast binary-search
+    attach of the union-find dict, or the label join of min-label
+    propagation (whose convergence count compares labels, never sums
+    them), gives every row the union-find dict's label (itself when it
     is in no confirmed pair)."""
     import ray.data as rd
 
+    import docetl_ray.stages.dedup as dedup
     from docetl_ray.stages.dedup import connected_components
     from docetl_ray.stages.resolve import resolve_embedding_blocked
 
+    if branch == "exchange":
+        monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
     ids = ["zeta", "b", "longer-id-7", "m", "aa", "q-2", "x", "c9", "delta",
            "n", "kk", "e", "solo"]
     t = _resolve_corpus(ids)
@@ -696,6 +702,23 @@ def test_minhash_degenerate_bucket_bounded():
     assert all(v == 0 for v in cmap.values())
 
 
+def test_minhash_degenerate_bucket_exchange_components(monkeypatch):
+    """A degenerate bucket's capped chain (diameter ~ n / window) through
+    the min-label propagation branch still leaves one survivor: the
+    rounds run until no label changes, not up to a fixed cap."""
+    import docetl_ray.stages.dedup as dedup
+    from docetl_ray.stages.dedup import minhash_dedup
+
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS", 0)
+    n = 1200  # > _BUCKET_CAP: chain diameter ~ n / window = 300
+    deduped, labels = minhash_dedup(_identical_docs(n), "text", "doc_id",
+                                    threshold=0.8)
+    assert not isinstance(labels, dict)
+    assert sorted(r["doc_id"] for r in deduped.take_all()) == [0]
+    lab = _collect(labels)
+    assert lab.num_rows == n and set(lab["label"].to_pylist()) == {0}
+
+
 def test_simhash_degenerate_bucket_bounded():
     from docetl_ray.stages.dedup import simhash_near_dedup
 
@@ -782,6 +805,34 @@ def test_connected_components_distributed_chain():
     lab = {r["id"]: r["label"] for r in _collect(labels).to_pylist()}
     assert all(lab[i] == 0 for i in range(10))
     assert lab[100] == 100 and lab[101] == 100
+
+
+@pytest.mark.parametrize("id_kind", ["int", "str"])
+def test_connected_components_distributed_long_chain(id_kind):
+    """Paths far longer than any fixed round cap, over int and string
+    ids in shuffled order, and an empty edge set: the labels equal the
+    driver union-find's (every id in an edge, labelled by its component
+    minimum)."""
+    import ray.data as rd
+    from docetl_ray.stages.dedup import (connected_components,
+                                         connected_components_distributed)
+
+    rng = np.random.RandomState(11)
+    order = rng.permutation(400)
+    ids = [f"n{i:04d}" for i in order] if id_kind == "str" else order.tolist()
+    # a 300-node path and a 100-node path, edges in shuffled order
+    a = ids[:299] + ids[300:399]
+    b = ids[1:300] + ids[301:400]
+    perm = rng.permutation(len(a))
+    edges = pa.table({"id_a": [a[i] for i in perm], "id_b": [b[i] for i in perm]})
+    lab = {r["id"]: r["label"]
+           for r in _collect(connected_components_distributed(rd.from_arrow(edges))).to_pylist()}
+    cmap = connected_components(edges)
+    assert lab == {i: cmap.get(i, i) for i in ids}
+    assert len(set(lab.values())) == 2
+
+    empty = connected_components_distributed(rd.from_arrow(edges.slice(0, 0)))
+    assert _collect(empty).num_rows == 0
 
 
 def test_embedding_dedup_distributed(monkeypatch):
