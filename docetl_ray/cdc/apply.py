@@ -3,18 +3,23 @@ staged partition Parquet -> atomic manifest commit.
 
 Pipeline shape (streaming, zero-copy Arrow batches)::
 
-    events (Dataset: the WAL read, no map operator of its own)
+    events (Dataset: a bare read_parquet of the WAL files -- never
+      |     executed by Ray Data; any other Dataset streams its blocks)
       | exchange_refs("part", _ApplyPartition, map_fn=partial_apply)
-      |   split tasks, each given a run of consecutive upstream blocks
-      |   as they arrive: partial_apply per block -- per-batch LWW
-      |   winners per url, their text extracted and html dropped, add
-      |   part col -- then cut the rows by part, report each part's bytes
+      |   split tasks, each given a run of consecutive read tasks (one
+      |   per WAL file; other inputs: upstream blocks as they arrive):
+      |   read each file as one block, partial_apply per block --
+      |   per-batch LWW winners per url, their text extracted and html
+      |   dropped, add part col -- then cut the rows by part, report
+      |   each part's bytes
       |   reduce tasks, each a contiguous run of partitions packed by
       |   bytes (one task per CPU at least): per partition, final LWW
       |   merge + base-state merge, writes staging parquet, emits a
       |   lineage row
       v
     lineage rows (tiny) -> driver -> LakeTable.commit(epoch, ...)  # atomic
+      | delta mode, a partition over AUTO_COMPACT_LEVELS levels:
+      v compact(policy="tiered"): plain fold tasks, then an atomic commit
 
 Skew handling: the LWW merge is associative + idempotent, so
 ``partial_apply`` combines events per url *within each batch, inside the
@@ -508,10 +513,18 @@ def compact(
     event with a smaller lsn for those keys).  GC is only sound when
     EVERY level folds (a GC'd tombstone would resurrect an older live
     row in an untouched level), so a watermark forces full folds.
-    Idempotent per ``tag``; distributed one task per partition."""
-    import ray.data as rd
+    Idempotent per ``tag``.  The folds run as plain Ray tasks, no Ray
+    Data operator: the partitions, sized by their level files' bytes,
+    are packed into contiguous ranges (``util_ray._pack``, at least one
+    per CPU) and each task folds its range in pid order.  A fold writes
+    its file atomically under ``compactions/<tag>/`` and nothing else,
+    so a task retries as a unit, exceptions included, 3 times per
+    partition it holds (as the exchange's reduce tasks do)."""
+    import ray
 
-    # committed-tag re-runs must return BEFORE any file IO: merge_one
+    from ..stages.util_ray import _pack, cluster_cpus
+
+    # committed-tag re-runs must return BEFORE any file IO: a fold
     # writes into compactions/<tag>/, and after the first commit those
     # paths are live manifest levels — a re-run that re-merged (now with
     # freshly stacked deltas) would overwrite a live file while
@@ -530,78 +543,77 @@ def compact(
     # forces full folds everywhere it applies)
     min_levels = 1 if drop_tombstones_below_lsn is not None else 2
     todo = [
-        {"pid": pid, "paths": paths}
-        for pid, paths in sorted(pmap.items())
+        (pid, paths) for pid, paths in sorted(pmap.items())
         if (pids is None or pid in pids) and len(paths) >= min_levels
     ]
     if not todo:
         return table.manifest()
 
-    root = table.root
+    fold = ray.remote(retry_exceptions=True)(_fold_partitions)
+    nbytes = [sum(os.path.getsize(p) for p in paths) for _, paths in todo]
+    refs = [
+        fold.options(max_retries=3 * (hi - lo)).remote(
+            table.root, tag, policy, drop_tombstones_below_lsn, todo[lo:hi])
+        for lo, hi in _pack(nbytes, cluster_cpus())
+    ]
+    return table.commit_compaction(tag, [r for recs in ray.get(refs) for r in recs])
+
+
+def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
+                     todo: list) -> list[dict]:
+    """One compaction task: fold each ``(pid, paths)`` of ``todo`` into
+    ``compactions/<tag>/part-<pid>.parquet`` and return their lineage
+    records, in order (``compact``)."""
     cdir = os.path.join("compactions", tag)
-
-    def merge_one(batch: pa.Table) -> pa.Table:
-        out_rows = []
-        for row in batch.to_pylist():
-            pid = int(row["pid"])
-            paths = list(row["paths"])
-            kept: list[str] = []
-            if policy == "tiered":
-                sizes = [os.path.getsize(p) for p in paths]
-                # partial fold ONLY when the OLDEST level (the base run,
-                # paths[0]) dominates: keeping any newer level would
-                # break the manifest's oldest->newest path order and the
-                # newest-level checksum contract (table.py:28-35).  A
-                # bulk delta that outgrew the base escalates to a full
-                # fold instead — one exact rewrite, after which it IS
-                # the base.  Deltas strictly below half the base ->
-                # partial fold; >= half -> full fold (2x keeps the
-                # comparison integer-exact, no floor drift at odd sizes)
-                if 2 * (sum(sizes) - sizes[0]) < sizes[0]:
-                    kept = [paths[0]]
-                    paths = paths[1:]
-            tables = [pq.read_table(p) for p in paths]
-            merged = lww_last_per_url(unify_tables(tables))
-            if drop_tombstones_below_lsn is not None:
-                gc_mask = pc.and_(
-                    merged["_deleted"],
-                    pc.less(merged["lsn"], drop_tombstones_below_lsn),
-                )
-                merged = merged.filter(pc.invert(gc_mask))
-            os.makedirs(os.path.join(root, cdir), exist_ok=True)
-            fname = f"part-{pid:05d}.parquet"
-            _atomic_write_parquet(merged, os.path.join(root, cdir, fname))
-            live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
-            # kept-base contribution from the parquet footer only (no
-            # column scan — tiered exists to keep each trigger O(recent
-            # deltas)): physical rows bound live rows, and a base row
-            # superseded in the middle run counts in both anyway, so
-            # live_rows is a documented UPPER BOUND on logical live rows
-            # after a tiered fold (exact needs the O(state) full fold).
-            kept_rows = sum(pq.read_metadata(p).num_rows for p in kept)
-            live += kept_rows
-            out_rows.append(
-                {
-                    "pid": pid,
-                    "path": os.path.join(cdir, fname),
-                    "rows": merged.num_rows + kept_rows,
-                    "live_rows": live,
-                    # newest-level checksum — same contract delta-mode
-                    # commits already use for multi-level partitions
-                    # (table.py commit()): deterministic per fold
-                    # schedule, detects middle-run corruption.
-                    "checksum": _state_checksum(merged),
-                    "kept_paths": [os.path.relpath(p, root) for p in kept],
-                }
-            )
-        return pa.Table.from_pylist(out_rows)
-
-    recs = (
-        rd.from_items(todo)
-        .map_batches(merge_one, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    return table.commit_compaction(tag, recs)
+    out_rows = []
+    for pid, paths in todo:
+        kept: list[str] = []
+        if policy == "tiered":
+            sizes = [os.path.getsize(p) for p in paths]
+            # partial fold ONLY when the OLDEST level (the base run,
+            # paths[0]) dominates: keeping any newer level would
+            # break the manifest's oldest->newest path order and the
+            # newest-level checksum contract (table.py:28-35).  A
+            # bulk delta that outgrew the base escalates to a full
+            # fold instead — one exact rewrite, after which it IS
+            # the base.  Deltas strictly below half the base ->
+            # partial fold; >= half -> full fold (2x keeps the
+            # comparison integer-exact, no floor drift at odd sizes)
+            if 2 * (sum(sizes) - sizes[0]) < sizes[0]:
+                kept = [paths[0]]
+                paths = paths[1:]
+        tables = [pq.read_table(p) for p in paths]
+        merged = lww_last_per_url(unify_tables(tables))
+        if gc_lsn is not None:
+            gc_mask = pc.and_(merged["_deleted"], pc.less(merged["lsn"], gc_lsn))
+            merged = merged.filter(pc.invert(gc_mask))
+        os.makedirs(os.path.join(root, cdir), exist_ok=True)
+        fname = f"part-{pid:05d}.parquet"
+        _atomic_write_parquet(merged, os.path.join(root, cdir, fname))
+        live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
+        # kept-base contribution from the parquet footer only (no
+        # column scan — tiered exists to keep each trigger O(recent
+        # deltas)): physical rows bound live rows, and a base row
+        # superseded in the middle run counts in both anyway, so
+        # live_rows is a documented UPPER BOUND on logical live rows
+        # after a tiered fold (exact needs the O(state) full fold).
+        kept_rows = sum(pq.read_metadata(p).num_rows for p in kept)
+        live += kept_rows
+        out_rows.append(
+            {
+                "pid": pid,
+                "path": os.path.join(cdir, fname),
+                "rows": merged.num_rows + kept_rows,
+                "live_rows": live,
+                # newest-level checksum — same contract delta-mode
+                # commits already use for multi-level partitions
+                # (table.py commit()): deterministic per fold
+                # schedule, detects middle-run corruption.
+                "checksum": _state_checksum(merged),
+                "kept_paths": [os.path.relpath(p, root) for p in kept],
+            }
+        )
+    return out_rows
 
 
 def read_state(table: LakeTable, *, include_tombstones: bool = False):

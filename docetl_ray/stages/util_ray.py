@@ -182,10 +182,32 @@ def bucket_codes(batch: pa.Table, key_cols, num_buckets: int) -> "np.ndarray":
     return (hash_codes(batch, key_cols) % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
+def _read_blocks(ctx, read_tasks):
+    """The blocks of a bare parquet read, read where they are used:
+    each ``ReadTask``'s tables concatenated into one block (none for a
+    task that reads no rows), the rows Ray Data's read operator would
+    emit for that task, in the same order.  ``ctx`` is the Dataset's
+    ``DataContext``, set first as Ray Data's task wrapper does (the
+    parquet reader takes its I/O retry settings from it)."""
+    from ray.data.context import DataContext
+
+    DataContext._set_current(ctx)
+    for task in read_tasks:
+        tables = list(task())
+        if tables:
+            yield pa.concat_tables(tables, promote_options="permissive") if len(tables) > 1 \
+                else tables[0]
+
+
+def _split_by_part(nparts: int, part_col: str, schema, map_fn, ctx, *blocks):
     """Map side of the exchange: run ``map_fn`` (when given) on each
     block, then split the outputs into nparts COMPACT per-partition
     tables.
+
+    ``blocks`` are upstream blocks (the task's resolved block refs), or,
+    when ``ctx`` is given, the ``ReadTask``s of a bare parquet read,
+    which this task runs itself (``_read_blocks``): the read's blocks
+    then never pass through the object store.
 
     ``map_fn`` sees one non-empty upstream block at a time as an Arrow
     table, exactly as ``map_batches(map_fn, batch_format="pyarrow")``
@@ -214,6 +236,8 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, *blocks):
             return pa.Table.from_pandas(b, preserve_index=False)
         return b
 
+    if ctx is not None:
+        blocks = _read_blocks(ctx, blocks)
     tabs = []
     for b in blocks:
         b = arrow(b)
@@ -295,6 +319,14 @@ def _reduce_range(fn, sizes, schemas, with_meta: bool, *shards):
     return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
+def cluster_cpus() -> int:
+    """The session's CPU count, what the exchange and ``cdc.compact``
+    size their task counts by."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 8)))
+
+
 def _pack(nbytes, ncpus: int) -> list:
     """The reduce side's tasks: contiguous ``(lo, hi)`` partition ranges
     sized by the bytes each partition received — the "coalesce
@@ -355,6 +387,43 @@ def _reduce_phase(fn, split_rows, schemas, packing, with_meta: bool):
     return tables, metas
 
 
+def _parquet_read(ds):
+    """``ds``'s ``Read`` operator when ``ds`` is an unexecuted bare
+    parquet read (its logical plan one ``Read`` over Ray's
+    ``ParquetDatasource``), else None.  Built on Ray Data internals;
+    ``tests/test_exchange.py`` guards them."""
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    op = ds._logical_plan.dag
+    if ds._plan.has_computed_output() or not isinstance(op, Read):
+        return None
+    return op if isinstance(op._datasource, ParquetDatasource) else None
+
+
+def _units(ds, want_schema: bool):
+    """One input of the split phase: a stream of ``(schema, [(unit,
+    bytes), ...])`` steps, and the ``DataContext`` its split tasks must
+    set (None when the units are block refs).
+
+    A bare parquet read (``_parquet_read``) yields its own ``ReadTask``s
+    without executing anything: the read's ``override_num_blocks`` tasks
+    when it was given, else one per file, each sized by its metadata's
+    ``size_bytes``; with ``want_schema`` its steps carry the schema the
+    read infers.  Any other Dataset executes and yields its bundles'
+    block refs and schemas."""
+    read = _parquet_read(ds)
+    if read is None:
+        return ((b.schema, [(ref, meta.size_bytes) for ref, meta in b.blocks])
+                for b in ds.iter_internal_ref_bundles()), None
+    source = read._datasource
+    tasks = source.get_read_tasks(
+        read._parallelism if read._parallelism > 0 else len(source._pq_paths)
+    )
+    schema = read.infer_schema() if want_schema else None
+    return ((schema, [(t, t.metadata.size_bytes or 0)]) for t in tasks), ds.context
+
+
 def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream
     each input's blocks into split tasks running that input's ``map_fn``
@@ -363,24 +432,32 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     wire schemas (None where unknown), and the reduce side's packing
     (``_pack`` over the bytes each partition received from all inputs).
 
-    Several inputs are pulled in turn, one bundle each, so their Ray
-    Data executions overlap: draining one input before starting the
+    An unexecuted bare parquet read (every WAL segment the CDC apply
+    reads) runs no Ray Data execution at all: its ``ReadTask``s go to
+    the split tasks, which read the files themselves (``_units``,
+    ``_read_blocks``), so the driver holds only the read tasks and the
+    raw rows never pass through the object store.  Without a ``map_fn``
+    its wire schema is the one the read infers.  Every other input is
+    executed and its block refs stream in.
+
+    Several inputs are pulled in turn, one bundle (or read task) each,
+    so their executions overlap: draining one input before starting the
     next left the second upstream idle for the whole first split phase.
 
-    Chunking, per input: consecutive blocks accumulate until they hold
-    1/ncpus of the byte target, then launch as one split task, so the
-    first split starts early and the bytes not yet launched stay under
-    the target.  The remainder at the end is cut into up to ncpus split
-    tasks, so a small input still spreads its map work over the CPUs.
-    Every split task holds a contiguous run of blocks and the rows keep
-    their order through the split, so each partition reaches ``fn`` in
-    upstream order (the LLM reduce renders a group's rows in that
-    order)."""
+    Chunking, per input: consecutive blocks (read tasks) accumulate
+    until they hold 1/ncpus of the byte target, then launch as one split
+    task, so the first split starts early and the bytes not yet launched
+    stay under the target.  The remainder at the end is cut into up to
+    ncpus split tasks, so a small input still spreads its map work over
+    the CPUs.  Every split task holds a contiguous run of blocks and the
+    rows keep their order through the split, so each partition reaches
+    ``fn`` in upstream order (the LLM reduce renders a group's rows in
+    that order)."""
     import ray
 
     from .joins import _convert_ray_schema
 
-    ncpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
+    ncpus = cluster_cpus()
     # split tasks retry system failures only: an exception from
     # ``map_fn`` or the split is deterministic and surfaces at once
     split = ray.remote(num_returns=nparts + 1, max_retries=3)(_split_by_part)
@@ -396,12 +473,17 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     schemas = list(schemas)
     split_rows: list = [[] for _ in inputs]
     size_refs: list = []  # each split task's per-partition byte counts
-    acc: list = [[] for _ in inputs]  # consecutive block refs not yet launched
+    acc: list = [[] for _ in inputs]  # consecutive units not yet launched
     acc_bytes = [0] * len(inputs)
     target = [_TARGET_BYTES] * len(inputs)
+    streams, ctxs = {}, []
+    for i, ds in enumerate(inputs):
+        streams[i], ctx = _units(ds, schemas[i] is None and map_fns[i] is None)
+        ctxs.append(ctx)
 
-    def launch(i, blocks):
-        *shards, nbytes = split.remote(nparts, part_col, schemas[i], map_fns[i], *blocks)
+    def launch(i, units):
+        *shards, nbytes = split.remote(nparts, part_col, schemas[i], map_fns[i], ctxs[i],
+                                       *units)
         split_rows[i].append(shards)
         size_refs.append(nbytes)
         if len(split_rows[i]) % (ncpus * 2) == 0:
@@ -411,22 +493,22 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     # deliver the whole dataset as one ref bundle, and packing it into a
     # single split task overflows Arrow's int32 string offsets (>2 GiB
     # concat) besides serializing the split phase
-    streams = {i: iter(ds.iter_internal_ref_bundles()) for i, ds in enumerate(inputs)}
     while streams:
         for i, stream in list(streams.items()):
-            bundle = next(stream, None)
-            if bundle is None:
+            step = next(stream, None)
+            if step is None:
                 del streams[i]
                 n = min(ncpus, len(acc[i]))
                 for j in range(n):
                     launch(i, acc[i][j * len(acc[i]) // n:(j + 1) * len(acc[i]) // n])
                 continue
-            if schemas[i] is None and map_fns[i] is None and bundle.schema is not None:
-                s = _convert_ray_schema(bundle.schema)
+            schema, units = step
+            if schemas[i] is None and map_fns[i] is None and schema is not None:
+                s = _convert_ray_schema(schema)
                 schemas[i] = s if len(s) else None
-            for block_ref, meta in bundle.blocks:
-                acc[i].append(block_ref)
-                acc_bytes[i] += meta.size_bytes
+            for unit, nbytes in units:
+                acc[i].append(unit)
+                acc_bytes[i] += nbytes
                 if acc_bytes[i] * ncpus >= target[i]:
                     launch(i, acc[i])
                     acc[i], acc_bytes[i] = [], 0
@@ -456,7 +538,10 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     partitions into as few reduce tasks as the byte target allows (at
     least one per CPU, ``_pack``), and each reduce task concats + runs
     ``fn`` per partition of its range, in order.  The results stay in the
-    object store.  The upstream executes exactly once.
+    object store.  The upstream executes exactly once; an unexecuted
+    bare ``read_parquet`` (a WAL segment) does not execute as a Dataset
+    at all: the split tasks run its read tasks and read the files
+    themselves (``_split_phase``).
 
     ``map_fn``: the map side, run by each split task once per non-empty
     upstream block before it partitions (``map_batches`` semantics with

@@ -128,3 +128,79 @@ def test_delta_manifest_live_rows_upper_bounds_state(tmp_path):
     # per-partition physical sanity: rows >= live_rows >= 0
     for rec in table.manifest()["partitions"].values():
         assert rec["rows"] >= rec["live_rows"] >= 0
+
+
+def test_delta_auto_compaction_default_bounds_levels(tmp_path, ray_session):
+    """apply_events defaults to compact_after="auto": level count stays
+    <= AUTO_COMPACT_LEVELS + 1 across many delta epochs without any
+    manual compact() call, and state still matches the replay oracle
+    (r4 verdict item 6 — read-side level-merge cost stays bounded)."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    from docetl_ray.cdc import LakeTable, apply_events, replay_oracle, read_state
+    from docetl_ray.cdc.apply import AUTO_COMPACT_LEVELS
+    from docetl_ray.util import collect
+
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=2)
+    segs = [synth.events_table(i * 400, 400) for i in range(10)]
+    for i, seg in enumerate(segs):
+        apply_events(table, rd.from_arrow(seg), epoch=i, mode="delta")
+        assert all(
+            len(p) <= AUTO_COMPACT_LEVELS + 1
+            for p in table.partition_map().values()
+        ), f"epoch {i} exceeded the auto-compaction level bound"
+
+    oracle = replay_oracle(pa.concat_tables(segs))
+    engine = collect(read_state(table)).sort_by([("url", "ascending")])
+    assert engine.num_rows == oracle.num_rows
+    for c in ("url", "lsn", "text"):
+        assert engine[c].to_pylist() == oracle[c].to_pylist(), c
+
+
+def test_tiered_compaction_keeps_base_and_bounds_write_cost(
+        tmp_path, ray_session):
+    """policy="tiered" (the auto-trigger default) folds only the delta
+    levels, leaving the partition's largest run untouched — a trigger
+    must not rewrite O(state) — while the state stays oracle-exact;
+    once the folded middle run rivals the base, the fold goes full."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle
+    from docetl_ray.cdc.apply import compact
+    from docetl_ray.util import collect
+
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=2)
+    # big bootstrap epoch = the base run, then small deltas
+    segs = [synth.events_table(0, 3000)]
+    apply_events(table, rd.from_arrow(segs[0]), epoch=0, mode="delta",
+                 compact_after=None)
+    base_paths = {pid: p[0] for pid, p in table.partition_map().items()}
+    for e in range(1, 4):
+        segs.append(synth.events_table(3000 + (e - 1) * 50, 50))
+        apply_events(table, rd.from_arrow(segs[-1]), epoch=e, mode="delta",
+                     compact_after=None)
+    assert all(len(p) == 4 for p in table.partition_map().values())
+
+    compact(table, tag="tier1", policy="tiered")
+    pmap = table.partition_map()
+    for pid, paths in pmap.items():
+        assert len(paths) == 2, "tiered fold must leave [base, middle]"
+        assert paths[0] == base_paths[pid], \
+            "tiered fold rewrote the base run"
+    oracle = replay_oracle(pa.concat_tables(segs))
+    engine = collect(read_state(table)).sort_by([("url", "ascending")])
+    assert engine["text"].to_pylist() == oracle["text"].to_pylist()
+
+    # deltas that rival the base force the full fold
+    segs.append(synth.events_table(4000, 3000))
+    apply_events(table, rd.from_arrow(segs[-1]), epoch=9, mode="delta",
+                 compact_after=None)
+    compact(table, tag="tier2", policy="tiered")
+    pmap2 = table.partition_map()
+    assert all(len(p) == 1 for p in pmap2.values()), \
+        "rivaling middle+deltas must fold fully"
+    oracle2 = replay_oracle(pa.concat_tables(segs))
+    engine2 = collect(read_state(table)).sort_by([("url", "ascending")])
+    assert engine2["text"].to_pylist() == oracle2["text"].to_pylist()

@@ -18,7 +18,9 @@ import ray.data as rd
 from docetl_ray import synth
 from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
 from docetl_ray.cdc.apply import url_partition
-from docetl_ray.stages.util_ray import _TARGET_BYTES, _pack, exchange_map_groups, exchange_refs
+from docetl_ray.stages.util_ray import (
+    _TARGET_BYTES, _pack, _parquet_read, _read_blocks, exchange_map_groups, exchange_refs,
+)
 from docetl_ray.util import collect
 
 
@@ -49,6 +51,40 @@ def _counter(marker: str):
 def _lines(path: str) -> int:
     with open(path) as f:
         return len(f.readlines())
+
+
+_FILE_ROWS = [150, 100, 0, 250, 100, 200]  # k = 0..799 in order; one file has no rows
+
+
+def _bare_read(tmp_path, **kw):
+    """A bare ``read_parquet`` over six files written from pandas (so
+    they carry pandas metadata), with ``columns=`` and ``schema=``
+    passed as ``__ray_entry__._rp`` passes them: the metadata-free file
+    schema pruned to the read columns.  The exchange reads such an input
+    inside its split tasks."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    t = pa.Table.from_pandas(pd.DataFrame({
+        "k": range(800), "v": [f"v{i}" for i in range(800)], "pad": 1.0,
+    }), preserve_index=False)
+    paths, lo = [], 0
+    for i, n in enumerate(_FILE_ROWS):
+        paths.append(str(tmp_path / f"wal-{i}.parquet"))
+        if not os.path.exists(paths[-1]):
+            pq.write_table(t.slice(lo, n), paths[-1])
+        lo += n
+    cols = ["k", "v"]
+    schema = pq.read_schema(paths[0]).remove_metadata()
+    return rd.read_parquet(paths, schema=pa.schema([schema.field(c) for c in cols]),
+                           columns=cols, **kw)
+
+
+def _executed(ds):
+    """``ds`` executed in upstream order: the exchange then takes its
+    block refs, the path every input other than a bare read takes."""
+    ds.context.execution_options.preserve_order = True
+    return ds.materialize()
 
 
 # --- the exchange, called directly ---------------------------------------
@@ -171,6 +207,44 @@ def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
     assert sorted(ks) == sorted(list(range(500)) + [2 * k for k in range(500)])
 
     assert exchange_map_groups(filtered, "part", 4, lambda g: g).count() == 0
+
+
+def test_bare_parquet_read_goes_to_split_tasks_as_read_tasks(tmp_path):
+    """``_parquet_read`` and ``_read_blocks`` rest on Ray Data internals
+    (the ``Read`` operator, ``ParquetDatasource`` and its ``_pq_paths``,
+    ``get_read_tasks``, ``ExecutionPlan.has_computed_output``), so this
+    is a test to run first after a Ray upgrade: a bare read is found,
+    its read tasks (one per file, or ``override_num_blocks``) read every
+    row in file order, one block per task with rows, and a read with an
+    operator on top, a materialized read or a plan holding its executed
+    output is not a bare read."""
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    ds = _bare_read(tmp_path)
+    read = _parquet_read(ds)
+    assert isinstance(read, Read) and isinstance(read._datasource, ParquetDatasource)
+    assert read._parallelism == -1
+    assert len(read._datasource._pq_paths) == len(_FILE_ROWS)
+    tasks = read._datasource.get_read_tasks(len(_FILE_ROWS))
+    assert len(tasks) == len(_FILE_ROWS)
+    assert all(isinstance(t.metadata.size_bytes, int) for t in tasks)
+    blocks = list(_read_blocks(ds.context, tasks))
+    assert [b.num_rows for b in blocks] == [n for n in _FILE_ROWS if n]
+    assert pa.concat_tables(blocks)["k"].to_pylist() == list(range(800))
+    assert read.infer_schema().names == ["k", "v"]
+
+    two = _parquet_read(_bare_read(tmp_path, override_num_blocks=2))
+    assert two._parallelism == 2 and len(two._datasource.get_read_tasks(2)) == 2
+
+    assert _parquet_read(ds.map_batches(lambda b: b, batch_format="pyarrow")) is None
+    assert _parquet_read(rd.from_arrow(blocks[0])) is None
+    assert _parquet_read(ds.materialize()) is None
+    # a plan that holds its executed output is streamed from that output
+    assert not ds._plan.has_computed_output()
+    ds._plan.execute()
+    assert ds._plan.has_computed_output()
+    assert _parquet_read(ds) is None
 
 
 # --- the reduce side: partitions packed into tasks by bytes --------------
@@ -313,6 +387,15 @@ def test_map_fn_runs_once_per_upstream_block(tmp_path):
     assert sum(o["rows"][0].as_py() for o in out) == 600
     assert all(o["has_part"][0].as_py() and o["ncols"][0].as_py() == 3 for o in out)
 
+    # a bare parquet read: once per read task that reads rows (one per
+    # file here), and the same groups as the read executed first
+    log = str(tmp_path / "read_calls")
+    got = ray.get(exchange_refs(_bare_read(tmp_path), "part", 3, lambda g: g,
+                                map_fn=_logging_map(log, 3)))
+    assert sorted(n for _, n, _ in _calls(log)) == sorted(n for n in _FILE_ROWS if n)
+    assert got == ray.get(exchange_refs(_executed(_bare_read(tmp_path)), "part", 3,
+                                        lambda g: g, map_fn=_with_part(3)))
+
 
 def test_map_fn_sees_arrow_for_pandas_and_skips_empty_blocks(tmp_path):
     """Pandas blocks reach map_fn as Arrow tables; zero-row and
@@ -408,17 +491,23 @@ def _tagged():
 
 
 @pytest.mark.parametrize("ninputs", [1, 2])
-def test_rows_reach_fn_in_upstream_order(ninputs):
+def test_rows_reach_fn_in_upstream_order(tmp_path, ninputs):
     """Each split task holds a contiguous run of blocks and the split
     keeps row order, so a partition reaches fn in upstream order on the
     4 CPUs too (a round-robin deal interleaved the blocks) — per input
-    when two inputs share the exchange."""
+    when two inputs share the exchange.  A bare parquet read, whose
+    files the split tasks read themselves, gives the groups of the same
+    read executed first."""
     t = pa.table({"k": list(range(800))})
     if ninputs == 1:
-        ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 800, 50)])
-        for out in ray.get(exchange_refs(ds, "part", 3, lambda g: g, map_fn=_with_part(3))):
+        def groups(ds):
+            return ray.get(exchange_refs(ds, "part", 3, lambda g: g, map_fn=_with_part(3)))
+
+        got = groups(_bare_read(tmp_path))
+        for out in groups(rd.from_arrow([t.slice(i, 50) for i in range(0, 800, 50)])) + got:
             ks = out["k"].to_pylist()
             assert ks == sorted(ks) and len(ks) > 200
+        assert got == groups(_executed(_bare_read(tmp_path)))
         return
     inputs = tuple(
         rd.from_arrow([t.slice(i, step) for i in range(0, 800, step)]) for step in (50, 100)
@@ -428,6 +517,23 @@ def test_rows_reach_fn_in_upstream_order(ninputs):
         for i in range(2):
             ks = block.filter(pc.equal(block["input"], i))["k"].to_pylist()
             assert ks == sorted(ks) and len(ks) > 200
+
+    def tagged(*inputs):
+        return collect(exchange_map_groups(inputs, "part", 3, _tagged(),
+                                           map_fn=(_with_part(3),) * 2))
+
+    # two bare reads (one per file, and two read tasks in all) next to each
+    # other, and a bare read next to an executed input
+    got = tagged(_bare_read(tmp_path), _bare_read(tmp_path, override_num_blocks=2))
+    for i in range(2):
+        ks = got.filter(pc.equal(got["input"], i))["k"].to_pylist()
+        assert sorted(ks) == list(range(800))
+        for p in range(3):
+            assert [k for k in ks if k % 3 == p] == list(range(p, 800, 3))
+    assert got.equals(tagged(_executed(_bare_read(tmp_path)),
+                             _executed(_bare_read(tmp_path, override_num_blocks=2))))
+    assert got.equals(tagged(_bare_read(tmp_path),
+                             _executed(_bare_read(tmp_path, override_num_blocks=2))))
 
 
 def test_map_fn_exception_is_not_retried(tmp_path):

@@ -21,13 +21,20 @@ def _state(table, include_tombstones=False):
     )
 
 
-@pytest.mark.parametrize("num_partitions", [4, 16])
-def test_apply_survives_injected_task_failures(tmp_path, monkeypatch, num_partitions):
+@pytest.mark.parametrize("num_partitions, source", [
+    pytest.param(4, "arrow", id="4"),
+    pytest.param(16, "arrow", id="16"),
+    pytest.param(4, "parquet", id="4-parquet"),
+])
+def test_apply_survives_injected_task_failures(tmp_path, monkeypatch, num_partitions, source):
     """Every partition's first attempt fails.  At 16 partitions on the
     session's 4 CPUs the exchange packs 4 partitions per reduce task,
     and a packed task retries as a unit, so it needs one retry per
-    partition it holds."""
+    partition it holds.  From a bare ``read_parquet`` the split tasks
+    read the WAL files themselves: there the first split task to run
+    also loses its worker, and its retry reads its files again."""
     import ray.data as rd
+    import pyarrow.parquet as pq
 
     from docetl_ray.testing import PoisonedApplier
 
@@ -40,10 +47,28 @@ def test_apply_survives_injected_task_failures(tmp_path, monkeypatch, num_partit
     monkeypatch.setattr(apply_mod, "_ApplyPartition", patched)
     table = LakeTable(str(tmp_path / "lake"), num_partitions=num_partitions)
     ev = synth.events_table(0, 2000)
-    apply_events(table, rd.from_arrow(ev), epoch=0)
+    crashed = tmp_path / "split-crashed"
+    if source == "arrow":
+        events = rd.from_arrow(ev)
+    else:
+        paths = [str(tmp_path / f"wal-{i}.parquet") for i in range(4)]
+        for i, path in enumerate(paths):
+            pq.write_table(ev.slice(i * 500, 500), path)
+        events = rd.read_parquet(paths)
+        real = apply_mod.partial_apply
+
+        def crash_once(batch, **kw):
+            if not crashed.exists():
+                crashed.touch()
+                os._exit(1)  # the worker dies: a system failure, retried
+            return real(batch, **kw)
+
+        monkeypatch.setattr(apply_mod, "partial_apply", crash_once)
+    apply_events(table, events, epoch=0)
 
     # every partition failed once and was retried
     assert len(list(poison.iterdir())) == num_partitions
+    assert crashed.exists() == (source == "parquet")
     oracle = replay_oracle(ev)
     engine = _state(table)
     assert engine["lsn"].to_pylist() == oracle["lsn"].to_pylist()

@@ -110,3 +110,38 @@ def test_op_chained_on_an_exchange_pays_per_reduce_task(monkeypatch, name):
     reduces = names.count("_reduce_range")
     assert 0 < reduces < 32
     assert names[names.index("_reduce_range"):].count("_map_task") <= reduces
+
+
+def test_cdc_apply_and_auto_compaction_run_no_ray_data_operator(tmp_path, monkeypatch):
+    """An epoch applied from a bare ``read_parquet`` of its WAL files
+    launches only the exchange's split and reduce tasks (the split tasks
+    read the files; no Ray Data read operator runs), and a delta-mode
+    auto-compaction launches only its fold tasks."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from docetl_ray import synth
+    from docetl_ray.cdc import LakeTable, apply_events
+    from docetl_ray.cdc.apply import AUTO_COMPACT_LEVELS
+
+    def wal(epoch: int, nfiles: int) -> list:
+        paths = []
+        for i in range(nfiles):
+            paths.append(str(tmp_path / f"wal-{epoch}-{i}.parquet"))
+            pq.write_table(synth.events_table((epoch * nfiles + i) * 300, 300), paths[-1])
+        return paths
+
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    names = _launches(monkeypatch)
+    # building the read samples its files (``_sample_fragment`` tasks)
+    events = rd.read_parquet(wal(0, 3))
+    names.clear()
+    apply_events(table, events, epoch=0, mode="merge")
+    assert set(names) == {"_split_by_part", "_reduce_range"}
+
+    for epoch in range(1, AUTO_COMPACT_LEVELS + 1):
+        events = rd.read_parquet(wal(epoch, 1))
+        names.clear()
+        apply_events(table, events, epoch=epoch, mode="delta")
+    assert table.manifest()["compactions"] == [f"auto-epoch-{AUTO_COMPACT_LEVELS}"]
+    assert set(names) == {"_split_by_part", "_reduce_range", "_fold_partitions"}
