@@ -309,12 +309,16 @@ def _q_asof_join(sf_dir):
 
 
 def _q_incremental_dedup(sf_dir):
-    # Incremental corpus dedup: epoch 1 is filtered against epoch 0's
-    # PERSISTED fingerprint index (cdc.dedup_index), never rescanning
-    # epoch 0's documents.  Deterministic dup synthesis: every doc_id %
-    # 5 == 0 doc carries one of two boilerplate strings (cross-epoch
-    # dups), and epoch-1 docs with doc_id % 7 == 3 carry one of two
-    # "late" strings (within-epoch dups -> min doc_id wins).
+    # Incremental corpus dedup over 3 epochs (doc_id < 250, < 375, the
+    # rest): each epoch is filtered against the PERSISTED fingerprint
+    # index of all earlier epochs (cdc.dedup_index), never rescanning
+    # their documents.  Deterministic dup synthesis: every doc_id % 5 ==
+    # 0 doc carries one of two boilerplate strings (cross-epoch dups),
+    # docs from 250 on with doc_id % 7 == 3 carry one of two "late"
+    # strings (within-epoch dups in epoch 1, cross-epoch dups in epoch
+    # 2), and epoch-2 docs with doc_id % 11 == 4 one of two "fresh"
+    # strings (within-epoch dups -> min doc_id wins).  Returns the
+    # survivors of epochs 1 and 2.
     import pyarrow as pa
 
     from docetl_ray.cdc import DedupIndex, incremental_exact_dedup
@@ -328,6 +332,8 @@ def _q_incremental_dedup(sf_dir):
                 out.append(f"dup-{i % 10}")
             elif i >= 250 and i % 7 == 3:
                 out.append(f"late-{i % 14}")
+            elif i >= 375 and i % 11 == 4:
+                out.append(f"fresh-{i % 22}")
             else:
                 out.append(t)
         return pa.table({"doc_id": batch["doc_id"], "text": pa.array(out)})
@@ -335,19 +341,19 @@ def _q_incremental_dedup(sf_dir):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         synth, batch_format="pyarrow"
     )
-    e0 = docs.map_batches(
-        lambda t: t.filter(pa.compute.less(t["doc_id"], 250)), batch_format="pyarrow"
-    )
-    e1 = docs.map_batches(
-        lambda t: t.filter(pa.compute.greater_equal(t["doc_id"], 250)),
-        batch_format="pyarrow",
-    )
+
+    def epoch_docs(lo, hi):
+        ids = pa.compute.field("doc_id")
+        keep = (ids >= lo) & (ids < hi)
+        return docs.map_batches(lambda t: t.filter(keep), batch_format="pyarrow")
+
     root = tempfile.mkdtemp(prefix="docetl_ray_dedupidx_")
     shutil.rmtree(root, ignore_errors=True)
     idx = DedupIndex(root, kind="exact")
-    incremental_exact_dedup(idx, e0, "text", "doc_id", 0)
-    kept1, _n = incremental_exact_dedup(idx, e1, "text", "doc_id", 1)
-    return kept1
+    incremental_exact_dedup(idx, epoch_docs(0, 250), "text", "doc_id", 0)
+    kept1, _n = incremental_exact_dedup(idx, epoch_docs(250, 375), "text", "doc_id", 1)
+    kept2, _n = incremental_exact_dedup(idx, epoch_docs(375, 2**62), "text", "doc_id", 2)
+    return kept1.union(kept2)
 
 
 def _q_cdc_flagship_delta(sf_dir):
@@ -2043,9 +2049,10 @@ def oracle_sql() -> dict[str, str]:
             FROM l ASOF LEFT JOIN r
               ON l.user_id = r.user_id AND l.ts >= r.ts
         """,
-        # incremental dedup vs persisted index: epoch-1 survivors = docs
-        # whose md5-prefix fingerprint is absent from epoch 0's distinct
-        # fingerprints AND first (min doc_id) within epoch 1
+        # incremental dedup vs persisted index, 3 epochs: the survivors
+        # of epochs 1 and 2 = each md5-prefix fingerprint's first doc
+        # (min doc_id) within the first epoch that carries it, unless
+        # that epoch is 0
         "incremental_dedup_documents": """
             WITH synth AS (
               SELECT doc_id,
@@ -2053,14 +2060,18 @@ def oracle_sql() -> dict[str, str]:
                             THEN 'dup-' || CAST(doc_id % 10 AS VARCHAR)
                           WHEN doc_id >= 250 AND doc_id % 7 = 3
                             THEN 'late-' || CAST(doc_id % 14 AS VARCHAR)
+                          WHEN doc_id >= 375 AND doc_id % 11 = 4
+                            THEN 'fresh-' || CAST(doc_id % 22 AS VARCHAR)
                           ELSE text END AS text
               FROM documents),
-            old AS (SELECT DISTINCT substr(md5(text), 1, 16) AS h
-                    FROM synth WHERE doc_id < 250),
-            new AS (SELECT doc_id, text, substr(md5(text), 1, 16) AS h
-                    FROM synth WHERE doc_id >= 250)
-            SELECT doc_id, text FROM new
-            WHERE h NOT IN (SELECT h FROM old)
+            keyed AS (
+              SELECT doc_id, text, substr(md5(text), 1, 16) AS h,
+                     CASE WHEN doc_id < 250 THEN 0
+                          WHEN doc_id < 375 THEN 1 ELSE 2 END AS epoch
+              FROM synth),
+            first AS (SELECT h, min(epoch) AS e FROM keyed GROUP BY h)
+            SELECT doc_id, text FROM keyed JOIN first USING (h)
+            WHERE epoch = e AND epoch > 0
             QUALIFY row_number() OVER (PARTITION BY h ORDER BY doc_id) = 1
         """,
         # IVF-flat ANN: centroids = 16 lowest-vec_id vectors; every vector

@@ -21,6 +21,18 @@ Pipeline shape (streaming, zero-copy Arrow batches)::
       | delta mode, a partition over AUTO_COMPACT_LEVELS levels:
       v compact(policy="tiered"): plain fold tasks, then an atomic commit
 
+    read_state(table): plain read tasks, partitions packed by their
+      |   level files' bytes: per partition, merge the levels by LWW,
+      |   drop tombstones, return the block and its metadata
+      v
+    Dataset, one block per partition (resplit sends it through
+      exchange_refs again, to the same reduce with no base state)
+
+One partition kernel serves the apply's reduce, ``resplit``, the
+compaction folds and the read tasks: ``_merge_levels`` (read the level
+files, LWW-merge them when there are several) and ``_write_partition``
+(atomic write, row counts, checksum; the core of every lineage record).
+
 Skew handling: the LWW merge is associative + idempotent, so
 ``partial_apply`` combines events per url *within each batch, inside the
 split task, right before partitioning* — a hot url (Zipf head)
@@ -47,7 +59,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -61,24 +72,11 @@ from .table import LakeTable
 _LWW_KEYS = [("url", "ascending"), ("warc_ts", "ascending"), ("lsn", "ascending")]
 
 
-def url_partition(
-    urls: np.ndarray, num_partitions: int, *, version: str = "v2"
-) -> np.ndarray:
-    """Deterministic hash partition of url strings.
-
-    ``version="v2"`` (default for new tables): vectorized fixed-key C
-    siphash via ``pandas.util.hash_pandas_object`` — no per-row Python,
-    process- and run-stable.  ``version="crc32"``: the round-1 per-row
-    crc32 loop, kept because the partition function is BAKED INTO
-    committed manifests (``manifest["partition_hash"]``) — tables created
-    before v2 keep routing by crc32 until a ``resplit`` rewrites every
-    partition and upgrades the manifest."""
-    if version == "crc32":
-        return np.fromiter(
-            (zlib.crc32(u.encode("utf-8")) % num_partitions for u in urls),
-            dtype=np.int32,
-            count=len(urls),
-        )
+def url_partition(urls: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Deterministic hash partition of url strings: vectorized fixed-key
+    C siphash via ``pandas.util.hash_pandas_object`` — no per-row Python,
+    process- and run-stable.  The hash is baked into committed manifests
+    (``manifest["partition_hash"] == "v2"``, checked on open)."""
     import pandas as pd
 
     h = pd.util.hash_pandas_object(pd.Series(urls), index=False).to_numpy()
@@ -145,14 +143,15 @@ def partial_apply(
     part_version: str = "v2",
 ) -> pa.Table:
     """Per-batch combiner: per-url LWW winners of the raw events, then
-    their state form (html->text for winners only) + part column."""
+    their state form (html->text for winners only) + part column.
+    ``part_version`` names the routing hash, and ``"v2"`` is the only
+    one; it stays a keyword because perfbench's layer replay passes it."""
+    if part_version != "v2":
+        raise ValueError(f"unknown partition hash {part_version!r}")
     winners, lo, hi = _lww_with_ranges(batch) if batch.num_rows else (
         batch, pa.array([], pa.int64()), pa.array([], pa.int64()))
     state = events_to_state(winners, extract=extract)
-    part = url_partition(
-        state["url"].to_numpy(zero_copy_only=False), num_partitions,
-        version=part_version,
-    )
+    part = url_partition(state["url"].to_numpy(zero_copy_only=False), num_partitions)
     return state.append_column("_lsn_lo", lo).append_column("_lsn_hi", hi) \
         .append_column("part", pa.array(part, type=pa.int32()))
 
@@ -261,25 +260,51 @@ def _state_checksum(t: pa.Table) -> str:
     return hashlib.md5(f"{t.num_rows}:{total}".encode()).hexdigest()
 
 
+def _merge_levels(paths: list[str], newest: pa.Table | None = None) -> pa.Table:
+    """A partition's state: its level files (oldest first), then
+    ``newest`` when given, merged by LWW — the one level merge of the
+    apply, the compaction folds and ``read_state``.  Every level is
+    already one url-sorted LWW run, so a lone table comes back as read."""
+    tables = [pq.read_table(p) for p in paths]
+    if newest is not None:
+        tables.append(newest)
+    return lww_last_per_url(unify_tables(tables)) if len(tables) > 1 else tables[0]
+
+
+def _write_partition(root: str, rel_dir: str, pid: int, merged: pa.Table) -> dict:
+    """Write ``merged`` atomically as ``<rel_dir>/part-<pid>.parquet``
+    under ``root``; returns the lineage record's core ``{path (relative
+    to root), rows, live_rows, checksum}``, to which callers add theirs."""
+    rel = os.path.join(rel_dir, f"part-{pid:05d}.parquet")
+    os.makedirs(os.path.join(root, rel_dir), exist_ok=True)
+    _atomic_write_parquet(merged, os.path.join(root, rel))
+    live = pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py()
+    return {"path": rel, "rows": merged.num_rows, "live_rows": int(live or 0),
+            "checksum": _state_checksum(merged)}
+
+
 class _ApplyPartition:
     """Per-partition final merge: staged write + lineage row.
 
-    The reduce ``fn`` of ``util_ray.exchange_refs``; the
-    current-manifest partition->file map is broadcast once via
-    ``ray.put`` and read zero-copy in each task (no per-batch
-    reshipping).  Returns the partition's lineage rows as plain dicts —
-    one, or none for an empty partition, which writes no file.  (Dicts,
-    not an Arrow table: Ray's per-table serialization measured ~30 ms
-    per 16-partition epoch on one CPU, a fixed cost on every tail
-    epoch.)
+    The reduce ``fn`` of ``util_ray.exchange_refs`` for the apply and
+    ``resplit``; it writes under ``out_dir`` (relative to the table
+    root: the epoch's ``epochs/epoch-N`` or the resplit's
+    ``resplits/<tag>``).  The partition->files map of the current
+    manifest is broadcast once via ``ray.put`` and read zero-copy in
+    each task (no per-batch reshipping); ``resplit`` passes ``{}``, as
+    it sends every partition its whole state.  Returns the partition's
+    lineage rows as plain dicts — one, or none for an empty partition,
+    which writes no file.  (Dicts, not an Arrow table: Ray's per-table
+    serialization measured ~30 ms per 16-partition epoch on one CPU, a
+    fixed cost on every tail epoch.)
     """
 
     __name__ = "apply_partition"
 
-    def __init__(self, manifest_ref, table_root: str, epoch: int, mode: str = "merge"):
+    def __init__(self, manifest_ref, table_root: str, out_dir: str, mode: str = "merge"):
         self._ref = manifest_ref
         self.root = table_root
-        self.epoch = epoch
+        self.out_dir = out_dir
         self.mode = mode
         self._map = None
 
@@ -289,48 +314,19 @@ class _ApplyPartition:
         if group.num_rows == 0:
             return []
         if self._map is None:
-            self._map = ray.get(self._ref) if not isinstance(self._ref, dict) else self._ref
+            self._map = self._ref if isinstance(self._ref, dict) else ray.get(self._ref)
         pid = int(group["part"][0].as_py())
-        lsn_min = pc.min(group["_lsn_lo"]).as_py()
-        lsn_max = pc.max(group["_lsn_hi"]).as_py()
         winners = lww_last_per_url(
             group.drop_columns(["part", "_lsn_lo", "_lsn_hi"])
         )
-
-        # LWW output is strictly url-ascending: written as returned
-        if self.mode == "delta":
-            # LSM path: write only this epoch's winners; base untouched.
-            merged = winners
-            append = True
-        else:
-            base_paths = self._map.get(pid) or []
-            if base_paths:
-                bases = [pq.read_table(p) for p in base_paths]
-                merged = lww_last_per_url(unify_tables(bases + [winners]))
-            else:
-                merged = winners
-            append = False
-
-        staging_dir = os.path.join(self.root, "epochs", f"epoch-{self.epoch:07d}")
-        os.makedirs(staging_dir, exist_ok=True)
-        fname = f"part-{pid:05d}.parquet"
-        out = os.path.join(staging_dir, fname)
-        _atomic_write_parquet(merged, out)
-
-        live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
-        rel = os.path.join("epochs", f"epoch-{self.epoch:07d}", fname)
-        return [
-            {
-                "pid": pid,
-                "path": rel,
-                "rows": merged.num_rows,
-                "live_rows": live,
-                "lsn_min": lsn_min,
-                "lsn_max": lsn_max,
-                "checksum": _state_checksum(merged),
-                "append": append,
-            }
-        ]
+        # delta (LSM) mode writes only this epoch's winners as a new
+        # level and leaves the base untouched; merge mode folds them in
+        append = self.mode == "delta"
+        merged = winners if append else _merge_levels(self._map.get(pid, []), winners)
+        rec = _write_partition(self.root, self.out_dir, pid, merged)
+        rec.update(pid=pid, lsn_min=pc.min(group["_lsn_lo"]).as_py(),
+                   lsn_max=pc.max(group["_lsn_hi"]).as_py(), append=append)
+        return [rec]
 
 
 AUTO_COMPACT_LEVELS = 4
@@ -374,15 +370,9 @@ def apply_events(
     import time
 
     t0 = time.perf_counter()
-    combine = functools.partial(
-        partial_apply,
-        num_partitions=nparts,
-        extract=extract,
-        # the routing hash is pinned per table in the manifest;
-        # pre-v2 tables keep crc32 until a resplit upgrades them
-        part_version=table.partition_hash,
-    )
-    applier = _ApplyPartition(ref, table.root, epoch, mode)
+    combine = functools.partial(partial_apply, num_partitions=nparts, extract=extract)
+    applier = _ApplyPartition(
+        ref, table.root, os.path.join("epochs", f"epoch-{epoch:07d}"), mode)
     # the pre-combine runs inside the split tasks (map_fn): as a Ray Data
     # map operator in front of the exchange it cost more in scheduling
     # than in work (BASELINE.md round 8).  The lineage rows come straight
@@ -413,51 +403,16 @@ def apply_events(
     return m
 
 
-class _ResplitPartition:
-    """Reduce side of a table repartition: merge a new partition's rows,
-    write its file, emit a lineage row (same contract as
-    ``_ApplyPartition``: the exchange's reduce ``fn``, nothing written
-    and no row for an empty partition)."""
-
-    __name__ = "resplit_partition"
-
-    def __init__(self, table_root: str, tag: str):
-        self.root = table_root
-        self.tag = tag
-
-    def __call__(self, group: pa.Table) -> list[dict]:
-        if group.num_rows == 0:
-            return []
-        pid = int(group["part"][0].as_py())
-        merged = lww_last_per_url(group.drop_columns(["part"]))
-        out_dir = os.path.join(self.root, "resplits", self.tag)
-        os.makedirs(out_dir, exist_ok=True)
-        fname = f"part-{pid:05d}.parquet"
-        _atomic_write_parquet(merged, os.path.join(out_dir, fname))
-        live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
-        return [
-            {
-                "pid": pid,
-                "path": os.path.join("resplits", self.tag, fname),
-                "rows": merged.num_rows,
-                "live_rows": live,
-                "lsn_min": pc.min(merged["lsn"]).as_py(),
-                "lsn_max": pc.max(merged["lsn"]).as_py(),
-                "checksum": _state_checksum(merged),
-                "append": False,
-            }
-        ]
-
-
 def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
     """Repartition the table to ``new_num_partitions`` — the explicit
     partition-splitting lever for when per-partition states outgrow a
     worker (or merging when they shrink).
 
     One exchange: current state (tombstones INCLUDED — delete suppression
-    must survive the move) re-routes by the v2 ``url_partition`` hash
-    mod M through the same keyed exchange as the apply path, each new
-    partition writes one file under ``resplits/<tag>/``, and
+    must survive the move) re-routes by ``url_partition`` mod M through
+    the same keyed exchange and the same reduce (``_ApplyPartition``,
+    with no base) as the apply path; each new partition writes one file
+    under ``resplits/<tag>/``, and
     ``commit_resplit`` swaps the whole partition map + partition count in
     one atomic manifest write.  Subsequent ``apply_events`` calls pick up
     the new count from the manifest (``LakeTable.manifest`` syncs
@@ -473,18 +428,42 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
     ds = read_state(table, include_tombstones=True)
 
     def add_part(batch: pa.Table) -> pa.Table:
-        # resplit rewrites every partition, so it always routes with the
-        # current (v2) hash and upgrades manifest["partition_hash"]
-        part = url_partition(
-            batch["url"].to_numpy(zero_copy_only=False), new_num_partitions,
-            version="v2",
-        )
-        return batch.append_column("part", pa.array(part, pa.int32()))
+        # each row is its url's one state row, so its applied-LSN range
+        # is its own lsn
+        part = url_partition(batch["url"].to_numpy(zero_copy_only=False), new_num_partitions)
+        return batch.append_column("_lsn_lo", batch["lsn"]) \
+            .append_column("_lsn_hi", batch["lsn"]) \
+            .append_column("part", pa.array(part, pa.int32()))
 
-    writer = _ResplitPartition(table.root, tag)
+    writer = _ApplyPartition({}, table.root, os.path.join("resplits", tag))
     out = exchange_refs(ds, "part", new_num_partitions, writer, map_fn=add_part)
     recs = [r for rows in ray.get(out) for r in rows]
     return table.commit_resplit(tag, new_num_partitions, recs)
+
+
+def _packed_tasks(fn, todo: list, *args, with_meta: bool = False) -> list:
+    """``fn(*args, todo[lo:hi])`` as plain Ray tasks, no Ray Data
+    operator: the ``(pid, paths)`` partitions of ``todo``, sized by
+    their level files' bytes, are packed into contiguous ranges
+    (``util_ray._pack``, at least one per CPU), one task each.  A task
+    writes nothing but its own partitions' files, each atomically, so it
+    retries as a unit, exceptions included, 3 times per partition it
+    holds (as the exchange's reduce tasks do).  Returns one ref per
+    task, in range order; ``with_meta``: ``fn`` returns a block and its
+    metadata per partition, and so do the refs, in pid order."""
+    import ray
+
+    from ..stages.util_ray import _pack, cluster_cpus
+
+    task = ray.remote(retry_exceptions=True)(fn)
+    nbytes = [sum(os.path.getsize(p) for p in paths) for _, paths in todo]
+    refs = []
+    for lo, hi in _pack(nbytes, cluster_cpus()):
+        n = hi - lo
+        out = task.options(max_retries=3 * n, num_returns=2 * n if with_meta else 1) \
+            .remote(*args, todo[lo:hi])
+        refs += out if with_meta else [out]
+    return refs
 
 
 def compact(
@@ -513,16 +492,10 @@ def compact(
     event with a smaller lsn for those keys).  GC is only sound when
     EVERY level folds (a GC'd tombstone would resurrect an older live
     row in an untouched level), so a watermark forces full folds.
-    Idempotent per ``tag``.  The folds run as plain Ray tasks, no Ray
-    Data operator: the partitions, sized by their level files' bytes,
-    are packed into contiguous ranges (``util_ray._pack``, at least one
-    per CPU) and each task folds its range in pid order.  A fold writes
-    its file atomically under ``compactions/<tag>/`` and nothing else,
-    so a task retries as a unit, exceptions included, 3 times per
-    partition it holds (as the exchange's reduce tasks do)."""
+    Idempotent per ``tag``.  The folds run as packed plain tasks
+    (``_packed_tasks``), each folding its range in pid order and writing
+    each fold atomically under ``compactions/<tag>/``."""
     import ray
-
-    from ..stages.util_ray import _pack, cluster_cpus
 
     # committed-tag re-runs must return BEFORE any file IO: a fold
     # writes into compactions/<tag>/, and after the first commit those
@@ -549,13 +522,8 @@ def compact(
     if not todo:
         return table.manifest()
 
-    fold = ray.remote(retry_exceptions=True)(_fold_partitions)
-    nbytes = [sum(os.path.getsize(p) for p in paths) for _, paths in todo]
-    refs = [
-        fold.options(max_retries=3 * (hi - lo)).remote(
-            table.root, tag, policy, drop_tombstones_below_lsn, todo[lo:hi])
-        for lo, hi in _pack(nbytes, cluster_cpus())
-    ]
+    refs = _packed_tasks(_fold_partitions, todo, table.root, tag, policy,
+                         drop_tombstones_below_lsn)
     return table.commit_compaction(tag, [r for recs in ray.get(refs) for r in recs])
 
 
@@ -564,7 +532,6 @@ def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
     """One compaction task: fold each ``(pid, paths)`` of ``todo`` into
     ``compactions/<tag>/part-<pid>.parquet`` and return their lineage
     records, in order (``compact``)."""
-    cdir = os.path.join("compactions", tag)
     out_rows = []
     for pid, paths in todo:
         kept: list[str] = []
@@ -582,15 +549,14 @@ def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
             if 2 * (sum(sizes) - sizes[0]) < sizes[0]:
                 kept = [paths[0]]
                 paths = paths[1:]
-        tables = [pq.read_table(p) for p in paths]
-        merged = lww_last_per_url(unify_tables(tables))
+        merged = _merge_levels(paths)
         if gc_lsn is not None:
             gc_mask = pc.and_(merged["_deleted"], pc.less(merged["lsn"], gc_lsn))
             merged = merged.filter(pc.invert(gc_mask))
-        os.makedirs(os.path.join(root, cdir), exist_ok=True)
-        fname = f"part-{pid:05d}.parquet"
-        _atomic_write_parquet(merged, os.path.join(root, cdir, fname))
-        live = int(pc.sum(pc.cast(pc.invert(merged["_deleted"]), pa.int64())).as_py() or 0)
+        # the record's checksum is the new level's: the newest-level
+        # contract delta-mode commits already use for multi-level
+        # partitions (table.py), deterministic per fold schedule
+        rec = _write_partition(root, os.path.join("compactions", tag), pid, merged)
         # kept-base contribution from the parquet footer only (no
         # column scan — tiered exists to keep each trigger O(recent
         # deltas)): physical rows bound live rows, and a base row
@@ -598,72 +564,62 @@ def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
         # live_rows is a documented UPPER BOUND on logical live rows
         # after a tiered fold (exact needs the O(state) full fold).
         kept_rows = sum(pq.read_metadata(p).num_rows for p in kept)
-        live += kept_rows
-        out_rows.append(
-            {
-                "pid": pid,
-                "path": os.path.join(cdir, fname),
-                "rows": merged.num_rows + kept_rows,
-                "live_rows": live,
-                # newest-level checksum — same contract delta-mode
-                # commits already use for multi-level partitions
-                # (table.py commit()): deterministic per fold
-                # schedule, detects middle-run corruption.
-                "checksum": _state_checksum(merged),
-                "kept_paths": [os.path.relpath(p, root) for p in kept],
-            }
-        )
+        rec.update(pid=pid, rows=rec["rows"] + kept_rows,
+                   live_rows=rec["live_rows"] + kept_rows,
+                   kept_paths=[os.path.relpath(p, root) for p in kept])
+        out_rows.append(rec)
     return out_rows
 
 
-def read_state(table: LakeTable, *, include_tombstones: bool = False):
-    """Current committed table state as a Ray Dataset.
+def _read_partitions(include_tombstones: bool, todo: list) -> list:
+    """One ``read_state`` task: for each ``(pid, paths)`` of ``todo``, in
+    order, the partition's merged state (its tombstones dropped unless
+    ``include_tombstones``) and that block's Ray Data metadata, computed
+    where the table already is — two values per partition."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
-    Merge-mode partitions (one file) stream straight from parquet; delta
-    partitions merge their level files by LWW inside the read task (one
-    task per partition — merge-on-read), so readers always see exactly
-    the last-writer row per url regardless of how many epochs are
-    stacked."""
-    import ray.data as rd
+    out = []
+    for _, paths in todo:
+        stats = BlockExecStats.builder()
+        t = _merge_levels(paths)
+        if not include_tombstones:
+            t = t.filter(pc.invert(t["_deleted"]))
+        out += [t, BlockMetadataWithSchema.from_block(t, stats=stats.build())]
+    return out
+
+
+def read_state(table: LakeTable, *, include_tombstones: bool = False):
+    """Current committed table state as a materialized Ray Dataset with
+    one block per partition, in pid order.
+
+    Merge-on-read as packed plain tasks (``_packed_tasks``, as
+    ``compact`` runs its folds), no Ray Data operator: each task merges
+    each of its partitions' levels by LWW (``_merge_levels``; a
+    one-level partition is read as is) and drops the tombstones in
+    place, so readers see exactly the last-writer row per url however
+    many epochs are stacked.  The tasks also return each block's
+    metadata, so the Dataset costs no further task.  They run when this
+    is called, not when the Dataset is consumed."""
+    import ray
+
+    from ..stages.util_ray import _materialized_dataset
 
     pmap = table.partition_map()
     if not pmap:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "warc_ts": pa.array([], pa.timestamp("us")),
-                    "lsn": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                    "lang": pa.array([], pa.string()),
-                    "_deleted": pa.array([], pa.bool_()),
-                }
-            )
-        )
-    multi = {pid: paths for pid, paths in pmap.items() if len(paths) > 1}
-    single = [paths[0] for pid, paths in pmap.items() if len(paths) == 1]
+        from ray.data.block import BlockMetadataWithSchema
 
-    parts = []
-    if single:
-        parts.append(rd.read_parquet(single))
-    if multi:
-
-        def merge_read(batch: pa.Table) -> pa.Table:
-            tables = []
-            for row in batch.to_pylist():
-                merged = lww_last_per_url(
-                    unify_tables([pq.read_table(p) for p in row["paths"]])
-                )
-                tables.append(merged)
-            return unify_tables(tables)
-
-        parts.append(
-            rd.from_items([{"pid": pid, "paths": paths} for pid, paths in sorted(multi.items())])
-            .map_batches(merge_read, batch_size=1, batch_format="pyarrow")
+        empty = pa.table(
+            {
+                "url": pa.array([], pa.string()),
+                "warc_ts": pa.array([], pa.timestamp("us")),
+                "lsn": pa.array([], pa.int64()),
+                "text": pa.array([], pa.string()),
+                "lang": pa.array([], pa.string()),
+                "_deleted": pa.array([], pa.bool_()),
+            }
         )
-    ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    if not include_tombstones:
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.invert(t["_deleted"])), batch_format="pyarrow"
-        )
-    return ds
+        return _materialized_dataset(
+            [ray.put(empty)], [BlockMetadataWithSchema.from_block(empty)])
+    refs = _packed_tasks(_read_partitions, sorted(pmap.items()), include_tombstones,
+                         with_meta=True)
+    return _materialized_dataset(refs[0::2], ray.get(refs[1::2]))

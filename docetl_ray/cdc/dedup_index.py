@@ -1,16 +1,20 @@
 """Incremental corpus-dedup index: dedup NEW ingest epochs against the
-already-committed corpus WITHOUT rescanning it.
+already-committed corpus WITHOUT rescanning its documents.
 
-At 100 TB, re-running global dedup per crawl epoch is O(corpus) every
-epoch; the index makes it O(epoch + matched-index-slice): per-document
-keys (exact content fingerprints, or MinHash LSH band buckets + compact
-signatures) are persisted as epoch-segmented Parquet, and a new epoch is
-(1) keyed-shuffle anti-joined / candidate-joined against those segments,
-(2) deduped within itself, and (3) its survivors' keys appended under an
-atomic, epoch-keyed manifest (same exactly-once protocol as
-``cdc.table.LakeTable``: staging files are invisible until the
-``manifest.json`` swap; replaying a committed epoch is a no-op and
-returns the identical survivor set).
+Per-document keys (exact content fingerprints, or MinHash LSH band
+buckets + compact signatures) are persisted as epoch-segmented Parquet,
+and a new epoch is (1) keyed-shuffle anti-joined / candidate-joined
+against ALL prior segments, (2) deduped within itself, and (3) its
+survivors' keys appended under an atomic, epoch-keyed manifest (same
+exactly-once protocol as ``cdc.table.LakeTable``: staging files are
+invisible until the ``manifest.json`` swap; replaying a committed epoch
+is a no-op and returns the identical survivor set).
+
+Cost: step (1) exchanges every prior segment's keys again, so an epoch
+costs O(epoch + index), not O(epoch): on one CPU, an exact index's epoch
+of 20,000 new docs took a median 693 ms at 60-120k index rows and
+1,118 ms at 420-480k (about 1 ms more per 1,000 index rows).  The
+documents themselves are never rescanned.
 
 Reference analogue: DocETL's resolve/dedup is one-shot over a fully
 materialized corpus (``/root/reference/docetl/operations/resolve.py:
@@ -83,16 +87,18 @@ class DedupIndex:
     def committed_epochs(self) -> list[int]:
         return sorted(int(e) for e in self.manifest().get("epochs", []))
 
-    def segment_dirs(self, part: str, *, exclude_epoch: int | None = None) -> list[str]:
-        """Absolute segment dirs of ``part`` ("keys"|"sigs"), all committed
-        epochs except ``exclude_epoch`` (replay must not see its own)."""
+    def segment_files(self, part: str, *, exclude_epoch: int | None = None) -> list[str]:
+        """Absolute parquet files of ``part`` ("keys"|"sigs") in every
+        committed epoch except ``exclude_epoch`` (replay must not see its
+        own).  Files, not segment directories: ``read_parquet`` takes
+        one directory or a list of files, not a list of directories."""
         out = []
         for ep, rec in self.manifest().get("segments", {}).items():
             if exclude_epoch is not None and int(ep) == exclude_epoch:
                 continue
-            p = rec.get(part)
-            if p:
-                out.append(os.path.join(self.root, p))
+            if rec.get(part):
+                d = os.path.join(self.root, rec[part])
+                out += [os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")]
         return sorted(out)
 
     def staging_dir(self, epoch: int, part: str) -> str:
@@ -172,7 +178,7 @@ def incremental_exact_dedup(index: DedupIndex, ds, text_col: str, id_col: str, e
         )
         # global first-occurrence within the epoch: grouped min id
         winners = grouped_aggregate(keyed, ["h"], [(id_col, "min", id_col)])
-        prior = index.segment_dirs("keys", exclude_epoch=epoch)
+        prior = index.segment_files("keys", exclude_epoch=epoch)
         if prior:
             seen = rd.read_parquet(prior, columns=["h"])
             winners = hash_join(
@@ -286,7 +292,7 @@ def incremental_minhash_dedup(
         idt = sig_schema.field(id_col).type
         sigt = sig_schema.field("_sig").type
         new_ids_dropped = None
-        prior_keys = index.segment_dirs("keys", exclude_epoch=epoch)
+        prior_keys = index.segment_files("keys", exclude_epoch=epoch)
         if prior_keys:
             old_bands = rd.read_parquet(prior_keys).map_batches(
                 lambda t: t.rename_columns(["bucket", "_oid"]), batch_format="pyarrow"
@@ -305,7 +311,7 @@ def incremental_minhash_dedup(
                 ),
                 [id_col, "_oid"], [("_one", "count", "_n")],
             )
-            old_sigs = rd.read_parquet(index.segment_dirs("sigs", exclude_epoch=epoch))
+            old_sigs = rd.read_parquet(index.segment_files("sigs", exclude_epoch=epoch))
             old_sigs = old_sigs.map_batches(
                 lambda t: t.rename_columns(["_oid", "_osig"]), batch_format="pyarrow"
             )

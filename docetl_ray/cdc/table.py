@@ -50,9 +50,8 @@ EMPTY_MANIFEST: dict[str, Any] = {
     "num_partitions": None,
     "partitions": {},
     # routing-hash version baked into the table: rows already live in
-    # files placed by this hash, so it can only change when every
-    # partition is rewritten (resplit).  Manifests written before this
-    # key existed default to "crc32" (the round-1 hash).
+    # files placed by this hash (``apply.url_partition``).  "v2" is the
+    # only one; a manifest without it is refused on open.
     "partition_hash": "v2",
 }
 
@@ -75,18 +74,19 @@ class LakeTable:
         if self._manifest is None or refresh:
             if os.path.exists(self.manifest_path):
                 with open(self.manifest_path) as f:
-                    self._manifest = json.load(f)
+                    m = json.load(f)
+                if m.get("partition_hash") != "v2":
+                    # rows were placed by another hash: routing new
+                    # events by v2 would split a url across partitions
+                    raise ValueError(
+                        f"table at {self.root} has partition_hash="
+                        f"{m.get('partition_hash')!r}; only 'v2' is supported")
+                self._manifest = m
             else:
                 self._manifest = dict(EMPTY_MANIFEST, num_partitions=self.num_partitions)
         if self._manifest.get("num_partitions"):
             self.num_partitions = self._manifest["num_partitions"]
         return self._manifest
-
-    @property
-    def partition_hash(self) -> str:
-        """Routing-hash version for this table ("v2" vectorized siphash,
-        or "crc32" for tables created before manifests recorded one)."""
-        return self.manifest().get("partition_hash") or "crc32"
 
     def committed_epochs(self) -> list[int]:
         return list(self.manifest().get("epochs", []))
@@ -117,14 +117,6 @@ class LakeTable:
         return [p for paths in self.partition_map().values() for p in paths]
 
     # -- staging + commit -------------------------------------------------
-
-    def staging_dir(self, epoch: int) -> str:
-        d = os.path.join(self.root, "epochs", f"epoch-{epoch:07d}")
-        os.makedirs(d, exist_ok=True)
-        return d
-
-    def staging_file(self, epoch: int, pid: int) -> str:
-        return os.path.join(self.staging_dir(epoch), f"part-{pid:05d}.parquet")
 
     def commit(
         self, epoch: int, partition_records: list[dict[str, Any]],
@@ -237,9 +229,6 @@ class LakeTable:
             }
         m["partitions"] = parts
         m["num_partitions"] = new_num_partitions
-        # every partition was rewritten with the current routing hash, so
-        # a pre-v2 (crc32) table upgrades here — the documented migration
-        m["partition_hash"] = "v2"
         self.num_partitions = new_num_partitions
         done.append(tag)
         return self._write_manifest(m)

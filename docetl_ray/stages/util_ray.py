@@ -570,8 +570,14 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
 def _materialized_dataset(refs: list, metadata: list):
     """A ``MaterializedDataset`` over Arrow table refs whose block
     metadata is already known — Ray 2.49's ``from_arrow_refs`` minus its
-    one ``get_table_block_metadata_schema`` task per block.  Built from
-    Ray Data internals; ``tests/test_exchange.py`` guards them."""
+    one ``get_table_block_metadata_schema`` task per block.  Its plan is
+    executed here (Ray's fast path for a source operator that holds its
+    output: no task, no executor), so consuming the Dataset starts no
+    streaming executor: an executor's reference cycles kept the blocks
+    alive after the iteration until Python's cyclic GC ran, and a driver
+    iterating such Datasets in a loop grew ~7 MB a cycle (the CDC
+    ``read_state`` of a 16-partition table).  Built from Ray Data
+    internals; ``tests/test_exchange.py`` guards them."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
@@ -583,9 +589,11 @@ def _materialized_dataset(refs: list, metadata: list):
         DatasetStats(metadata={"FromArrow": metadata}, parent=None),
         DataContext.get_current().copy(),
     )
-    return MaterializedDataset(
+    ds = MaterializedDataset(
         plan, LogicalPlan(FromArrow(refs, metadata), plan._context)
     )
+    plan.execute()
+    return ds
 
 
 def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,

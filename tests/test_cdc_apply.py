@@ -238,13 +238,13 @@ def test_resplit_preserves_state_and_reroutes(tmp_path):
 
     from docetl_ray.cdc.apply import url_partition
 
-    assert t.partition_hash == "v2"
+    assert t.manifest()["partition_hash"] == "v2"
     for pid, paths in t.partition_map().items():
         for p in paths:
             import pyarrow.parquet as pq
 
             urls = pq.read_table(p, columns=["url"])["url"].to_pylist()
-            parts = url_partition(np.array(urls, dtype=object), 16, version="v2")
+            parts = url_partition(np.array(urls, dtype=object), 16)
             assert (parts == pid).all()
 
     # idempotent per tag
@@ -549,3 +549,44 @@ def test_atomic_write_parquet_plain_url_and_text(tmp_path):
            for i in range(rg.num_columns)}
     for name, dictionary in (("url", False), ("text", False), ("lang", True)):
         assert any("DICTIONARY" in e for e in enc[name]) == dictionary, enc
+
+
+def test_url_partition_v2_vectorized_matches_itself():
+    """The routing hash is baked into committed manifests, so it is
+    deterministic across calls and pinned to fixed values."""
+    import numpy as np
+
+    from docetl_ray.cdc.apply import url_partition
+
+    urls = np.array([f"https://x.example/{i % 37}/{i}" for i in range(1000)], dtype=object)
+    a = url_partition(urls, 16)
+    b = url_partition(np.array(urls.tolist(), dtype=object), 16)
+    assert (a == b).all()
+    assert a.dtype == np.int32 and (a >= 0).all() and (a < 16).all()
+    assert a[:8].tolist() == [2, 13, 15, 7, 2, 6, 11, 1]
+
+
+def test_new_table_manifest_records_v2(tmp_path):
+    t = LakeTable(str(tmp_path / "lake2"), num_partitions=4)
+    apply_events(t, synth.events_dataset(500, parallelism=2), epoch=0)
+    assert t.manifest(refresh=True)["partition_hash"] == "v2"
+
+
+@pytest.mark.parametrize("stored", [None, "crc32"])
+def test_manifest_without_v2_partition_hash_is_refused(tmp_path, stored):
+    """Rows of a table whose manifest does not say "v2" were routed by
+    another hash: opening it raises instead of misrouting new events."""
+    root = str(tmp_path / "lake")
+    apply_events(LakeTable(root, num_partitions=4),
+                 synth.events_dataset(500, parallelism=2), epoch=0)
+    path = os.path.join(root, "manifest.json")
+    with open(path) as f:
+        m = json.load(f)
+    if stored is None:
+        del m["partition_hash"]
+    else:
+        m["partition_hash"] = stored
+    with open(path, "w") as f:
+        json.dump(m, f)
+    with pytest.raises(ValueError, match="partition_hash"):
+        LakeTable(root).manifest()

@@ -1,6 +1,7 @@
 """Incremental dedup-index tests: exact + minhash kinds, exactly-once
 commit semantics, idempotent replay, crash-before-commit invisibility."""
 
+import json
 import os
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_exact_crash_before_commit_is_invisible(tmp_path):
     pa.parquet.write_table(pa.table({"h": ["garbage"], "doc_id": [99]}),
                            os.path.join(d, "part-junk.parquet"))
     assert idx.committed_epochs() == [0]
-    assert idx.segment_dirs("keys") and "epoch-0000001" not in idx.segment_dirs("keys")[0]
+    assert idx.segment_files("keys") and "epoch-0000001" not in idx.segment_files("keys")[0]
     # running epoch 1 for real overwrites staging and commits once
     kept, _ = incremental_exact_dedup(idx, _docs([5], ["x"]), "text", "doc_id", 1)
     assert _ids(kept) == []  # 'x' already in the corpus
@@ -87,6 +88,35 @@ def test_minhash_incremental_near_dups(tmp_path):
     m = dict(idx.manifest())
     kept1b, _ = incremental_minhash_dedup(idx, e1, "text", "doc_id", 1, threshold=0.7)
     assert _ids(kept1b) == [11]
+    assert idx.manifest() == m
+
+
+@pytest.mark.parametrize("kind", ["exact", "minhash"])
+def test_third_epoch_reads_every_prior_segment(tmp_path, kind):
+    """Epoch 2 is the first to see more than one prior segment: each
+    drops a dup from epoch 0 and one from epoch 1, keeps its own first
+    doc, and a replay of it returns the committed survivors unchanged."""
+    from docetl_ray.cdc import DedupIndex, incremental_exact_dedup, incremental_minhash_dedup
+
+    run = incremental_exact_dedup if kind == "exact" else incremental_minhash_dedup
+    a = "the quick brown fox jumps over the lazy dog " * 20
+    b = "completely different content about ray data pipelines " * 20
+    c = "fresh unseen text with many unique tokens " * 20
+    d = "a third corpus slice about parquet levels and manifests " * 20
+    e = "yet another document on shuffle exchanges and reducers " * 20
+    idx = DedupIndex(str(tmp_path / "idx"), kind=kind)
+    epochs = [
+        (_docs([1, 2], [a, b]), [1, 2]),
+        (_docs([10, 11, 12], [b, c, d]), [11, 12]),
+        (_docs([20, 21, 22, 23], [a, d, e, e]), [22]),
+    ]
+    for epoch, (ds, want) in enumerate(epochs):
+        kept, n = run(idx, ds, "text", "doc_id", epoch)
+        assert _ids(kept) == want and n == len(want)
+    assert len({os.path.dirname(f) for f in idx.segment_files("keys")}) == 3
+    m = json.loads(json.dumps(idx.manifest()))
+    kept, n = run(idx, epochs[-1][0], "text", "doc_id", 2)
+    assert _ids(kept) == [22] and n == 1
     assert idx.manifest() == m
 
 

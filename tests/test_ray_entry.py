@@ -145,3 +145,33 @@ def test_cdc_apply_and_auto_compaction_run_no_ray_data_operator(tmp_path, monkey
         apply_events(table, events, epoch=epoch, mode="delta")
     assert table.manifest()["compactions"] == [f"auto-epoch-{AUTO_COMPACT_LEVELS}"]
     assert set(names) == {"_split_by_part", "_reduce_range", "_fold_partitions"}
+
+
+def test_read_state_and_resplit_run_only_plain_read_tasks(tmp_path, monkeypatch):
+    """On a multi-level table ``read_state``, with and without
+    tombstones, launches only its packed read tasks, and ``resplit``
+    only those plus the exchange's split and reduce tasks: no Ray Data
+    read, ``from_items`` or ``map_batches`` task."""
+    import ray.data as rd
+
+    from docetl_ray import synth
+    from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
+    from docetl_ray.util import collect
+
+    table = LakeTable(str(tmp_path / "lake"), num_partitions=4)
+    for epoch in range(3):
+        apply_events(table, rd.from_arrow(synth.events_table(epoch * 600, 600)),
+                     epoch=epoch, mode="delta", compact_after=None)
+    assert {len(p) for p in table.partition_map().values()} == {3}
+    oracle = replay_oracle(synth.events_table(0, 1800))
+    names = _launches(monkeypatch)
+    for tombstones in (False, True):
+        names.clear()
+        state = collect(read_state(table, include_tombstones=tombstones))
+        assert set(names) == {"_read_partitions"}
+        if not tombstones:
+            got = state.sort_by([("url", "ascending")])
+            assert got["text"].to_pylist() == oracle["text"].to_pylist()
+    names.clear()
+    resplit(table, 8, tag="grow-8")
+    assert set(names) == {"_read_partitions", "_split_by_part", "_reduce_range"}

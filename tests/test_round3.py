@@ -1,71 +1,8 @@
-"""Round-3 additions: manifest-versioned partition hash, dendrogram
-collapse/path parity, float hash_codes hardening."""
+"""Round-3 additions: dendrogram collapse/path parity, float hash_codes
+hardening."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
-
-
-# ---------------------------------------------------------------------------
-# partition hash v2 + cross-version resume
-# ---------------------------------------------------------------------------
-
-def test_partition_hash_cross_version_resume(tmp_path):
-    import ray
-
-    from docetl_ray import synth
-    from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle
-    from docetl_ray.cdc.apply import resplit
-
-    root = str(tmp_path / "lake")
-    t = LakeTable(root, num_partitions=8)
-    # simulate a table created before manifests recorded a routing hash:
-    # strip the key -> reader must default to crc32
-    m = t.manifest()
-    m.pop("partition_hash")
-    t._write_manifest(m)
-    assert t.partition_hash == "crc32"
-
-    apply_events(t, synth.events_dataset(3000, parallelism=4), epoch=0)
-    assert t.partition_hash == "crc32"  # commit preserves the old hash
-    apply_events(
-        t, synth.events_dataset(3000, parallelism=4), epoch=1
-    )  # resume on the old hash
-
-    # resplit rewrites every partition -> upgrades the manifest to v2
-    resplit(t, 16, tag="upgrade")
-    assert t.partition_hash == "v2"
-    assert t.num_partitions == 16
-
-    apply_events(t, synth.events_dataset(5000, parallelism=4), epoch=2)
-    eng = pa.concat_tables(
-        ray.get(read_state(t).to_arrow_refs()), promote_options="permissive"
-    ).sort_by([("url", "ascending")])
-    oracle = replay_oracle(synth.events_table(0, 5000))
-    assert eng["url"].to_pylist() == oracle["url"].to_pylist()
-    assert eng["text"].to_pylist() == oracle["text"].to_pylist()
-
-
-def test_url_partition_v2_vectorized_matches_itself():
-    from docetl_ray.cdc.apply import url_partition
-
-    urls = np.array([f"https://x.example/{i % 37}/{i}" for i in range(1000)], dtype=object)
-    a = url_partition(urls, 16)
-    b = url_partition(urls, 16, version="v2")
-    assert (a == b).all()
-    assert a.dtype == np.int32 and (a >= 0).all() and (a < 16).all()
-    # crc32 path still available for pre-v2 tables
-    c = url_partition(urls, 16, version="crc32")
-    assert c.dtype == np.int32 and (c >= 0).all() and (c < 16).all()
-
-
-def test_new_table_manifest_records_v2(tmp_path):
-    from docetl_ray import synth
-    from docetl_ray.cdc import LakeTable, apply_events
-
-    t = LakeTable(str(tmp_path / "lake2"), num_partitions=4)
-    apply_events(t, synth.events_dataset(500, parallelism=2), epoch=0)
-    assert t.manifest(refresh=True)["partition_hash"] == "v2"
 
 
 # ---------------------------------------------------------------------------
