@@ -182,16 +182,11 @@ def bucket_codes(batch: pa.Table, key_cols, num_buckets: int) -> "np.ndarray":
     return (hash_codes(batch, key_cols) % np.uint64(num_buckets)).astype(np.int32)
 
 
-def _read_blocks(ctx, read_tasks):
+def _read_blocks(read_tasks):
     """The blocks of a bare parquet read, read where they are used:
     each ``ReadTask``'s tables concatenated into one block (none for a
     task that reads no rows), the rows Ray Data's read operator would
-    emit for that task, in the same order.  ``ctx`` is the Dataset's
-    ``DataContext``, set first as Ray Data's task wrapper does (the
-    parquet reader takes its I/O retry settings from it)."""
-    from ray.data.context import DataContext
-
-    DataContext._set_current(ctx)
+    emit for that task, in the same order."""
     for task in read_tasks:
         tables = list(task())
         if tables:
@@ -199,21 +194,51 @@ def _read_blocks(ctx, read_tasks):
                 else tables[0]
 
 
-def _split_by_part(nparts: int, part_col: str, schema, map_fn, ctx, *blocks):
-    """Map side of the exchange: run ``map_fn`` (when given) on each
-    block, then split the outputs into nparts COMPACT per-partition
-    tables.
+def _run_chain(chain, blocks):
+    """A peeled ``map_batches`` chain (``_peel``) run on each block,
+    oldest op first, as Ray Data's map tasks run it with
+    ``batch_size=None``: the block in the op's batch format, ``fn(batch,
+    *fn_args, **fn_kwargs)``, the batch back into a block.  Ray calls no
+    fn on an empty block, so a block that empties stops there: the chain
+    drops it when a later op is left, and yields it (it carries the
+    chain's output schema) when it is the last op's output."""
+    from ray.data._internal.planner.plan_udf_map_op import _validate_batch_output
+    from ray.data.block import BlockAccessor
 
-    ``blocks`` are upstream blocks (the task's resolved block refs), or,
-    when ``ctx`` is given, the ``ReadTask``s of a bare parquet read,
-    which this task runs itself (``_read_blocks``): the read's blocks
-    then never pass through the object store.
+    for b in blocks:
+        for fn, args, kwargs, batch_format in chain:
+            acc = BlockAccessor.for_block(b)
+            if acc.num_rows() == 0:
+                b = None
+                break
+            out = fn(acc.to_batch_format(batch_format), *args, **kwargs)
+            _validate_batch_output(out)
+            b = BlockAccessor.batch_to_block(out)
+        if b is not None:
+            yield b
 
-    ``map_fn`` sees one non-empty upstream block at a time as an Arrow
-    table, exactly as ``map_batches(map_fn, batch_format="pyarrow")``
-    with its default ``batch_size=None`` would: a combiner placed here
-    runs inside the split task, right before partitioning, with no Ray
-    Data operator of its own.  Only its (pre-combined) outputs are
+
+def _split_by_part(nparts: int, part_col: str, schema, map_fn, peeled, *blocks):
+    """Map side of the exchange: run the input's map work on each block,
+    then split the outputs into nparts COMPACT per-partition tables.
+
+    ``blocks`` are upstream blocks (the task's resolved block refs).
+    ``peeled`` is None for an input Ray Data executed; for a peeled one
+    (``_peel``) it is ``(ctx, reads, chain)``: the Dataset's
+    ``DataContext``, set first as Ray Data's task wrapper does (the
+    parquet reader takes its I/O retry settings from it), whether
+    ``blocks`` are the ``ReadTask``s of a bare parquet read, which this
+    task runs itself (``_read_blocks``), and the ``map_batches`` chain
+    peeled off the input, run here per block (``_run_chain``).  Either
+    way the rows reach this task without passing through the object
+    store between a read or map and the split.
+
+    The map work per block is the peeled chain, then ``map_fn`` (when
+    given), which sees each non-empty block at a time as an Arrow table,
+    exactly as ``map_batches(map_fn, batch_format="pyarrow")`` with its
+    default ``batch_size=None`` would: a combiner placed here runs
+    inside the split task, right before partitioning, with no Ray Data
+    operator of its own.  Only its (pre-combined) outputs are
     concatenated; the raw blocks stay the zero-copy object-store reads
     they arrived as.
 
@@ -236,8 +261,12 @@ def _split_by_part(nparts: int, part_col: str, schema, map_fn, ctx, *blocks):
             return pa.Table.from_pandas(b, preserve_index=False)
         return b
 
-    if ctx is not None:
-        blocks = _read_blocks(ctx, blocks)
+    if peeled is not None:
+        from ray.data.context import DataContext
+
+        ctx, reads, chain = peeled
+        DataContext._set_current(ctx)
+        blocks = _run_chain(chain, _read_blocks(blocks) if reads else blocks)
     tabs = []
     for b in blocks:
         b = arrow(b)
@@ -387,58 +416,113 @@ def _reduce_phase(fn, split_rows, schemas, packing, with_meta: bool):
     return tables, metas
 
 
-def _parquet_read(ds):
-    """``ds``'s ``Read`` operator when ``ds`` is an unexecuted bare
-    parquet read (its logical plan one ``Read`` over Ray's
-    ``ParquetDatasource``), else None.  Built on Ray Data internals;
+def _reproducible(op) -> bool:
+    """Whether a split task can run logical op ``op`` exactly as Ray
+    Data's map task would: a ``MapBatches`` of a plain callable (not a
+    class, not a generator or async function) with one batch per block
+    (``batch_size=None``), no constructor arguments and no remote args
+    to honour."""
+    import inspect
+
+    from ray.data._internal.logical.operators.map_operator import MapBatches
+
+    if not isinstance(op, MapBatches) or op._batch_size is not None:
+        return False
+    fn = op._fn
+    calls = (fn, getattr(fn, "__call__", None))
+    return (not isinstance(fn, type)
+            and not any(inspect.isgeneratorfunction(c) or inspect.iscoroutinefunction(c)
+                        or inspect.isasyncgenfunction(c) for c in calls)
+            and op._fn_constructor_args is None and op._fn_constructor_kwargs is None
+            and not op._ray_remote_args and op._ray_remote_args_fn is None)
+
+
+def _peel(ds):
+    """``(base, chain)`` when the split tasks can produce ``ds``'s
+    blocks without Ray Data executing anything, else None (and ``ds``
+    executes).  ``chain``: the trailing ``map_batches`` ops a split task
+    reproduces (``_reproducible``) as ``(fn, fn_args, fn_kwargs,
+    batch_format)``, oldest first.  ``base``: the operator under them,
+    which must be a ``Read`` over Ray's ``ParquetDatasource`` (its
+    ``ReadTask``s go to the split tasks) or a source operator that
+    holds its output (``InputData`` of ``.materialize()``, ``FromArrow``
+    of ``from_arrow`` and of ``_materialized_dataset``).  A plan already
+    executed is streamed from its output.  Built on Ray Data internals;
     ``tests/test_exchange.py`` guards them."""
     from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.interfaces import SourceOperator
     from ray.data._internal.logical.operators.read_operator import Read
 
-    op = ds._logical_plan.dag
-    if ds._plan.has_computed_output() or not isinstance(op, Read):
+    if ds._plan.has_computed_output():
         return None
-    return op if isinstance(op._datasource, ParquetDatasource) else None
+    op, chain = ds._logical_plan.dag, []
+    while _reproducible(op):
+        chain.append((op._fn, tuple(op._fn_args or ()), dict(op._fn_kwargs or {}),
+                      op._batch_format))
+        op = op.input_dependencies[0]
+    if isinstance(op, Read):
+        return (op, chain[::-1]) if isinstance(op._datasource, ParquetDatasource) else None
+    if isinstance(op, SourceOperator) and op.output_data() is not None:
+        return op, chain[::-1]
+    return None
 
 
 def _units(ds, want_schema: bool):
     """One input of the split phase: a stream of ``(schema, [(unit,
-    bytes), ...])`` steps, and the ``DataContext`` its split tasks must
-    set (None when the units are block refs).
+    bytes), ...])`` steps, and the ``peeled`` argument of its split
+    tasks (``_split_by_part``).
 
-    A bare parquet read (``_parquet_read``) yields its own ``ReadTask``s
-    without executing anything: the read's ``override_num_blocks`` tasks
-    when it was given, else one per file, each sized by its metadata's
-    ``size_bytes``; with ``want_schema`` its steps carry the schema the
-    read infers.  Any other Dataset executes and yields its bundles'
-    block refs and schemas."""
-    read = _parquet_read(ds)
-    if read is None:
+    A peeled input (``_peel``) executes nothing here.  A bare parquet
+    read yields its ``ReadTask``s: the read's ``override_num_blocks``
+    tasks when it was given, else one per file, each sized by its
+    metadata's ``size_bytes``; with ``want_schema`` its steps carry the
+    schema the read infers.  A source holding its output yields its
+    bundles' block refs and schemas.  A peeled chain's steps carry no
+    schema: the base's is not the wire's.  Any other Dataset executes
+    and yields its bundles' block refs and schemas."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    peeled = _peel(ds)
+    if peeled is None:
         return ((b.schema, [(ref, meta.size_bytes) for ref, meta in b.blocks])
                 for b in ds.iter_internal_ref_bundles()), None
-    source = read._datasource
-    tasks = source.get_read_tasks(
-        read._parallelism if read._parallelism > 0 else len(source._pq_paths)
-    )
-    schema = read.infer_schema() if want_schema else None
-    return ((schema, [(t, t.metadata.size_bytes or 0)]) for t in tasks), ds.context
+    base, chain = peeled
+    reads = isinstance(base, Read)
+    if reads:
+        source = base._datasource
+        tasks = source.get_read_tasks(
+            base._parallelism if base._parallelism > 0 else len(source._pq_paths)
+        )
+        schema = base.infer_schema() if want_schema and not chain else None
+        steps = ((schema, [(t, t.metadata.size_bytes or 0)]) for t in tasks)
+    else:
+        steps = ((None if chain else b.schema,
+                  [(ref, meta.size_bytes) for ref, meta in b.blocks])
+                 for b in base.output_data())
+    return steps, (ds.context, reads, chain)
 
 
 def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     """Map side of ``exchange_refs`` / ``exchange_map_groups``: stream
-    each input's blocks into split tasks running that input's ``map_fn``
-    and wait for them.  Returns, per input, one row of ``nparts`` shard
-    refs per split task (none for an input with no blocks), the inputs'
-    wire schemas (None where unknown), and the reduce side's packing
-    (``_pack`` over the bytes each partition received from all inputs).
+    each input's blocks into split tasks running that input's map work
+    (its peeled chain, then its ``map_fn``) and wait for them.  Returns,
+    per input, one row of ``nparts`` shard refs per split task (none for
+    an input with no blocks), the inputs' wire schemas (None where
+    unknown), and the reduce side's packing (``_pack`` over the bytes
+    each partition received from all inputs).
 
-    An unexecuted bare parquet read (every WAL segment the CDC apply
-    reads) runs no Ray Data execution at all: its ``ReadTask``s go to
-    the split tasks, which read the files themselves (``_units``,
-    ``_read_blocks``), so the driver holds only the read tasks and the
-    raw rows never pass through the object store.  Without a ``map_fn``
-    its wire schema is the one the read infers.  Every other input is
-    executed and its block refs stream in.
+    An input the split tasks can produce themselves (``_peel``) runs no
+    Ray Data execution at all: the trailing ``map_batches`` chain over a
+    bare parquet read (every WAL segment the CDC apply reads, with an
+    empty chain), over a materialized Dataset or over another exchange's
+    output runs inside the split tasks (``_run_chain``), and a read's
+    ``ReadTask``s go to the split tasks, which read the files themselves
+    (``_read_blocks``).  The calling process holds only read tasks and
+    block refs, and no row passes through the object store between the
+    read or map and the split.  Without a chain or ``map_fn`` the wire schema
+    is the one the upstream reports (for a read, the one it infers);
+    with either, the outputs type it.  Every other input is executed
+    and its block refs stream in.
 
     Several inputs are pulled in turn, one bundle (or read task) each,
     so their executions overlap: draining one input before starting the
@@ -476,13 +560,14 @@ def _split_phase(inputs, part_col: str, nparts: int, schemas, map_fns):
     acc: list = [[] for _ in inputs]  # consecutive units not yet launched
     acc_bytes = [0] * len(inputs)
     target = [_TARGET_BYTES] * len(inputs)
-    streams, ctxs = {}, []
+    streams, peeled = {}, []
     for i, ds in enumerate(inputs):
-        streams[i], ctx = _units(ds, schemas[i] is None and map_fns[i] is None)
-        ctxs.append(ctx)
+        streams[i], p = _units(ds, schemas[i] is None and map_fns[i] is None)
+        # one copy of the context and chain for all of the input's split tasks
+        peeled.append(None if p is None else ray.put(p))
 
     def launch(i, units):
-        *shards, nbytes = split.remote(nparts, part_col, schemas[i], map_fns[i], ctxs[i],
+        *shards, nbytes = split.remote(nparts, part_col, schemas[i], map_fns[i], peeled[i],
                                        *units)
         split_rows[i].append(shards)
         size_refs.append(nbytes)
@@ -538,18 +623,22 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     partitions into as few reduce tasks as the byte target allows (at
     least one per CPU, ``_pack``), and each reduce task concats + runs
     ``fn`` per partition of its range, in order.  The results stay in the
-    object store.  The upstream executes exactly once; an unexecuted
-    bare ``read_parquet`` (a WAL segment) does not execute as a Dataset
-    at all: the split tasks run its read tasks and read the files
-    themselves (``_split_phase``).
+    object store.  The upstream executes exactly once, and most inputs
+    do not execute as a Dataset at all (``_peel``): the trailing
+    ``map_batches`` ops of an unexecuted input over a bare
+    ``read_parquet`` (a WAL segment), a materialized Dataset or another
+    exchange's output run inside the split tasks, which also run a
+    read's read tasks and read the files themselves (``_split_phase``).
 
-    ``map_fn``: the map side, run by each split task once per non-empty
-    upstream block before it partitions (``map_batches`` semantics with
-    one batch per block, minus a Ray Data operator and its scheduling).
-    Put a per-batch combiner here and it pre-aggregates right before
-    partitioning; it must add ``part_col``.  A split task that loses its
-    worker runs again, so ``map_fn`` must be deterministic and free of
-    side effects; its exceptions are not retried.
+    ``map_fn``: the map side.  Each split task runs, per block, the
+    peeled chain and then ``map_fn`` on each non-empty block the chain
+    yields, before it partitions (``map_batches`` semantics with one
+    batch per block, minus a Ray Data operator and its scheduling).  Put
+    a per-batch combiner here and it pre-aggregates right before
+    partitioning; it (or, without it, the chain) must add ``part_col``.
+    A split task that loses its worker runs again, so ``map_fn`` and the
+    peeled fns must be deterministic and free of side effects; their
+    exceptions are not retried.
 
     ``part_col`` must be an int column in [0, nparts); it reaches ``fn``
     unchanged.  ``fn`` is called once per partition, on an empty group
@@ -557,8 +646,9 @@ def exchange_refs(ds, part_col: str, nparts: int, fn, *, schema=None,
     re-runs ``fn`` on every partition of its range, so ``fn`` must be
     deterministic and its writes idempotent.  ``schema``: the wire
     schema for splits that see only empty blocks; defaults to the first
-    schema the upstream reports, or with a ``map_fn`` to the schema of
-    its outputs (the upstream's is not the wire's then).
+    schema the upstream reports, or with a peeled chain or a ``map_fn``
+    to the schema of their outputs (the upstream's is not the wire's
+    then).
     """
     split_rows, schemas, packing = _split_phase([ds], part_col, nparts, [schema], [map_fn])
     del ds
@@ -608,7 +698,8 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
 
     ``ds`` may be a tuple of Datasets, with ``schema`` and ``map_fn``
     tuples of the same length (None entries allowed): every input goes
-    through split tasks running its own ``map_fn``, each must add
+    through split tasks running its own peeled chain and ``map_fn``, and
+    each input's map work must add
     ``part_col``, and ``fn(*groups)`` is called per partition with one
     group per input — the repartition join's co-partitioning, with no
     side column and no union.  ``hash_join``, ``asof_join``,

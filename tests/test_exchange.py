@@ -2,13 +2,16 @@
 the CDC apply, ``resplit`` and (as its Dataset form
 ``exchange_map_groups``) every keyed operator.
 
-Organised by component: the exchange called directly, its reduce side
-(partitions packed into tasks by bytes), its map side (``map_fn``, run
-inside the split tasks), the bucketed operators built on it
-(``grouped_map``), and the CDC apply / resplit."""
+Organised by component: the exchange called directly, the peel (an
+input's ``map_batches`` chain run inside the split tasks), its reduce
+side (partitions packed into tasks by bytes), its map side (``map_fn``,
+run inside the split tasks), the bucketed operators built on it
+(``grouped_map``), the CDC apply / resplit, and the other ``util_ray``
+helpers (``hash_codes``, ``tree_aggregate``, ``arrow_refs``)."""
 
 import os
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -19,7 +22,8 @@ from docetl_ray import synth
 from docetl_ray.cdc import LakeTable, apply_events, read_state, replay_oracle, resplit
 from docetl_ray.cdc.apply import url_partition
 from docetl_ray.stages.util_ray import (
-    _TARGET_BYTES, _pack, _parquet_read, _read_blocks, exchange_map_groups, exchange_refs,
+    _TARGET_BYTES, _pack, _peel, _read_blocks, _run_chain, exchange_map_groups,
+    exchange_refs,
 )
 from docetl_ray.util import collect
 
@@ -210,41 +214,291 @@ def test_exchange_dataset_needs_no_from_arrow_refs(monkeypatch):
 
 
 def test_bare_parquet_read_goes_to_split_tasks_as_read_tasks(tmp_path):
-    """``_parquet_read`` and ``_read_blocks`` rest on Ray Data internals
-    (the ``Read`` operator, ``ParquetDatasource`` and its ``_pq_paths``,
-    ``get_read_tasks``, ``ExecutionPlan.has_computed_output``), so this
-    is a test to run first after a Ray upgrade: a bare read is found,
-    its read tasks (one per file, or ``override_num_blocks``) read every
-    row in file order, one block per task with rows, and a read with an
-    operator on top, a materialized read or a plan holding its executed
-    output is not a bare read."""
+    """``_peel``, ``_read_blocks`` and ``_run_chain`` rest on Ray Data
+    internals, so this is the test to run first after a Ray upgrade.  It
+    guards each one the peel reads: the ``Read`` operator over
+    ``ParquetDatasource`` (``_parallelism``, ``_pq_paths``,
+    ``get_read_tasks``, each task's ``metadata.size_bytes``,
+    ``infer_schema``); the ``MapBatches`` fields (``_fn``, ``_fn_args``,
+    ``_fn_kwargs``, ``_batch_size``, ``_batch_format``, the
+    ``_fn_constructor_*`` pair, ``_ray_remote_args`` and
+    ``_ray_remote_args_fn``) and ``input_dependencies``; ``output_data()``
+    of ``InputData`` (``.materialize()``) and ``FromArrow``
+    (``from_arrow``, the exchange's own Dataset);
+    ``ExecutionPlan.has_computed_output``; and the batch conversions
+    ``_run_chain`` uses (``BlockAccessor.to_batch_format`` /
+    ``batch_to_block``, ``_validate_batch_output``).  A read with a reproducible
+    ``map_batches`` on top peels to the read and that chain; a plan
+    holding its executed output is streamed from that output."""
     from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.logical.operators.map_operator import MapBatches
     from ray.data._internal.logical.operators.read_operator import Read
 
     ds = _bare_read(tmp_path)
-    read = _parquet_read(ds)
+    read, chain = _peel(ds)
     assert isinstance(read, Read) and isinstance(read._datasource, ParquetDatasource)
+    assert chain == []
     assert read._parallelism == -1
     assert len(read._datasource._pq_paths) == len(_FILE_ROWS)
     tasks = read._datasource.get_read_tasks(len(_FILE_ROWS))
     assert len(tasks) == len(_FILE_ROWS)
     assert all(isinstance(t.metadata.size_bytes, int) for t in tasks)
-    blocks = list(_read_blocks(ds.context, tasks))
+    blocks = list(_read_blocks(tasks))
     assert [b.num_rows for b in blocks] == [n for n in _FILE_ROWS if n]
     assert pa.concat_tables(blocks)["k"].to_pylist() == list(range(800))
     assert read.infer_schema().names == ["k", "v"]
 
-    two = _parquet_read(_bare_read(tmp_path, override_num_blocks=2))
+    two, _ = _peel(_bare_read(tmp_path, override_num_blocks=2))
     assert two._parallelism == 2 and len(two._datasource.get_read_tasks(2)) == 2
 
-    assert _parquet_read(ds.map_batches(lambda b: b, batch_format="pyarrow")) is None
-    assert _parquet_read(rd.from_arrow(blocks[0])) is None
-    assert _parquet_read(ds.materialize()) is None
+    # the MapBatches fields a split task reproduces
+    def fn(batch, n, col="k"):
+        return batch
+
+    mapped = ds.map_batches(fn, batch_format="pandas", fn_args=(3,), fn_kwargs={"col": "v"})
+    op = mapped._logical_plan.dag
+    assert isinstance(op, MapBatches) and op.input_dependencies == [ds._logical_plan.dag]
+    assert op._fn is fn and tuple(op._fn_args) == (3,) and op._fn_kwargs == {"col": "v"}
+    assert op._batch_size is None and op._batch_format == "pandas"
+    assert op._fn_constructor_args is None and op._fn_constructor_kwargs is None
+    assert not op._ray_remote_args and op._ray_remote_args_fn is None
+    base, chain = _peel(mapped.map_batches(fn, fn_args=(4,)))
+    assert isinstance(base, Read)
+    # the default batch format resolves to "numpy" when the op is built
+    assert chain == [(fn, (3,), {"col": "v"}, "pandas"), (fn, (4,), {}, "numpy")]
+    sized = ds.map_batches(fn, batch_size=7, fn_args=(1,))._logical_plan.dag
+    assert sized._batch_size == 7
+    assert ds.map_batches(fn, num_cpus=1, fn_args=(1,))._logical_plan.dag._ray_remote_args == {
+        "num_cpus": 1}
+
+    class Udf:
+        def __init__(self, n):
+            self.n = n
+
+        def __call__(self, batch):
+            return batch
+
+    udf = ds.map_batches(Udf, fn_constructor_args=(1,), concurrency=1)._logical_plan.dag
+    assert udf._fn is Udf and tuple(udf._fn_constructor_args) == (1,)
+
+    # the batch conversions a split task runs a chain through: pandas in
+    # and out, then a numpy dict back to an Arrow block; an empty block
+    # reaches no fn
+    chain = [(fn, (1,), {}, "pandas"), (lambda b: {"k": b["k"] + 1}, (), {}, "numpy")]
+    out = list(_run_chain(chain, [blocks[0], blocks[0].slice(0, 0)]))
+    assert len(out) == 1 and isinstance(out[0], pa.Table) and out[0].column_names == ["k"]
+    assert out[0]["k"].to_pylist() == [k + 1 for k in blocks[0]["k"].to_pylist()]
+
+    # sources that hold their output: bundles of (block ref, metadata)
+    t = pa.table({"k": list(range(10))})
+    for held, kind in [(rd.from_arrow([t, t]), FromArrow), (ds.materialize(), InputData),
+                       (exchange_map_groups(rd.from_arrow(t), "part", 2, lambda g: g,
+                                            map_fn=_with_part(2)), FromArrow)]:
+        op = held._logical_plan.dag
+        assert isinstance(op, kind) and isinstance(op, SourceOperator)
+        bundles = op.output_data()
+        assert bundles and all(isinstance(meta.size_bytes, int)
+                               for b in bundles for _, meta in b.blocks)
+        assert sum(ray.get(ref).num_rows for b in bundles for ref, _ in b.blocks) \
+            == held.count()
+        assert all(b.schema is not None for b in bundles)
+        assert _peel(held.map_batches(fn, fn_args=(1,)))[0] is op
+
     # a plan that holds its executed output is streamed from that output
     assert not ds._plan.has_computed_output()
+    assert _peel(ds) is not None
     ds._plan.execute()
     assert ds._plan.has_computed_output()
-    assert _parquet_read(ds) is None
+    assert _peel(ds) is None
+
+
+# --- the peel: an input's map_batches chain runs in the split tasks ----
+
+
+def _peel_inputs(tmp_path):
+    """Factories of exchange inputs whose trailing ``map_batches`` chain
+    the split tasks run (``_peel``), each with its chain length.  Every
+    input adds ``part = k % 4``.  (Built inside a function: Ray pickles
+    module-level test functions by reference.)"""
+    import numpy as np
+
+    add = _with_part(4)
+    t = pa.table({"k": list(range(800)), "v": [f"v{i}" for i in range(800)]})
+
+    def blocks():
+        return rd.from_arrow([t.slice(i, 100) for i in range(0, 800, 100)])
+
+    def exchanged():
+        return exchange_map_groups(blocks(), "part", 3, lambda g: g.drop_columns(["part"]),
+                                   map_fn=_with_part(3))
+
+    def add_mod(batch, n, col="k"):
+        return batch.append_column("part", pa.array(batch[col].to_numpy() % n, pa.int32()))
+
+    def rename(b):
+        return b.rename_columns(["key", "w"])
+
+    def shifted(df):
+        return df.assign(key=df["key"] + 800)
+
+    def keep_first_file(b):
+        return b.filter(pc.less(b["k"], 150))
+
+    def add_rows(b):
+        assert b.num_rows > 0  # Ray Data calls no fn on an empty block
+        return add(b)
+
+    def pandas_out(b):
+        return add(b).to_pandas()
+
+    def numpy_dict(batch):
+        return {**batch, "part": (batch["k"] % 4).astype(np.int32)}
+
+    def pandas_in(df):
+        return df.assign(part=(df["k"] % 4).astype("int32"))
+
+    def pa_map(ds, fn, **kw):
+        return ds.map_batches(fn, batch_format="pyarrow", **kw)
+
+    return {
+        "read+map": (lambda: pa_map(_bare_read(tmp_path), add), 1),
+        "materialize+map": (lambda: pa_map(blocks().materialize(), add), 1),
+        "exchange+map": (lambda: pa_map(exchanged(), add), 1),
+        "three maps": (lambda: pa_map(pa_map(_bare_read(tmp_path), rename).map_batches(
+            shifted, batch_format="pandas"), lambda b: add(b.rename_columns(["k", "w"]))), 3),
+        "filter empties blocks": (lambda: pa_map(pa_map(_bare_read(tmp_path),
+                                                        keep_first_file), add_rows), 2),
+        "last map empties blocks": (lambda: pa_map(pa_map(_bare_read(tmp_path), add),
+                                                   keep_first_file), 2),
+        "pandas out": (lambda: pa_map(blocks(), pandas_out), 1),
+        "dict out": (lambda: _bare_read(tmp_path).map_batches(numpy_dict, batch_format="numpy"),
+                     1),
+        "pandas in": (lambda: blocks().map_batches(pandas_in, batch_format="pandas"), 1),
+        "fn_args": (lambda: pa_map(blocks(), add_mod, fn_args=(4,), fn_kwargs={"col": "k"}), 1),
+    }
+
+
+def _exchanged_rows(ds) -> pa.Table:
+    """Every row that reaches the reduce side, in ``k`` order."""
+    out = collect(exchange_map_groups(ds, "part", 4, lambda g: g))
+    return out.sort_by([("k", "ascending")])
+
+
+@pytest.mark.parametrize("case", [
+    "read+map", "materialize+map", "exchange+map", "three maps", "filter empties blocks",
+    "last map empties blocks", "pandas out", "dict out", "pandas in", "fn_args",
+])
+def test_peeled_input_equals_executed_input(tmp_path, case):
+    """The chain a split task runs gives the rows Ray Data's execution of
+    the same input gives (``_executed``: its block refs stream in)."""
+    make, length = _peel_inputs(tmp_path)[case]
+    ds = make()
+    assert len(_peel(ds)[1]) == length
+    executed = _executed(make())
+    assert _peel(executed) is None
+    got, want = _exchanged_rows(ds), _exchanged_rows(executed)
+    assert got.num_rows > 0 and got.equals(want)
+    assert got["part"].to_pylist() == [k % 4 for k in got["k"].to_pylist()]
+
+
+@pytest.mark.parametrize("filter_last", [False, True])
+@pytest.mark.parametrize("base", ["read", "materialize"])
+def test_peeled_chain_that_empties_every_block_types_as_executed(tmp_path, base, filter_last):
+    """A chain that empties every block gives the executed input's empty
+    result: typed by the last op's empty outputs when it is the filter,
+    and untyped when an emptied block stops the chain before the map
+    adding ``part``.  The base's schema (a read's inferred one, a
+    materialized Dataset's bundles') never types a chain's output."""
+    add = _with_part(4)
+
+    def nothing(b):
+        return b.filter(pc.less(b["k"], 0))
+
+    def make():
+        fns = (add, nothing) if filter_last else (nothing, add)
+        ds = _bare_read(tmp_path)
+        if base == "materialize":
+            ds = ds.materialize()
+        for fn in fns:
+            ds = ds.map_batches(fn, batch_format="pyarrow")
+        return ds
+
+    assert len(_peel(make())[1]) == 2
+    got = exchange_map_groups(make(), "part", 4, lambda g: g)
+    want = exchange_map_groups(_executed(make()), "part", 4, lambda g: g)
+    assert got.count() == want.count() == 0
+    assert collect(got).schema == collect(want).schema
+    assert collect(got).column_names == (["k", "v", "part"] if filter_last else [])
+
+
+def test_peeled_chains_on_both_inputs_of_a_two_input_exchange(tmp_path):
+    """Each input of the two-input form runs its own peeled chain, then
+    its own ``map_fn``; the groups equal those of the executed inputs."""
+    cases = _peel_inputs(tmp_path)
+
+    def inputs(run):
+        left = cases["three maps"][0]()
+        right = cases["materialize+map"][0]().map_batches(
+            lambda b: b.filter(pc.equal(pc.bit_wise_and(b["k"], 1), 1)), batch_format="pyarrow")
+        return run(left), run(right)
+
+    def counts(l, r):
+        return pa.table({
+            "part": pa.array([(l["part"].to_pylist() + r["part"].to_pylist() + [-1])[0]]),
+            "nl": [l.num_rows], "nr": [r.num_rows],
+            "sl": [pc.sum(l["k"]).as_py()], "sr": [pc.sum(r["k"]).as_py()],
+            "has_tag": ["tag" in r.column_names],
+        })
+
+    def tag(b):
+        return b.append_column("tag", pa.array([1] * b.num_rows))
+
+    def run(pair):
+        out = collect(exchange_map_groups(pair, "part", 4, counts, map_fn=(None, tag)))
+        return out.sort_by([("part", "ascending")])
+
+    peeled = inputs(lambda ds: ds)
+    assert [len(_peel(ds)[1]) for ds in peeled] == [3, 2]
+    got, want = run(peeled), run(inputs(_executed))
+    assert got.equals(want)
+    assert got["part"].to_pylist() == [0, 1, 2, 3]
+    assert sum(got["nl"].to_pylist()) == 800 and sum(got["nr"].to_pylist()) == 400
+    assert all(got["has_tag"].to_pylist())
+
+
+def test_unpeelable_inputs_execute_with_equal_results(tmp_path):
+    """A class UDF, a generator fn, ``batch_size=k``, ``num_cpus=`` and a
+    ``union`` are not peeled: Ray Data executes them as before, and the
+    rows match a peeled input's."""
+    add = _with_part(4)
+    t = pa.table({"k": list(range(800)), "v": [f"v{i}" for i in range(800)]})
+
+    def blocks():
+        return rd.from_arrow([t.slice(i, 100) for i in range(0, 800, 100)])
+
+    class AddPart:
+        def __call__(self, b):
+            return add(b)
+
+    def gen(b):
+        yield add(b)
+
+    unpeelable = {
+        "class": blocks().map_batches(AddPart, batch_format="pyarrow", concurrency=1),
+        "generator": blocks().map_batches(gen, batch_format="pyarrow"),
+        "batch_size": blocks().map_batches(add, batch_format="pyarrow", batch_size=64),
+        "num_cpus": blocks().map_batches(add, batch_format="pyarrow", num_cpus=1),
+        "union": rd.from_arrow(t.slice(0, 400)).map_batches(add, batch_format="pyarrow").union(
+            rd.from_arrow(t.slice(400)).map_batches(add, batch_format="pyarrow")),
+    }
+    want = _exchanged_rows(blocks().map_batches(add, batch_format="pyarrow"))
+    assert want.num_rows == 800
+    for name, ds in unpeelable.items():
+        assert _peel(ds) is None, name
+        assert _exchanged_rows(ds).equals(want), name
 
 
 # --- the reduce side: partitions packed into tasks by bytes --------------
@@ -799,3 +1053,99 @@ def test_apply_executes_upstream_once(tmp_path):
     apply_events(table, events, epoch=0)
     assert _lines(marker) == 4
     _assert_matches_oracle(table, ev)
+
+
+# --- the other util_ray helpers: hash_codes, tree_aggregate, arrow_refs ----
+
+
+def test_hash_codes_float32_and_signed_zero():
+    from docetl_ray.stages.util_ray import hash_codes
+
+    t32 = pa.table({"k": pa.array([1.5, -0.0, 0.0, None], pa.float32())})
+    t64 = pa.table({"k": pa.array([1.5, -0.0, 0.0, None], pa.float64())})
+    h32 = hash_codes(t32, "k")  # float32 used to raise on .view(uint64)
+    h64 = hash_codes(t64, "k")
+    assert (h32 == h64).all()
+    assert h32[1] == h32[2]  # -0.0 and 0.0 hash identically
+    assert h32[3] != h32[2]  # null is distinct from zero
+
+
+def test_tree_aggregate_beyond_fanin(ray_session):
+    """>fanin blocks forces a second tree level, which must aggregate the
+    RENAMED output columns (ADVICE: util_ray.py tree_aggregate spec reuse)."""
+    from docetl_ray.stages.util_ray import tree_aggregate
+
+    # 130 one-row blocks, fanin=8 -> 3 levels
+    blocks = [pa.table({"k": ["a" if i % 2 else "b"], "v": [float(i)]})
+              for i in range(130)]
+    ds = rd.from_arrow(blocks)
+    out = tree_aggregate(ds, ["k"], [("v", "sum", "s")], fanin=8)
+    got = {k: v for k, v in zip(out["k"].to_pylist(), out["s"].to_pylist())}
+    exp_a = sum(float(i) for i in range(130) if i % 2)
+    exp_b = sum(float(i) for i in range(130) if not i % 2)
+    assert got == {"a": exp_a, "b": exp_b}
+
+
+def test_tree_aggregate_count_folds_to_sum(ray_session):
+    from docetl_ray.stages.util_ray import tree_aggregate
+
+    blocks = [pa.table({"k": ["x"], "v": [1.0]}) for _ in range(20)]
+    ds = rd.from_arrow(blocks)
+    out = tree_aggregate(ds, ["k"], [("v", "count", "c")], fanin=4)
+    assert out["c"].to_pylist() == [20]
+
+
+def test_combine_partials_all_empty_pandas_inputs():
+    from docetl_ray.stages.util_ray import _combine_partials
+
+    df = pd.DataFrame({"k": pd.Series([], dtype=str),
+                       "v": pd.Series([], dtype=float)})
+    out = _combine_partials(["k"], [("v", "sum", "s")], df, df)
+    assert isinstance(out, pa.Table)
+    assert out.num_rows == 0
+    assert set(out.schema.names) == {"k", "s"}
+
+
+def test_combine_partials_all_empty_count_is_int64():
+    """A count output in the all-empty branch must be int64 even when the
+    source column is a string — a later tree level mixes it with real
+    int64 counts (ADVICE r4: util_ray.py:306)."""
+    from docetl_ray.stages.util_ray import _combine_partials
+
+    empty = pa.table({"k": pa.array([], pa.large_string()),
+                      "v": pa.array([], pa.large_string())})
+    out = _combine_partials(["k"], [("v", "count", "c")], empty, empty)
+    assert out.num_rows == 0
+    assert out.schema.field("c").type == pa.int64()
+    # and the empty result must concat cleanly with a real count partial
+    real = pa.table({"k": pa.array(["a"], pa.large_string()),
+                     "c": pa.array([3], pa.int64())})
+    merged = _combine_partials(["k"], [("c", "sum", "c")], out, real)
+    assert merged["c"].to_pylist() == [3]
+
+
+def test_arrow_refs_single_execution(tmp_path, ray_session):
+    """util_ray.arrow_refs must execute the pipeline exactly once —
+    Ray's bare to_arrow_refs re-executes it behind a limit(1) schema
+    probe (the bug this helper exists to avoid)."""
+    import os as _os
+
+    from docetl_ray.stages.util_ray import arrow_refs
+
+    marker = str(tmp_path / "execs")
+
+    def bump(t: pa.Table) -> pa.Table:
+        with open(marker, "a") as f:
+            f.write("x\n")
+            f.flush()
+            _os.fsync(f.fileno())
+        return t
+
+    ds = rd.range(1000, override_num_blocks=4).map_batches(
+        bump, batch_format="pyarrow"
+    )
+    refs = arrow_refs(ds)
+    assert sum(t.num_rows for t in __import__("ray").get(refs)) == 1000
+    with open(marker) as f:
+        n = len(f.readlines())
+    assert n == 4  # one bump per block, exactly one pipeline execution

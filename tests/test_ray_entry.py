@@ -175,3 +175,44 @@ def test_read_state_and_resplit_run_only_plain_read_tasks(tmp_path, monkeypatch)
     names.clear()
     resplit(table, 8, tag="grow-8")
     assert set(names) == {"_read_partitions", "_split_by_part", "_reduce_range"}
+
+
+@pytest.mark.parametrize("source", ["read_parquet", "materialize"])
+def test_exchange_over_a_mapped_input_runs_no_ray_data_operator(tmp_path, monkeypatch,
+                                                                 source):
+    """``exchange_map_groups`` over ``read_parquet(f).map_batches(g)``
+    or ``materialize().map_batches(g)`` launches only the exchange's
+    split and reduce tasks: the split tasks run ``g`` themselves (and
+    read the file), with no Ray Data read or map task in front."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from docetl_ray.stages.util_ray import exchange_map_groups
+    from docetl_ray.util import collect
+
+    path = str(tmp_path / "rows.parquet")
+    pq.write_table(pa.table({"k": list(range(1000))}), path)
+    base = rd.read_parquet(path)  # building the read samples its file
+    if source == "materialize":
+        base = base.materialize()
+
+    def g(b: pa.Table) -> pa.Table:
+        return b.append_column("part", pa.array(b["k"].to_numpy() % 4, pa.int32()))
+
+    ds = base.map_batches(g, batch_format="pyarrow")
+    names = _launches(monkeypatch)
+    out = collect(exchange_map_groups(ds, "part", 4, lambda t: t))
+    assert sorted(out["k"].to_pylist()) == list(range(1000))
+    assert set(names) == {"_split_by_part", "_reduce_range"}
+
+
+def test_asof_join_events_runs_no_ray_data_map_task(monkeypatch):
+    """``asof_join_events`` filters and renames one ``read_parquet`` into
+    its two inputs with ``map_batches``; the exchange's split tasks run
+    both chains and read the file, so no Ray Data read or map task
+    (``_map_task``) launches."""
+    names = _launches(monkeypatch)
+    out = entrymod.queries()["asof_join_events"](SF).materialize()
+    assert out.count() > 0
+    assert "_map_task" not in names
+    assert {"_split_by_part", "_reduce_range"} <= set(names)

@@ -92,22 +92,6 @@ def test_cluster_threshold_matches_bruteforce(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# hash_codes floating-point hardening (ADVICE)
-# ---------------------------------------------------------------------------
-
-def test_hash_codes_float32_and_signed_zero():
-    from docetl_ray.stages.util_ray import hash_codes
-
-    t32 = pa.table({"k": pa.array([1.5, -0.0, 0.0, None], pa.float32())})
-    t64 = pa.table({"k": pa.array([1.5, -0.0, 0.0, None], pa.float64())})
-    h32 = hash_codes(t32, "k")  # float32 used to raise on .view(uint64)
-    h64 = hash_codes(t64, "k")
-    assert (h32 == h64).all()
-    assert h32[1] == h32[2]  # -0.0 and 0.0 hash identically
-    assert h32[3] != h32[2]  # null is distinct from zero
-
-
-# ---------------------------------------------------------------------------
 # llm_resolve + rank comparison-QuRK (pluggable-client parity)
 # ---------------------------------------------------------------------------
 

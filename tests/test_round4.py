@@ -1,44 +1,7 @@
 """Round-4 regression tests for the ADVICE.md findings."""
 
-import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-
-
-def test_tree_aggregate_beyond_fanin(ray_session):
-    """>fanin blocks forces a second tree level, which must aggregate the
-    RENAMED output columns (ADVICE: util_ray.py tree_aggregate spec reuse)."""
-    from docetl_ray.stages.util_ray import tree_aggregate
-
-    # 130 one-row blocks, fanin=8 -> 3 levels
-    blocks = [pa.table({"k": ["a" if i % 2 else "b"], "v": [float(i)]})
-              for i in range(130)]
-    ds = rd.from_arrow(blocks)
-    out = tree_aggregate(ds, ["k"], [("v", "sum", "s")], fanin=8)
-    got = {k: v for k, v in zip(out["k"].to_pylist(), out["s"].to_pylist())}
-    exp_a = sum(float(i) for i in range(130) if i % 2)
-    exp_b = sum(float(i) for i in range(130) if not i % 2)
-    assert got == {"a": exp_a, "b": exp_b}
-
-
-def test_tree_aggregate_count_folds_to_sum(ray_session):
-    from docetl_ray.stages.util_ray import tree_aggregate
-
-    blocks = [pa.table({"k": ["x"], "v": [1.0]}) for _ in range(20)]
-    ds = rd.from_arrow(blocks)
-    out = tree_aggregate(ds, ["k"], [("v", "count", "c")], fanin=4)
-    assert out["c"].to_pylist() == [20]
-
-
-def test_combine_partials_all_empty_pandas_inputs():
-    from docetl_ray.stages.util_ray import _combine_partials
-
-    df = pd.DataFrame({"k": pd.Series([], dtype=str),
-                       "v": pd.Series([], dtype=float)})
-    out = _combine_partials(["k"], [("v", "sum", "s")], df, df)
-    assert isinstance(out, pa.Table)
-    assert out.num_rows == 0
-    assert set(out.schema.names) == {"k", "s"}
 
 
 def test_hierarchy_headers_empty_header_clears_lower():
@@ -388,33 +351,6 @@ def test_quantiles_lazy_upstream_single_execution(tmp_path, ray_session):
         n_unpinned = len(f.readlines())
     # the refinement makes >=3 passes; unpinned re-executes each pass
     assert n_unpinned >= 2 * n_first
-
-
-def test_arrow_refs_single_execution(tmp_path, ray_session):
-    """util_ray.arrow_refs must execute the pipeline exactly once —
-    Ray's bare to_arrow_refs re-executes it behind a limit(1) schema
-    probe (the bug this helper exists to avoid)."""
-    import os as _os
-
-    from docetl_ray.stages.util_ray import arrow_refs
-
-    marker = str(tmp_path / "execs")
-
-    def bump(t: pa.Table) -> pa.Table:
-        with open(marker, "a") as f:
-            f.write("x\n")
-            f.flush()
-            _os.fsync(f.fileno())
-        return t
-
-    ds = rd.range(1000, override_num_blocks=4).map_batches(
-        bump, batch_format="pyarrow"
-    )
-    refs = arrow_refs(ds)
-    assert sum(t.num_rows for t in __import__("ray").get(refs)) == 1000
-    with open(marker) as f:
-        n = len(f.readlines())
-    assert n == 4  # one bump per block, exactly one pipeline execution
 
 
 def test_synth_docs_vectors_deterministic():

@@ -65,24 +65,6 @@ def test_llm_resolve_fallback_is_global_not_per_block(ray_session):
     assert canon2 == {1: 1, 2: 1, 3: 1, 4: 4, 5: 4, 6: 4}
 
 
-def test_combine_partials_all_empty_count_is_int64():
-    """A count output in the all-empty branch must be int64 even when the
-    source column is a string — a later tree level mixes it with real
-    int64 counts (ADVICE r4: util_ray.py:306)."""
-    from docetl_ray.stages.util_ray import _combine_partials
-
-    empty = pa.table({"k": pa.array([], pa.large_string()),
-                      "v": pa.array([], pa.large_string())})
-    out = _combine_partials(["k"], [("v", "count", "c")], empty, empty)
-    assert out.num_rows == 0
-    assert out.schema.field("c").type == pa.int64()
-    # and the empty result must concat cleanly with a real count partial
-    real = pa.table({"k": pa.array(["a"], pa.large_string()),
-                     "c": pa.array([3], pa.int64())})
-    merged = _combine_partials(["k"], [("c", "sum", "c")], out, real)
-    assert merged["c"].to_pylist() == [3]
-
-
 def test_metadata_free_schema_heterogeneous_dir_falls_back(tmp_path):
     """A directory whose files carry metadata but different schemas must
     return None (Ray unifies), not force file 0's schema on every file
