@@ -42,12 +42,12 @@ def _typed_table(ds):
     Table that keeps its column types.  ``Dataset.to_pandas()`` on a
     fully-filtered dataset yields a ZERO-COLUMN frame, which the driver's
     schema compare then fails on 0-row results — pinning the Dataset's own
-    Arrow schema here preserves types regardless of row count."""
-    import pyarrow as pa
-
+    Arrow schema here preserves types regardless of row count.  ``ds`` is
+    materialized first, so the schema and the collect read one execution."""
     from docetl_ray.stages.joins import _ds_arrow_schema
     from docetl_ray.stages.util_ray import collect_small
 
+    ds = ds.materialize()
     schema = _ds_arrow_schema(ds)
     t = collect_small(ds)
     if t.num_columns == 0:
@@ -100,14 +100,13 @@ def _q_reduce_groupby_pricing(sf_dir):
     # division — no rounding needed for the oracle compare.
     return grouped_aggregate(
         ds,
-        ["l_returnflag", "l_linestatus"],  # 6 groups -> tree combine
+        ["l_returnflag", "l_linestatus"],
         [
             ("l_quantity", "sum", "sum_qty"),
             ("l_quantity", "mean", "avg_qty"),
             ("l_quantity", "count", "count_order"),
             ("l_extendedprice", "max", "max_price"),
         ],
-        combine="tree",
     )
 
 
@@ -398,10 +397,8 @@ def _q_distinct_segments(sf_dir):
     from docetl_ray.stages import grouped_aggregate
 
     ds = _rp(sf_dir, "customer", ["c_mktsegment", "c_custkey"])
-    # 5 market segments: tree combine (no final sort-shuffle)
     return grouped_aggregate(ds, ["c_mktsegment"],
-                             [("c_custkey", "count", "n_customers")],
-                             combine="tree")
+                             [("c_custkey", "count", "n_customers")])
 
 
 def _q_cdc_lww_latest(sf_dir):
@@ -430,13 +427,9 @@ def _q_window_tumbling(sf_dir):
     from docetl_ray.stages.window import tumbling_window_aggregate
 
     ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
-    # users x days is bounded at this fixture's span/key range: tree
-    # combine (no final sort-shuffle); unbounded-key rollups keep the
-    # default shuffle combine
     return tumbling_window_aggregate(
         ev, "ts", "user_id", window_seconds=86400,
         aggs=[("value", "count", "n_events"), ("value", "min", "min_value")],
-        combine="tree",
     )
 
 

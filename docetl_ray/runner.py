@@ -487,7 +487,6 @@ def _apply_op(ds, op: dict):
                 ds, op["ts_key"], op.get("keys", []),
                 window_seconds=op["window_seconds"],
                 aggs=[tuple(a) for a in op["aggs"]],
-                combine=op.get("combine", "shuffle"),
             )
         if method == "session":
             from .stages.window import session_windows

@@ -154,7 +154,8 @@ def _multi_select(ds, col: str, ks: list[int] | None = None, *,
     non-null values of ``col``), all ranks refined in lockstep.  Pass
     ``qs`` instead to derive the ranks from the count the minmax pass
     itself produces (no extra pass): ``k = max(1, ceil(q * n))``."""
-    from .util_ray import tree_aggregate
+    from .reduces import grouped_aggregate
+    from .util_ray import collect_small
 
     # The refinement makes 3-5 streaming passes; a lazy `ds` would
     # RE-EXECUTE its whole upstream (read + transforms) per pass, so by
@@ -204,10 +205,10 @@ def _multi_select(ds, col: str, ks: list[int] | None = None, *,
         )
 
     minmax.__name__ = "quantile_minmax"
-    mm = tree_aggregate(
+    mm = collect_small(grouped_aggregate(
         ds.map_batches(minmax, batch_format="pyarrow"),
         ["_g"], [("lo", "min", "lo"), ("hi", "max", "hi"), ("n", "sum", "n")],
-    )
+    ))
     if mm.num_rows == 0:
         return {k: None for k in (ks or [])}, 0
     lo0, hi0, n = mm["lo"][0].as_py(), mm["hi"][0].as_py(), mm["n"][0].as_py()
@@ -253,10 +254,10 @@ def _multi_select(ds, col: str, ks: list[int] | None = None, *,
             )
 
         hist.__name__ = "quantile_hist"
-        t = tree_aggregate(
+        t = collect_small(grouped_aggregate(
             ds.map_batches(hist, batch_format="pyarrow"),
             ["qi", "bin"], [("cnt", "sum", "cnt")],
-        ).sort_by([("qi", "ascending"), ("bin", "ascending")])
+        )).sort_by([("qi", "ascending"), ("bin", "ascending")])
         tq = t["qi"].to_numpy(zero_copy_only=False)
         tb = t["bin"].to_numpy(zero_copy_only=False)
         tc = t["cnt"].to_numpy(zero_copy_only=False)
@@ -305,10 +306,10 @@ def _multi_select(ds, col: str, ks: list[int] | None = None, *,
         )
 
     vcount.__name__ = "quantile_value_count"
-    vc = tree_aggregate(
+    vc = collect_small(grouped_aggregate(
         ds.map_batches(vcount, batch_format="pyarrow"),
         ["qi", "val"], [("cnt", "sum", "cnt")],
-    ).sort_by([("qi", "ascending"), ("val", "ascending")])
+    )).sort_by([("qi", "ascending"), ("val", "ascending")])
     vq = vc["qi"].to_numpy(zero_copy_only=False)
     vv = vc["val"].to_numpy(zero_copy_only=False)
     vn = vc["cnt"].to_numpy(zero_copy_only=False)

@@ -74,63 +74,44 @@ def _finish(merged: pa.Table, keys: list[str], aggs) -> pa.Table:
     return pa.table(cols)
 
 
-def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
-                      *, combine: str = "shuffle"):
+def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]]):
     """Hash-grouped aggregate with per-batch partial combine.
 
     ``aggs``: list of ``(input_col, fn, output_name)`` with
     fn ∈ {sum,count,min,max,mean}.  Returns a Dataset with columns
     ``keys + [output_name...]``, in that order.
 
-    ``combine="shuffle"`` (default) merges partials through the shared
-    keyed exchange (``util_ray.exchange_map_groups``): each split task
-    runs the partial on its blocks and buckets the partial rows on
-    ``hash(keys) % 16`` before partitioning, and the reduce side merges
-    each bucket with one Arrow ``group_by``, one output block per reduce
-    task — right when the GROUP CARDINALITY itself is large (the result
-    stays distributed).  ``combine="tree"`` merges them through a
-    shuffle-free task tree (``util_ray.tree_aggregate``) into ONE block —
-    right when groups are few (keys × aggregates fits one block: pricing
-    flags, windows, hourly rollups).  The exchange packs its buckets into
-    as few reduce tasks as their bytes need (one per CPU at least), so a
-    few-group aggregate costs about the same few tasks either way; the
-    tree still measured 13-21% faster on the tumbling-window query
-    (BASELINE.md round 13).
+    The partials merge through the shared keyed exchange
+    (``util_ray.exchange_map_groups``): each split task runs the partial
+    on its blocks (and any ``map_batches`` chain in front of the exchange
+    it can peel) and buckets the partial rows on ``hash(keys) % 16``
+    before partitioning, and the reduce side merges each bucket with one
+    Arrow ``group_by``, one output block per reduce task.  The exchange
+    packs its buckets into as few reduce tasks as their bytes need, so a
+    few-group aggregate costs a few tasks and a high-cardinality one
+    stays distributed.  An input without a row gives an empty Dataset,
+    which may report no schema (the partial never runs on an empty
+    block).
     """
-    from .util_ray import bucket_codes, exchange_map_groups, tree_aggregate
+    from .util_ray import bucket_codes, exchange_map_groups
 
     for _, fn, _ in aggs:
         if fn not in _PARTIAL_FNS:
             raise ValueError(f"non-decomposable agg {fn}; use code_reduce")
 
     partials = _partial_exprs(aggs)
+    uniq = sorted({(c, f) for c, f, _ in partials})
     finals = _final_exprs(aggs)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        uniq = sorted({(c, f) for c, f, _ in partials})
+    def partial_bucket(batch: pa.Table) -> pa.Table:
         agg = batch.group_by(keys, use_threads=False).aggregate(uniq)
         # arrow names results "{col}_{fn}"; fan out to our partial names
         # (the same (col, fn) may feed several outputs, e.g. sum and mean)
         cols = {k: agg[k] for k in keys}
         for c, f, name in partials:
             cols[name] = agg[f"{c}_{f}"]
+        cols["_abucket"] = pa.array(bucket_codes(agg, keys, 16), pa.int32())
         return pa.table(cols)
-
-    if combine == "tree":
-        import ray.data as rd
-
-        merged = tree_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"), keys,
-            [(c, f, f"{c}_{f}") for c, f in finals],
-        )
-        if merged.num_columns:
-            merged = _finish(merged, keys, aggs)
-        return rd.from_arrow(merged)
-
-    def partial_bucket(batch: pa.Table) -> pa.Table:
-        p = partial(batch)
-        b = bucket_codes(p, keys, 16)
-        return p.append_column("_abucket", pa.array(b, pa.int32()))
 
     def merge(group: pa.Table) -> pa.Table:
         merged = group.group_by(keys, use_threads=False).aggregate(finals)

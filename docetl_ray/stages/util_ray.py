@@ -727,81 +727,6 @@ def exchange_map_groups(ds, part_col: str, nparts: int, fn, *, schema=None,
     return _materialized_dataset(tables, ray.get(metas))
 
 
-def _combine_partials(keys: list, aggs: list, *tabs):
-    import pandas as pd
-
-    ts = []
-    base = None  # first non-zero-column input, for empty-schema derivation
-    for t in tabs:
-        if isinstance(t, pd.DataFrame):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_columns > 0 and base is None:
-            base = t
-        if t.num_columns > 0 and t.num_rows > 0:
-            ts.append(t)
-    if not ts:
-        # All inputs empty: normalize to an empty Arrow table carrying the
-        # expected keys + output columns (renamed), so downstream tree
-        # levels / mean-finishing code see a stable schema instead of a raw
-        # zero-column table or pandas DataFrame.
-        fields = []
-        names = set(base.schema.names) if base is not None else set()
-        for k in keys:
-            ftype = base.schema.field(k).type if k in names else pa.large_string()
-            fields.append(pa.field(k, ftype))
-        for c, f, out in aggs:
-            if f == "count":
-                # a count output is int64 regardless of the source
-                # column's type (a string-typed empty count column would
-                # poison a later tree level that mixes it with real
-                # int64 counts, or reach callers on a fully-empty input)
-                fields.append(pa.field(out, pa.int64()))
-                continue
-            src = c if c in names else (out if out in names else None)
-            ftype = base.schema.field(src).type if src is not None else pa.float64()
-            fields.append(pa.field(out, ftype))
-        return pa.schema(fields).empty_table()
-    merged = pa.concat_tables(ts, promote_options="permissive")
-    agg = merged.group_by(keys).aggregate([(c, f) for c, f, _ in aggs])
-    cols = {k: agg[k] for k in keys}
-    for c, f, out in aggs:
-        cols[out] = agg[f"{c}_{f}"]
-    return pa.table(cols)
-
-
-def tree_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]],
-                   *, fanin: int = 64) -> pa.Table:
-    """Grouped aggregate of a dataset of SMALL per-block partials WITHOUT
-    a shuffle: tree-combine the block refs (Arrow ``group_by`` inside
-    remote tasks, fan-in ``fanin`` per level), returning the final table
-    to the driver.  ``aggs``: ``(col, arrow_fn, out_name)`` with fn ∈
-    {sum, min, max}.  Use when per-block partials are bounded (histogram
-    bins, minmax rows) — the keyed exchange would pay a split task per
-    chunk plus its reduce tasks, and at 10^6 blocks the tree is
-    O(log_fanin) levels of tiny tasks instead."""
-    import ray
-
-    refs = arrow_refs(ds)
-    if not refs:
-        return pa.table({})
-    combine = ray.remote(max_retries=3, retry_exceptions=True)(_combine_partials)
-    first = True
-    level_aggs = aggs
-    while len(refs) > 1 or first:
-        refs = [
-            combine.remote(keys, level_aggs, *refs[i:i + fanin])
-            for i in range(0, len(refs), fanin)
-        ]
-        first = False
-        # level 1 renamed input_col -> out; later levels must aggregate the
-        # RENAMED columns or Arrow raises a missing-field error once block
-        # count exceeds fanin.  count folds into sum after the first level.
-        level_aggs = [
-            (out, "sum" if fn == "count" else fn, out) for _, fn, out in aggs
-        ]
-    return ray.get(refs[0])
-
-
 def _block_nrows(t) -> int:
     return len(t) if not isinstance(t, pa.Table) else t.num_rows
 

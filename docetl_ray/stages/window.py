@@ -35,20 +35,17 @@ def add_tumbling_window(ds, ts_col: str, *, window_seconds: int, out_col: str = 
 
 def tumbling_window_aggregate(
     ds, ts_col: str, key_cols, *, window_seconds: int, aggs,
-    window_col: str = "window_start", combine: str = "shuffle",
+    window_col: str = "window_start",
 ):
-    """Tumbling-window grouped aggregate with per-batch partial combine.
-
-    ``combine="tree"`` aggregates through ``tree_aggregate`` instead of
-    the keyed exchange (see ``grouped_aggregate``) — right when keys ×
-    windows is bounded (the window count grows with the TIME SPAN, not
-    the data volume).  ``window_col`` is ``timestamp[us]`` either way:
-    Arrow's ``group_by`` keeps the type ``add_tumbling_window`` gives it."""
+    """Tumbling-window grouped aggregate with per-batch partial combine:
+    ``add_tumbling_window`` then ``grouped_aggregate`` on ``key_cols +
+    [window_col]``.  ``window_col`` is ``timestamp[us]``: Arrow's
+    ``group_by`` keeps the type ``add_tumbling_window`` gives it."""
     from .reduces import grouped_aggregate
 
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     withw = add_tumbling_window(ds, ts_col, window_seconds=window_seconds, out_col=window_col)
-    return grouped_aggregate(withw, key_cols + [window_col], aggs, combine=combine)
+    return grouped_aggregate(withw, key_cols + [window_col], aggs)
 
 
 def session_windows(

@@ -7,7 +7,7 @@ input's ``map_batches`` chain run inside the split tasks), its reduce
 side (partitions packed into tasks by bytes), its map side (``map_fn``,
 run inside the split tasks), the bucketed operators built on it
 (``grouped_map``), the CDC apply / resplit, and the other ``util_ray``
-helpers (``hash_codes``, ``tree_aggregate``, ``arrow_refs``)."""
+helpers (``hash_codes``, ``arrow_refs``)."""
 
 import os
 
@@ -1055,7 +1055,7 @@ def test_apply_executes_upstream_once(tmp_path):
     _assert_matches_oracle(table, ev)
 
 
-# --- the other util_ray helpers: hash_codes, tree_aggregate, arrow_refs ----
+# --- the other util_ray helpers: hash_codes, arrow_refs ---------------------
 
 
 def test_hash_codes_float32_and_signed_zero():
@@ -1068,60 +1068,6 @@ def test_hash_codes_float32_and_signed_zero():
     assert (h32 == h64).all()
     assert h32[1] == h32[2]  # -0.0 and 0.0 hash identically
     assert h32[3] != h32[2]  # null is distinct from zero
-
-
-def test_tree_aggregate_beyond_fanin(ray_session):
-    """>fanin blocks forces a second tree level, which must aggregate the
-    RENAMED output columns (ADVICE: util_ray.py tree_aggregate spec reuse)."""
-    from docetl_ray.stages.util_ray import tree_aggregate
-
-    # 130 one-row blocks, fanin=8 -> 3 levels
-    blocks = [pa.table({"k": ["a" if i % 2 else "b"], "v": [float(i)]})
-              for i in range(130)]
-    ds = rd.from_arrow(blocks)
-    out = tree_aggregate(ds, ["k"], [("v", "sum", "s")], fanin=8)
-    got = {k: v for k, v in zip(out["k"].to_pylist(), out["s"].to_pylist())}
-    exp_a = sum(float(i) for i in range(130) if i % 2)
-    exp_b = sum(float(i) for i in range(130) if not i % 2)
-    assert got == {"a": exp_a, "b": exp_b}
-
-
-def test_tree_aggregate_count_folds_to_sum(ray_session):
-    from docetl_ray.stages.util_ray import tree_aggregate
-
-    blocks = [pa.table({"k": ["x"], "v": [1.0]}) for _ in range(20)]
-    ds = rd.from_arrow(blocks)
-    out = tree_aggregate(ds, ["k"], [("v", "count", "c")], fanin=4)
-    assert out["c"].to_pylist() == [20]
-
-
-def test_combine_partials_all_empty_pandas_inputs():
-    from docetl_ray.stages.util_ray import _combine_partials
-
-    df = pd.DataFrame({"k": pd.Series([], dtype=str),
-                       "v": pd.Series([], dtype=float)})
-    out = _combine_partials(["k"], [("v", "sum", "s")], df, df)
-    assert isinstance(out, pa.Table)
-    assert out.num_rows == 0
-    assert set(out.schema.names) == {"k", "s"}
-
-
-def test_combine_partials_all_empty_count_is_int64():
-    """A count output in the all-empty branch must be int64 even when the
-    source column is a string — a later tree level mixes it with real
-    int64 counts (ADVICE r4: util_ray.py:306)."""
-    from docetl_ray.stages.util_ray import _combine_partials
-
-    empty = pa.table({"k": pa.array([], pa.large_string()),
-                      "v": pa.array([], pa.large_string())})
-    out = _combine_partials(["k"], [("v", "count", "c")], empty, empty)
-    assert out.num_rows == 0
-    assert out.schema.field("c").type == pa.int64()
-    # and the empty result must concat cleanly with a real count partial
-    real = pa.table({"k": pa.array(["a"], pa.large_string()),
-                     "c": pa.array([3], pa.int64())})
-    merged = _combine_partials(["k"], [("c", "sum", "c")], out, real)
-    assert merged["c"].to_pylist() == [3]
 
 
 def test_arrow_refs_single_execution(tmp_path, ray_session):

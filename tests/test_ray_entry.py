@@ -98,6 +98,20 @@ def _launches(monkeypatch) -> list:
     return names
 
 
+def _executions(monkeypatch) -> list:
+    """One entry per Ray Data streaming execution the driver starts."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs, real = [], StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return runs
+
+
 @pytest.mark.parametrize("name", ["dedup_exact_documents", "resolve_fuzzy_documents"])
 def test_op_chained_on_an_exchange_pays_per_reduce_task(monkeypatch, name):
     """The ``select_columns`` after dedup_exact's and resolve_fuzzy's
@@ -216,3 +230,33 @@ def test_asof_join_events_runs_no_ray_data_map_task(monkeypatch):
     assert out.count() > 0
     assert "_map_task" not in names
     assert {"_split_by_part", "_reduce_range"} <= set(names)
+
+
+def test_typed_table_executes_its_input_once(monkeypatch):
+    """``join_anti_customers_without_orders`` returns ``_typed_table``
+    of an unexecuted anti join: its schema and its rows come from ONE
+    execution (the schema probe used to run the plan a second time)."""
+    runs = _executions(monkeypatch)
+    out = entrymod.queries()["join_anti_customers_without_orders"](SF)
+    assert isinstance(out, pa.Table) and out.num_columns == 2
+    assert len(runs) == 1
+
+
+def test_reduce_groupby_pricing_runs_no_ray_data_map_task(monkeypatch):
+    """The grouped aggregate's partials run in the exchange's split
+    tasks, which read the file: only ``_split_by_part`` and
+    ``_reduce_range`` launch (building the read samples its file)."""
+    names = _launches(monkeypatch)
+    out = entrymod.queries()["reduce_groupby_pricing"](SF)
+    assert out.count() == 6
+    assert set(names) - {"_sample_fragment"} == {"_split_by_part", "_reduce_range"}
+
+
+def test_quantiles_lineitem_runs_one_ray_data_execution(monkeypatch):
+    """Quantiles execute only the pinned input: the minmax, histogram
+    and value-count passes are grouped aggregates whose maps over it
+    run in the exchange's split tasks."""
+    runs = _executions(monkeypatch)
+    out = entrymod.queries()["quantiles_lineitem"](SF)
+    assert out.count() == 5
+    assert len(runs) == 1

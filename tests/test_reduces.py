@@ -1,8 +1,7 @@
 """Grouped aggregates (``stages/reduces.py``).
 
-Organised by path: the default ``combine="shuffle"`` path, which merges
-per-batch partials through the shared keyed exchange, checked against
-DuckDB; then the shuffle-free ``combine="tree"`` path."""
+``grouped_aggregate`` has one path: per-batch partials merged through
+the shared keyed exchange, checked against DuckDB."""
 
 import duckdb
 import pyarrow as pa
@@ -50,20 +49,24 @@ def _blocks(t: pa.Table, n: int):
     return rd.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
 
 
-# --- combine="shuffle": partials through the keyed exchange --------------
-
-
-@pytest.mark.parametrize("ngroups", [3, 2000])
-def test_exchange_path_matches_duckdb(ngroups):
+@pytest.mark.parametrize("ngroups,nblocks", [
+    pytest.param(3, 7, id="3"),
+    pytest.param(2000, 7, id="2000"),
+    pytest.param(2, 100, id="2-groups-100-blocks"),
+])
+def test_exchange_path_matches_duckdb(ngroups, nblocks):
     """Fewer groups than the 16 buckets (most buckets empty) and many
-    more; nulls in the aggregated column."""
+    more; nulls in the aggregated column; partials (sum and mean among
+    them) from 100 blocks."""
     n = 6000
     t = pa.table({
         "k": pa.array([f"g{i % ngroups}" for i in range(n)]),
         "v": pa.array([None if i % 11 == 0 else float(i % 97) for i in range(n)],
                       pa.float64()),
     })
-    out = _assert_matches_duckdb(_blocks(t, 7), t, ["k"])
+    ds = _blocks(t, nblocks)
+    assert ds.num_blocks() == nblocks
+    out = _assert_matches_duckdb(ds, t, ["k"])
     assert out.num_rows == ngroups
 
 
@@ -97,13 +100,32 @@ def test_exchange_path_mean_over_all_null_column():
 
 
 def test_exchange_path_empty_and_fully_filtered_input():
+    """One empty block and a fully-filtered input: no rows, and no
+    partial or bucket column in whatever schema the result reports (the
+    mean is never finished on a missing column)."""
     t = pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.float64())})
     assert _duck(t, ["k"]).num_rows == 0
-    assert grouped_aggregate(rd.from_arrow(t), ["k"], AGGS).count() == 0
     full = pa.table({"k": ["a", "b"], "v": [1.0, 2.0]})
-    filtered = rd.from_arrow(full).filter(lambda r: False)
-    assert grouped_aggregate(filtered, ["k"], AGGS).count() == 0
+    for ds in (rd.from_arrow(t), rd.from_arrow(full).filter(lambda r: False)):
+        out = grouped_aggregate(ds, ["k"], AGGS)
+        assert out.count() == 0
+        schema = out.schema()
+        assert schema is None or schema.names == ["k", "s", "m", "c", "lo", "hi"]
+        assert collect(out).num_rows == 0
 
+
+def test_grouped_aggregate_tree_all_empty():
+    """Three empty blocks with a mean (the case the removed tree combine
+    once failed on with a KeyError): no rows, and no partial column in
+    whatever schema the result reports."""
+    empty = pa.table({"g": pa.array([], pa.string()),
+                      "x": pa.array([], pa.float64())})
+    out = grouped_aggregate(rd.from_arrow([empty, empty, empty]), ["g"],
+                            [("x", "mean", "m")])
+    assert out.count() == 0
+    schema = out.schema()
+    assert schema is None or schema.names == ["g", "m"]
+    assert collect(out).num_rows == 0
 
 def test_exchange_path_output_columns():
     """keys then outputs, in the order given; the bucket column and the
@@ -114,51 +136,3 @@ def test_exchange_path_output_columns():
     names = ["j", "k", "z", "a", "n"]
     assert out.schema().names == names
     assert collect(out).column_names == names
-
-
-# --- combine="tree": shuffle-free task tree ------------------------------
-
-
-def test_grouped_aggregate_tree_matches_shuffle():
-    n = 5000
-    t = pa.table({
-        "k": pa.array([f"g{i % 7}" for i in range(n)]),
-        "v": pa.array([float(i % 113) for i in range(n)], pa.float64()),
-    })
-    ds = rd.from_arrow(t).repartition(9)
-    a = collect(grouped_aggregate(ds, ["k"], AGGS, combine="tree")
-                ).sort_by([("k", "ascending")])
-    b = collect(grouped_aggregate(ds, ["k"], AGGS, combine="shuffle")
-                ).sort_by([("k", "ascending")])
-    assert a.num_rows == 7
-    for col in ("k", "s", "m", "c", "lo", "hi"):
-        assert a[col].to_pylist() == b[col].to_pylist(), col
-
-
-def test_grouped_aggregate_tree_mean_beyond_fanin():
-    """The production combine="tree" path (partial names __out_sum etc.)
-    across >fanin blocks, including a mean agg."""
-    blocks = [pa.table({"g": ["p", "q"], "x": [float(i), float(i) * 2]})
-              for i in range(100)]
-    ds = rd.from_arrow(blocks)
-    out = grouped_aggregate(ds, ["g"], [("x", "mean", "m"), ("x", "sum", "s")],
-                            combine="tree")
-    tab = out.to_pandas().set_index("g")
-    exp = sum(range(100))
-    assert tab.loc["p", "s"] == pytest.approx(exp)
-    assert tab.loc["q", "s"] == pytest.approx(exp * 2)
-    assert tab.loc["p", "m"] == pytest.approx(exp / 100)
-    assert tab.loc["q", "m"] == pytest.approx(exp * 2 / 100)
-
-
-def test_grouped_aggregate_tree_all_empty():
-    """All-empty partials must yield a stable empty schema, not a KeyError
-    in the mean-finishing code (_combine_partials empty case)."""
-    empty = pa.table({"g": pa.array([], pa.string()),
-                      "x": pa.array([], pa.float64())})
-    ds = rd.from_arrow([empty, empty, empty])
-    out = grouped_aggregate(ds, ["g"], [("x", "mean", "m")], combine="tree")
-    assert out.count() == 0
-    # NB: ray's to_pandas() drops columns on empty datasets; the Dataset
-    # schema is the authoritative check
-    assert set(out.schema().names) >= {"g", "m"}

@@ -293,66 +293,6 @@ def test_llm_reduce_value_sampling_sem_sim(ray_session):
     assert out["picked"].to_pylist() == ["3,4"]
 
 
-def test_quantiles_unpinned_reread(tmp_path, ray_session):
-    """pin auto falls back to re-reading a pruned source above the size
-    threshold; results match the pinned path exactly."""
-    import pyarrow.parquet as pq
-
-    from docetl_ray.stages.quantiles import quantiles
-
-    vals = [float(i) for i in range(10_000)]
-    pq.write_table(pa.table({"x": vals, "y": vals}), tmp_path / "t.parquet")
-    src = lambda: rd.read_parquet(str(tmp_path / "t.parquet"), columns=["x"])  # noqa: E731
-    pinned = quantiles(src(), "x", [0.1, 0.5, 0.9], pin=True)
-    # threshold of 1 byte forces the unpinned re-read path on the bare read
-    unpinned = quantiles(src(), "x", [0.1, 0.5, 0.9], pin="auto",
-                         pin_threshold_bytes=1)
-    assert pinned["value"].to_pylist() == unpinned["value"].to_pylist()
-
-
-def test_quantiles_lazy_upstream_single_execution(tmp_path, ray_session):
-    """A TRANSFORMED (non-bare-read) upstream keeps the pin in auto mode
-    — its batches execute once, not once per refinement pass."""
-    import os as _os
-
-    import pyarrow.parquet as pq
-
-    from docetl_ray.stages.quantiles import quantiles
-
-    pq.write_table(
-        pa.table({"x": [float(i) for i in range(200_000)]}),
-        tmp_path / "t.parquet",
-    )
-    marker = str(tmp_path / "exec_count")
-
-    def bump(t: pa.Table) -> pa.Table:
-        with open(marker, "a") as f:
-            f.write("x\n")
-            f.flush()
-            _os.fsync(f.fileno())
-        return t
-
-    ds = rd.read_parquet(str(tmp_path / "t.parquet")).map_batches(
-        bump, batch_format="pyarrow"
-    )
-    out = quantiles(ds, "x", [0.5], collect_threshold=256)
-    # quantile_disc: 1-indexed rank ceil(0.5*200000)=100000 -> value 99999.0
-    assert out["value"].to_pylist() == [99999.0]
-    with open(marker) as f:
-        n_first = len(f.readlines())
-    assert n_first >= 1
-    # rerun the SAME lazy upstream via the unpinned path: each pass would
-    # re-execute; with the pin (auto on transformed upstream) the batch
-    # count must not multiply -- compare against a forced-unpinned run
-    with open(marker, "w"):
-        pass
-    quantiles(ds, "x", [0.5], collect_threshold=256, pin=False)
-    with open(marker) as f:
-        n_unpinned = len(f.readlines())
-    # the refinement makes >=3 passes; unpinned re-executes each pass
-    assert n_unpinned >= 2 * n_first
-
-
 def test_synth_docs_vectors_deterministic():
     """Scale-bench generators are pure functions of the absolute index —
     identical regardless of chunk boundaries."""

@@ -88,57 +88,6 @@ def test_metadata_free_schema_heterogeneous_dir_falls_back(tmp_path):
     assert schema.names == ["a", "b"]
 
 
-def test_auto_pin_estimate_scales_by_column_share(ray_session, tmp_path):
-    """pin="auto" must compare the single projected column's share of the
-    metadata size estimate, not the full-table estimate — a wide table
-    with one small numeric column should still pin (ADVICE r4:
-    quantiles.py:128)."""
-    import numpy as np
-
-    from docetl_ray.stages.quantiles import _auto_pin_size_estimate
-
-    n = 5000
-    wide = pa.table({
-        "v": pa.array(np.arange(n, dtype=np.float64)),
-        **{f"pad{i}": pa.array(["x" * 200] * n) for i in range(7)},
-    })
-    path = str(tmp_path / "wide.parquet")
-    pq.write_table(wide, path)
-    ds = rd.read_parquet(path)
-    est = _auto_pin_size_estimate(ds)
-    full = ds.size_bytes()
-    assert est is not None and full is not None
-    assert est <= full // 8 + 1  # 8 columns -> at most a 1/8 share
-
-
-def test_quantiles_pin_auto_wide_table_still_exact(ray_session, tmp_path):
-    """End-to-end: pin="auto" over a wide table (threshold between the
-    column share and the full size, i.e. the pre-fix code would skip the
-    pin) stays exact."""
-    import math
-
-    import numpy as np
-
-    from docetl_ray.stages.quantiles import quantiles
-
-    n = 4000
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=n).round(6)
-    wide = pa.table({
-        "v": pa.array(vals),
-        **{f"pad{i}": pa.array(["y" * 100] * n) for i in range(7)},
-    })
-    path = str(tmp_path / "wideq.parquet")
-    pq.write_table(wide, path)
-    ds = rd.read_parquet(path)
-    full = ds.size_bytes()
-    out = quantiles(ds, "v", [0.25, 0.5, 0.75], collect_threshold=256,
-                    pin="auto", pin_threshold_bytes=full // 2)
-    s = np.sort(vals)
-    exp = [s[max(1, math.ceil(q * n)) - 1] for q in (0.25, 0.5, 0.75)]
-    assert out["value"].to_pylist() == exp
-
-
 def test_cluster_dendrogram_coarse_above_cap(ray_session):
     # 3000 rows in 3 well-separated 8-dim blobs, cap forced down to 500:
     # cluster_dendrogram must degrade to the coarse path (not raise) and
@@ -233,34 +182,6 @@ def test_cluster_coarse_deterministic_across_block_layout(ray_session):
         outs.append(dict(zip(out["vid"].to_pylist(),
                              [tuple(p) for p in out["clusters"].to_pylist()])))
     assert outs[0] == outs[1]
-
-
-def test_auto_pin_estimate_uses_parquet_column_share(ray_session, tmp_path):
-    """A table DOMINATED by the quantile column must not be divided by
-    the column count (that would undershoot by ncols x and wrongly pin
-    past the threshold); the share comes from the parquet footer."""
-    import numpy as np
-
-    from docetl_ray.stages.quantiles import _auto_pin_size_estimate
-
-    n = 4000
-    vals = (np.arange(n * 64, dtype=np.float64) * 1.7).reshape(n, 64)
-    dom = pa.table({
-        "v": pa.array(list(vals), pa.list_(pa.float64())),
-        **{f"k{i}": pa.array(np.arange(n, dtype=np.int64)) for i in range(7)},
-    })
-    path = str(tmp_path / "dom.parquet")
-    pq.write_table(dom, path)
-    ds = rd.read_parquet(path)
-    est = _auto_pin_size_estimate(ds, "v")
-    full = ds.size_bytes()
-    assert est is not None and full is not None
-    # "v" holds the overwhelming majority of the bytes; the equal-share
-    # fallback would report full/8
-    assert est > full // 2
-    # and the narrow-column case still reports a small share
-    est_k = _auto_pin_size_estimate(ds, "k0")
-    assert est_k < full // 8
 
 
 def test_metadata_free_schema_bounded_footer_scan(tmp_path):

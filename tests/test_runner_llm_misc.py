@@ -446,7 +446,7 @@ def test_runner_window_and_asof_ops(tmp_path):
         "operations": [
             {"name": "w", "type": "window", "method": "tumbling",
              "ts_key": "ts", "keys": ["uid"], "window_seconds": 600,
-             "aggs": [["v", "sum", "total"]], "combine": "tree"},
+             "aggs": [["v", "sum", "total"]]},
             {"name": "sess", "type": "window", "method": "session",
              "ts_key": "ts", "key": "uid", "gap_seconds": 600},
             {"name": "aj", "type": "asof_join", "right": "st",

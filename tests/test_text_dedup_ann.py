@@ -542,16 +542,23 @@ def test_tumbling_window_vs_duckdb():
         assert abs(a - b) < 1e-9
 
 
-@pytest.mark.parametrize("combine", ["shuffle", "tree"])
-def test_tumbling_window_start_is_timestamp_us(combine):
-    """``window_start`` is ``timestamp[us]`` on both combine paths, with
-    no cast after the aggregate: Arrow's group_by keeps the type."""
+@pytest.mark.parametrize("repartition", [
+    pytest.param(False, id="shuffle"),
+    pytest.param(True, id="tree"),
+])
+def test_tumbling_window_start_is_timestamp_us(repartition):
+    """``window_start`` is ``timestamp[us]``, with no cast after the
+    aggregate: Arrow's group_by keeps the type.  ``[shuffle]`` feeds the
+    bare read (peeled into the split tasks), ``[tree]`` a repartitioned
+    read, which the exchange cannot peel and so executes first."""
     from docetl_ray.stages.window import tumbling_window_aggregate
 
     ev = _read("events", columns=["user_id", "ts", "value"])
+    if repartition:
+        ev = ev.repartition(8)
     out = _collect(tumbling_window_aggregate(
         ev, "ts", "user_id", window_seconds=3600,
-        aggs=[("value", "count", "n")], combine=combine,
+        aggs=[("value", "count", "n")],
     ))
     assert out.num_rows > 0
     assert out.schema.field("window_start").type == pa.timestamp("us")
