@@ -56,6 +56,7 @@ Arrow kernels with tombstone rows for delete propagation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -67,6 +68,7 @@ import pyarrow.parquet as pq
 
 from ..html_text import extract_text_batch
 from ..schemas import OP_DELETE, unify_tables
+from .manifest import StaleManifest, fsync_path
 from .table import LakeTable
 
 _LWW_KEYS = [("url", "ascending"), ("warc_ts", "ascending"), ("lsn", "ascending")]
@@ -206,13 +208,14 @@ def lww_latest(ds, key_col: str, order_cols):
 
 
 def _atomic_write_parquet(t: pa.Table, path: str):
-    """Write-temp + rename so a task killed mid-write never leaves a
-    truncated file behind (Ray retries the task; the rename is atomic and
-    the rewrite is deterministic, so retries are safe).  ``url`` and
+    """Write-temp, fsync + rename: a task killed mid-write leaves no
+    truncated file (Ray retries it; the rewrite is deterministic), and
+    the file is on disk before a manifest names it.  ``url`` and
     ``text`` are unique per row, so they skip the dictionary pass."""
     tmp = f"{path}.tmp-{os.getpid()}"
     pq.write_table(t, tmp, use_dictionary=[
         c for c in t.column_names if c not in ("url", "text")])
+    fsync_path(tmp)
     os.replace(tmp, path)
 
 
@@ -351,7 +354,9 @@ def apply_events(
 
     Exactly-once: if ``epoch`` is already committed this is a no-op; a
     crash before commit leaves the previous manifest state; re-applying
-    duplicate events is idempotent under LWW.  Returns the new manifest.
+    duplicate events is idempotent under LWW.  A commit overtaken by
+    another raises ``StaleManifest``; a refused auto-compaction leaves the
+    epoch committed for the next trigger to fold.  Returns the manifest.
     """
     import ray
 
@@ -360,7 +365,7 @@ def apply_events(
     if compact_after == "auto":
         compact_after = AUTO_COMPACT_LEVELS
 
-    if epoch in table.committed_epochs():
+    if epoch in table.manifest(refresh=True)["epochs"]:
         return table.manifest()
 
     nparts = table.num_partitions
@@ -398,8 +403,9 @@ def apply_events(
             # tiered: each trigger folds only the delta levels (~O(recent
             # epochs) write cost), going full only when the folded middle
             # run has grown to rival the base
-            m = compact(table, tag=f"auto-epoch-{epoch}", pids=over,
-                        policy="tiered")
+            with contextlib.suppress(StaleManifest):
+                m = compact(table, tag=f"auto-epoch-{epoch}", pids=over,
+                            policy="tiered")
     return m
 
 
@@ -422,7 +428,7 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
 
     from ..stages.util_ray import exchange_refs
 
-    if tag in table.manifest().get("resplits", []):
+    if tag in table.manifest(refresh=True).get("resplits", []):
         return table.manifest()
 
     ds = read_state(table, include_tombstones=True)
@@ -604,6 +610,7 @@ def read_state(table: LakeTable, *, include_tombstones: bool = False):
 
     from ..stages.util_ray import _materialized_dataset
 
+    table.manifest(refresh=True)
     pmap = table.partition_map()
     if not pmap:
         from ray.data.block import BlockMetadataWithSchema

@@ -5,10 +5,10 @@ Per-document keys (exact content fingerprints, or MinHash LSH band
 buckets + compact signatures) are persisted as epoch-segmented Parquet,
 and a new epoch is (1) keyed-shuffle anti-joined / candidate-joined
 against ALL prior segments, (2) deduped within itself, and (3) its
-survivors' keys appended under an atomic, epoch-keyed manifest (same
-exactly-once protocol as ``cdc.table.LakeTable``: staging files are
-invisible until the ``manifest.json`` swap; replaying a committed epoch
-is a no-op and returns the identical survivor set).
+survivors' keys appended under an atomic, epoch-keyed manifest (the
+commit protocol of ``cdc/manifest.py``, as ``cdc.table.LakeTable``:
+staged segments are invisible until the commit; replaying a committed
+epoch is a no-op and returns the identical survivor set).
 
 Cost: step (1) exchanges every prior segment's keys again, so an epoch
 costs O(epoch + index), not O(epoch): on one CPU, an exact index's epoch
@@ -32,7 +32,6 @@ Layout under ``root/``::
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -42,11 +41,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .manifest import Store, fsync_path
+
 _EMPTY = {"version": 1, "kind": None, "params": {}, "epochs": [], "segments": {}}
 
 
 @dataclass
-class DedupIndex:
+class DedupIndex(Store):
     """Handle to an incremental dedup index rooted at ``root``.
 
     ``kind``: ``"exact"`` (16-hex-char md5 content fingerprints — the
@@ -60,42 +61,29 @@ class DedupIndex:
     params: dict[str, Any] = field(default_factory=dict)
     _manifest: dict[str, Any] | None = field(default=None, repr=False)
 
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, "manifest.json")
+    def _empty(self) -> dict[str, Any]:
+        return dict(_EMPTY, kind=self.kind, params=self.params)
 
-    def manifest(self, *, refresh: bool = False) -> dict[str, Any]:
-        if self._manifest is None or refresh:
-            if os.path.exists(self.manifest_path):
-                with open(self.manifest_path) as f:
-                    self._manifest = json.load(f)
-                if self._manifest["kind"] != self.kind:
-                    raise ValueError(
-                        f"index at {self.root} is kind={self._manifest['kind']!r}, "
-                        f"opened as {self.kind!r}"
-                    )
-                if self.params and self._manifest["params"] != self.params:
-                    raise ValueError(
-                        f"index params mismatch: stored {self._manifest['params']} "
-                        f"vs requested {self.params}"
-                    )
-                self.params = self._manifest["params"]
-            else:
-                self._manifest = dict(_EMPTY, kind=self.kind, params=self.params)
-        return self._manifest
+    def _opened(self, m: dict[str, Any]) -> dict[str, Any]:
+        if m["kind"] != self.kind:
+            raise ValueError(
+                f"index at {self.root} is kind={m['kind']!r}, opened as {self.kind!r}")
+        if self.params and m["params"] != self.params:
+            raise ValueError(
+                f"index params mismatch: stored {m['params']} vs requested {self.params}")
+        self.params = m["params"]
+        return m
 
     def committed_epochs(self) -> list[int]:
         return sorted(int(e) for e in self.manifest().get("epochs", []))
 
-    def segment_files(self, part: str, *, exclude_epoch: int | None = None) -> list[str]:
+    def segment_files(self, part: str) -> list[str]:
         """Absolute parquet files of ``part`` ("keys"|"sigs") in every
-        committed epoch except ``exclude_epoch`` (replay must not see its
-        own).  Files, not segment directories: ``read_parquet`` takes
-        one directory or a list of files, not a list of directories."""
+        committed epoch (an epoch being staged is not committed in the
+        manifest its run read).  Files, not segment directories:
+        ``read_parquet`` takes one directory or a list of files."""
         out = []
-        for ep, rec in self.manifest().get("segments", {}).items():
-            if exclude_epoch is not None and int(ep) == exclude_epoch:
-                continue
+        for rec in self.manifest().get("segments", {}).values():
             if rec.get(part):
                 d = os.path.join(self.root, rec[part])
                 out += [os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")]
@@ -107,32 +95,50 @@ class DedupIndex:
         return d
 
     def commit_epoch(self, epoch: int, parts: dict[str, str], rows: int) -> dict:
-        """Atomically publish an epoch's segments (relative paths)."""
-        m = json.loads(json.dumps(self.manifest()))
-        if epoch in m["epochs"]:
-            return m  # idempotent replay
-        m["segments"][str(epoch)] = dict(parts, rows=rows)
-        m["epochs"] = sorted(set(m["epochs"]) | {epoch})
-        tmp = self.manifest_path + ".tmp"
-        os.makedirs(self.root, exist_ok=True)
-        with open(tmp, "w") as f:
-            json.dump(m, f, indent=1, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.manifest_path)
-        self._manifest = m
-        return m
+        """Atomically publish an epoch's segments (relative paths) and pin
+        the handle's ``params``."""
+        def change(m):
+            m["segments"][str(epoch)] = dict(parts, rows=rows)
+            m["params"] = self.params
+
+        return self._commit("epochs", epoch, change, parts.values())
 
 
 def _seal_segment(out_dir: str, schema: pa.Schema) -> int:
     """Finish a segment write: an all-dropped epoch produces ZERO files
     (Ray skips empty blocks), so write one typed empty file — readers of
-    the manifest must always find a parseable segment.  Returns rows."""
+    the manifest must always find a parseable segment.  Every file is
+    fsynced before the commit names it.  Returns rows."""
     files = [f for f in os.listdir(out_dir) if f.endswith(".parquet")]
     if not files:
-        pq.write_table(schema.empty_table(), os.path.join(out_dir, "part-empty.parquet"))
-        return 0
+        files = ["part-empty.parquet"]
+        pq.write_table(schema.empty_table(), os.path.join(out_dir, files[0]))
+    for f in files:
+        fsync_path(os.path.join(out_dir, f))
     return sum(pq.read_metadata(os.path.join(out_dir, f)).num_rows for f in files)
+
+
+def _stage_segment(index: DedupIndex, epoch: int, part: str, ds, schema: pa.Schema):
+    """Write ``ds`` as the epoch's ``part`` segment and seal it; returns
+    its directory (relative to the index root) and rows.  Staging: a
+    retry may rewrite it, as nothing references it until the commit."""
+    d = index.staging_dir(epoch, part)
+    for f in os.listdir(d):
+        os.unlink(os.path.join(d, f))
+    ds.write_parquet(d)
+    return os.path.relpath(d, index.root), _seal_segment(d, schema)
+
+
+def _kept(index: DedupIndex, ds, id_col: str, epoch: int, part: str):
+    """``ds`` semi-joined with the ids of the epoch's COMMITTED ``part``
+    segment, and their count."""
+    import ray.data as rd
+
+    from ..stages.joins import hash_join
+
+    seg = index.manifest()["segments"][str(epoch)]
+    kept_ids = rd.read_parquet(os.path.join(index.root, seg[part]), columns=[id_col])
+    return hash_join(ds, kept_ids, on=id_col, how="semi"), seg["rows"]
 
 
 def _md5_keys(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
@@ -171,14 +177,14 @@ def incremental_exact_dedup(index: DedupIndex, ds, text_col: str, id_col: str, e
 
     if index.kind != "exact":
         raise ValueError("incremental_exact_dedup needs an exact-kind index")
-    committed = epoch in index.committed_epochs()
+    committed = epoch in index.manifest(refresh=True)["epochs"]
     if not committed:
         keyed = ds.map_batches(
             lambda b: _md5_keys(b, text_col, id_col), batch_format="pyarrow"
         )
         # global first-occurrence within the epoch: grouped min id
         winners = grouped_aggregate(keyed, ["h"], [(id_col, "min", id_col)])
-        prior = index.segment_files("keys", exclude_epoch=epoch)
+        prior = index.segment_files("keys")
         if prior:
             seen = rd.read_parquet(prior, columns=["h"])
             winners = hash_join(
@@ -186,59 +192,10 @@ def incremental_exact_dedup(index: DedupIndex, ds, text_col: str, id_col: str, e
                 left_schema=pa.schema([("h", pa.string()), (id_col, pa.int64())]),
                 right_schema=pa.schema([("h", pa.string())]),
             )
-        out_dir = index.staging_dir(epoch, "keys")
-        # staging: rewriting on retry is safe — nothing references the
-        # files until the manifest swap below
-        for f in os.listdir(out_dir):
-            os.unlink(os.path.join(out_dir, f))
-        winners.write_parquet(out_dir)
-        n_kept = _seal_segment(
-            out_dir, pa.schema([("h", pa.string()), (id_col, pa.int64())])
-        )
-        index.commit_epoch(
-            epoch, {"keys": os.path.relpath(out_dir, index.root)}, n_kept
-        )
-    seg = [
-        os.path.join(index.root, index.manifest()["segments"][str(epoch)]["keys"])
-    ]
-    kept_ids = rd.read_parquet(seg, columns=[id_col])
-    kept = hash_join(ds, kept_ids, on=id_col, how="semi")
-    n_kept = index.manifest()["segments"][str(epoch)]["rows"]
-    return kept, n_kept
-
-
-def _sig_and_band_tables(ds, text_col, id_col, *, num_perm, bands, shingle_k):
-    """Materialized (id, _sig) table + lazy (bucket, id) band rows for an
-    epoch, using the same signature/band arithmetic as stages.dedup."""
-    from ..stages.dedup import _band_buckets_vec, _perm_params, minhash_signatures_batch
-
-    a, b = _perm_params(num_perm)
-    rows_per_band = num_perm // bands
-
-    def sig_table(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        sigs = minhash_signatures_batch(texts, a, b, shingle_k).astype(np.int64)
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(sigs.reshape(-1), pa.int64()), num_perm
-        ).cast(pa.list_(pa.int64()))
-        return pa.table({id_col: batch[id_col], "_sig": col})
-
-    sig_ds = ds.map_batches(sig_table, batch_format="pyarrow").materialize()
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.table({"bucket": pa.array([], pa.int64()), id_col: batch[id_col]})
-        sigs = (
-            pc.list_flatten(batch["_sig"].combine_chunks())
-            .to_numpy(zero_copy_only=False)
-            .reshape(n, num_perm)
-        )
-        bucket, ids_rep = _band_buckets_vec(sigs, batch[id_col], bands, rows_per_band)
-        return pa.table({"bucket": bucket, id_col: ids_rep})
-
-    band_ds = sig_ds.map_batches(band_rows, batch_format="pyarrow")
-    return sig_ds, band_ds
+        keys, n_kept = _stage_segment(index, epoch, "keys", winners, pa.schema(
+            [("h", pa.string()), (id_col, pa.int64())]))
+        index.commit_epoch(epoch, {"keys": keys}, n_kept)
+    return _kept(index, ds, id_col, epoch, "keys")
 
 
 def incremental_minhash_dedup(
@@ -269,7 +226,7 @@ def incremental_minhash_dedup(
     """
     import ray.data as rd
 
-    from ..stages.dedup import minhash_dedup
+    from ..stages.dedup import _sig_and_bands, minhash_dedup
     from ..stages.joins import hash_join
     from ..stages.reduces import grouped_aggregate
 
@@ -277,22 +234,22 @@ def incremental_minhash_dedup(
         raise ValueError("incremental_minhash_dedup needs a minhash-kind index")
     want = dict(num_perm=num_perm, bands=bands, shingle_k=shingle_k,
                 threshold=threshold)
-    m = index.manifest()
+    m = index.manifest(refresh=True)
     if m["params"] and m["params"] != want:
         raise ValueError(f"index params {m['params']} != requested {want}")
-    index.params = m["params"] = want  # pinned into the next manifest swap
-    committed = epoch in index.committed_epochs()
+    index.params = want  # commit_epoch pins it into the manifest
+    committed = epoch in m["epochs"]
     if not committed:
         from ..stages.joins import _ds_arrow_schema_lazy
 
-        sig_ds, band_ds = _sig_and_band_tables(
+        sig_ds, band_ds = _sig_and_bands(
             ds, text_col, id_col, num_perm=num_perm, bands=bands, shingle_k=shingle_k
         )
         sig_schema = _ds_arrow_schema_lazy(sig_ds)  # materialized -> cheap
         idt = sig_schema.field(id_col).type
         sigt = sig_schema.field("_sig").type
         new_ids_dropped = None
-        prior_keys = index.segment_files("keys", exclude_epoch=epoch)
+        prior_keys = index.segment_files("keys")
         if prior_keys:
             old_bands = rd.read_parquet(prior_keys).map_batches(
                 lambda t: t.rename_columns(["bucket", "_oid"]), batch_format="pyarrow"
@@ -311,7 +268,7 @@ def incremental_minhash_dedup(
                 ),
                 [id_col, "_oid"], [("_one", "count", "_n")],
             )
-            old_sigs = rd.read_parquet(index.segment_files("sigs", exclude_epoch=epoch))
+            old_sigs = rd.read_parquet(index.segment_files("sigs"))
             old_sigs = old_sigs.map_batches(
                 lambda t: t.rename_columns(["_oid", "_osig"]), batch_format="pyarrow"
             )
@@ -371,23 +328,9 @@ def incremental_minhash_dedup(
             band_ds, surv_ids, on=id_col, how="semi",
             left_schema=pa.schema([("bucket", pa.int64()), (id_col, idt)]),
         )
-        sig_dir = index.staging_dir(epoch, "sigs")
-        key_dir = index.staging_dir(epoch, "keys")
-        for d in (sig_dir, key_dir):
-            for f in os.listdir(d):
-                os.unlink(os.path.join(d, f))
-        kept_sigs.write_parquet(sig_dir)
-        kept_bands.write_parquet(key_dir)
-        _seal_segment(key_dir, pa.schema([("bucket", pa.int64()), (id_col, idt)]))
-        n_kept = _seal_segment(sig_dir, pa.schema([(id_col, idt), ("_sig", sigt)]))
-        index.commit_epoch(
-            epoch,
-            {"keys": os.path.relpath(key_dir, index.root),
-             "sigs": os.path.relpath(sig_dir, index.root)},
-            n_kept,
-        )
-    seg = [os.path.join(index.root, index.manifest()["segments"][str(epoch)]["sigs"])]
-    kept_ids = rd.read_parquet(seg, columns=[id_col])
-    kept = hash_join(ds, kept_ids, on=id_col, how="semi")
-    n_kept = index.manifest()["segments"][str(epoch)]["rows"]
-    return kept, n_kept
+        sigs, n_kept = _stage_segment(index, epoch, "sigs", kept_sigs,
+                                      pa.schema([(id_col, idt), ("_sig", sigt)]))
+        keys, _ = _stage_segment(index, epoch, "keys", kept_bands,
+                                 pa.schema([("bucket", pa.int64()), (id_col, idt)]))
+        index.commit_epoch(epoch, {"keys": keys, "sigs": sigs}, n_kept)
+    return _kept(index, ds, id_col, epoch, "sigs")

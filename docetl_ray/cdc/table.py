@@ -5,16 +5,14 @@ Layout under ``root/``::
 
     manifest.json                  <- atomic pointer to current state
     epochs/epoch-0000042/part-00013.parquet
-    epochs/epoch-0000042/_staging marker files ...
+    compactions/<tag>/part-00013.parquet
+    resplits/<tag>/part-00013.parquet
 
-Commit protocol (two-phase):
-  1. every partition task writes its full new partition state to
-     ``epochs/epoch-N/part-XXXXX.parquet`` (staging; rewriting is safe —
-     nothing references these files until commit),
-  2. the driver writes ``manifest.json.tmp`` with the new partition map +
-     lineage and ``os.replace``s it over ``manifest.json`` (atomic on
-     POSIX).  A crash before step 2 leaves the previous manifest intact;
-     re-running the epoch overwrites staging and commits once.
+Commit protocol: ``cdc/manifest.py``.  Partition tasks stage (and
+fsync) their files in the epoch's, compaction's or resplit's own
+directory, unreferenced until the driver commits their lineage records;
+a crash before that leaves the previous manifest, and a re-run
+overwrites the staged files and commits once.
 
 Replaying an epoch that is already in ``manifest["epochs"]`` is a no-op,
 and the LWW merge itself is idempotent, so retries / duplicate WAL
@@ -38,17 +36,14 @@ should full-fold first (``compact(policy="full")``).  The formula
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from .manifest import Store
+
 EMPTY_MANIFEST: dict[str, Any] = {
-    "version": 1,
-    "epoch": -1,
-    "epochs": [],
-    "num_partitions": None,
-    "partitions": {},
+    "version": 1, "epochs": [], "num_partitions": None, "partitions": {},
     # routing-hash version baked into the table: rows already live in
     # files placed by this hash (``apply.url_partition``).  "v2" is the
     # only one; a manifest without it is refused on open.
@@ -56,8 +51,31 @@ EMPTY_MANIFEST: dict[str, Any] = {
 }
 
 
+def _ranges(rec: dict) -> list:
+    return [[rec["lsn_min"], rec["lsn_max"]]] if rec.get("lsn_min") is not None else []
+
+
+def _entry(rec: dict, paths: list[str], ranges: list, base: dict | None = None) -> dict:
+    """A partition's manifest entry with ``rec``'s file as its newest
+    level; with ``base`` (a delta append) the counts add to the base's:
+    the delta's live count alone would UNDER-count the partition, so
+    levels sum to the documented physical upper bound."""
+    base = base or {}
+    return {
+        "paths": paths,
+        "rows": base.get("rows", 0) + rec["rows"],
+        "live_rows": base.get("live_rows", 0) + rec.get("live_rows", rec["rows"]),
+        "checksum": rec.get("checksum"),
+        "applied_lsn_ranges": ranges,
+    }
+
+
+def _dirs(records: list[dict]) -> set[str]:
+    return {os.path.dirname(rec["path"]) for rec in records}
+
+
 @dataclass
-class LakeTable:
+class LakeTable(Store):
     """Handle to a partitioned lake table rooted at ``root``."""
 
     root: str
@@ -66,57 +84,28 @@ class LakeTable:
 
     # -- manifest ---------------------------------------------------------
 
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, "manifest.json")
+    def _empty(self) -> dict[str, Any]:
+        return dict(EMPTY_MANIFEST, num_partitions=self.num_partitions)
 
-    def manifest(self, *, refresh: bool = False) -> dict[str, Any]:
-        if self._manifest is None or refresh:
-            if os.path.exists(self.manifest_path):
-                with open(self.manifest_path) as f:
-                    m = json.load(f)
-                if m.get("partition_hash") != "v2":
-                    # rows were placed by another hash: routing new
-                    # events by v2 would split a url across partitions
-                    raise ValueError(
-                        f"table at {self.root} has partition_hash="
-                        f"{m.get('partition_hash')!r}; only 'v2' is supported")
-                self._manifest = m
-            else:
-                self._manifest = dict(EMPTY_MANIFEST, num_partitions=self.num_partitions)
-        if self._manifest.get("num_partitions"):
-            self.num_partitions = self._manifest["num_partitions"]
-        return self._manifest
+    def _opened(self, m: dict[str, Any]) -> dict[str, Any]:
+        if m.get("partition_hash") != "v2":
+            # rows were placed by another hash: routing new events by
+            # v2 would split a url across partitions
+            raise ValueError(
+                f"table at {self.root} has partition_hash="
+                f"{m.get('partition_hash')!r}; only 'v2' is supported")
+        self.num_partitions = m.get("num_partitions") or self.num_partitions
+        return m
 
     def committed_epochs(self) -> list[int]:
         return list(self.manifest().get("epochs", []))
 
-    @staticmethod
-    def _rec_paths(rec: dict) -> list[str]:
-        """A partition's file list (oldest -> newest level).  Back-compat:
-        single-``path`` records read as a one-element list."""
-        if "paths" in rec:
-            return list(rec["paths"])
-        return [rec["path"]] if rec.get("path") else []
-
-    def partition_paths(self, pid: int) -> list[str]:
-        """Absolute paths of a partition's files, oldest level first."""
-        rec = self.manifest().get("partitions", {}).get(str(pid))
-        if not rec:
-            return []
-        return [os.path.join(self.root, p) for p in self._rec_paths(rec)]
-
     def partition_map(self) -> dict[int, list[str]]:
-        m = self.manifest()
-        return {
-            int(pid): [os.path.join(self.root, p) for p in self._rec_paths(rec)]
-            for pid, rec in m.get("partitions", {}).items()
-        }
+        """Each partition's absolute file paths, oldest level first."""
+        return {int(pid): [os.path.join(self.root, p) for p in rec["paths"]]
+                for pid, rec in self.manifest()["partitions"].items()}
 
-    def partition_files(self) -> list[str]:
-        return [p for paths in self.partition_map().values() for p in paths]
-
-    # -- staging + commit -------------------------------------------------
+    # -- commits (protocol: cdc/manifest.py) -----------------------------
 
     def commit(
         self, epoch: int, partition_records: list[dict[str, Any]],
@@ -133,41 +122,18 @@ class LakeTable:
         entry (their files live in older epoch dirs — the manifest, not
         the directory layout, defines the table state).
         """
-        m = json.loads(json.dumps(self.manifest()))  # deep copy
-        if epoch in m["epochs"]:
-            return m  # already committed -> no-op (idempotent replay)
-        parts = m.setdefault("partitions", {})
-        for rec in partition_records:
-            pid = str(rec["pid"])
-            prev = parts.get(pid, {})
-            ranges = list(prev.get("applied_lsn_ranges", []))
-            if rec.get("lsn_min") is not None:
-                ranges.append([rec["lsn_min"], rec["lsn_max"]])
-            if rec.get("append"):
-                paths = self._rec_paths(prev) + [rec["path"]]
-                rows = prev.get("rows", 0) + rec["rows"]
-                # the delta's live count alone would UNDER-count the
-                # partition (the base's live rows are still live); sum
-                # across levels for the documented physical upper bound
-                live = prev.get("live_rows", 0) + rec.get("live_rows",
-                                                          rec["rows"])
-            else:
-                paths = [rec["path"]]
-                rows = rec["rows"]
-                live = rec.get("live_rows", rec["rows"])
-            parts[pid] = {
-                "paths": paths,
-                "rows": rows,
-                "live_rows": live,
-                "checksum": rec.get("checksum"),
-                "applied_lsn_ranges": ranges,
-            }
-        m["epoch"] = max(m["epoch"], epoch)
-        m["epochs"] = sorted(set(m["epochs"]) | {epoch})
-        m["num_partitions"] = self.num_partitions
-        if metrics is not None:
-            m.setdefault("epoch_metrics", {})[str(epoch)] = metrics
-        return self._write_manifest(m)
+        def change(m):
+            parts = m["partitions"]
+            for rec in partition_records:
+                prev = parts.get(str(rec["pid"]), {})
+                base = prev if rec.get("append") else {}
+                parts[str(rec["pid"])] = _entry(
+                    rec, base.get("paths", []) + [rec["path"]],
+                    prev.get("applied_lsn_ranges", []) + _ranges(rec), base)
+            if metrics is not None:
+                m.setdefault("epoch_metrics", {})[str(epoch)] = metrics
+
+        return self._commit("epochs", epoch, change, _dirs(partition_records))
 
     def commit_compaction(self, tag: str, partition_records: list[dict[str, Any]]) -> dict[str, Any]:
         """Atomically replace partition level-lists with compacted files.
@@ -175,27 +141,18 @@ class LakeTable:
         Compactions live in their own manifest namespace (``compactions``)
         — they never consume or collide with WAL epoch ids, so epoch
         replay-detection stays sound."""
-        m = json.loads(json.dumps(self.manifest()))
-        done = m.setdefault("compactions", [])
-        if tag in done:
-            return m  # idempotent
-        parts = m.setdefault("partitions", {})
-        for rec in partition_records:
-            pid = str(rec["pid"])
-            prev = parts.get(pid, {})
-            # tiered compaction keeps the oldest (base) run untouched
-            # and stacks the folded middle run after it, preserving the
-            # oldest->newest path order and newest-checksum contracts
-            kept = [p for p in rec.get("kept_paths") or [] if p]
-            parts[pid] = {
-                "paths": kept + [rec["path"]],
-                "rows": rec["rows"],
-                "live_rows": rec.get("live_rows", rec["rows"]),
-                "checksum": rec.get("checksum"),
-                "applied_lsn_ranges": prev.get("applied_lsn_ranges", []),
-            }
-        done.append(tag)
-        return self._write_manifest(m)
+        def change(m):
+            parts = m["partitions"]
+            for rec in partition_records:
+                pid = str(rec["pid"])
+                # tiered compaction keeps the oldest (base) run untouched
+                # and stacks the folded middle run after it, preserving
+                # the oldest->newest path order and newest-checksum contracts
+                kept = [p for p in rec.get("kept_paths") or [] if p]
+                parts[pid] = _entry(rec, kept + [rec["path"]],
+                                    parts.get(pid, {}).get("applied_lsn_ranges", []))
+
+        return self._commit("compactions", tag, change, _dirs(partition_records))
 
     def commit_resplit(
         self, tag: str, new_num_partitions: int,
@@ -211,35 +168,9 @@ class LakeTable:
         partition (recomputed from the data — the old per-epoch ranges
         described partitions that no longer exist).  Idempotent per
         ``tag``; epoch replay-detection (``epochs``) is preserved."""
-        m = json.loads(json.dumps(self.manifest()))
-        done = m.setdefault("resplits", [])
-        if tag in done:
-            return m  # idempotent
-        parts: dict[str, Any] = {}
-        for rec in partition_records:
-            ranges = []
-            if rec.get("lsn_min") is not None:
-                ranges.append([rec["lsn_min"], rec["lsn_max"]])
-            parts[str(rec["pid"])] = {
-                "paths": [rec["path"]],
-                "rows": rec["rows"],
-                "live_rows": rec.get("live_rows", rec["rows"]),
-                "checksum": rec.get("checksum"),
-                "applied_lsn_ranges": ranges,
-            }
-        m["partitions"] = parts
-        m["num_partitions"] = new_num_partitions
-        self.num_partitions = new_num_partitions
-        done.append(tag)
-        return self._write_manifest(m)
+        def change(m):
+            m["partitions"] = {str(rec["pid"]): _entry(rec, [rec["path"]], _ranges(rec))
+                               for rec in partition_records}
+            m["num_partitions"] = new_num_partitions
 
-    def _write_manifest(self, m: dict[str, Any]) -> dict[str, Any]:
-        tmp = self.manifest_path + ".tmp"
-        os.makedirs(self.root, exist_ok=True)
-        with open(tmp, "w") as f:
-            json.dump(m, f, indent=1, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.manifest_path)
-        self._manifest = m
-        return m
+        return self._commit("resplits", tag, change, _dirs(partition_records))

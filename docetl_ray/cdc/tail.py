@@ -18,6 +18,7 @@ import re
 import time
 
 from .apply import apply_events
+from .manifest import StaleManifest
 from .table import LakeTable
 
 _SEG_RE = re.compile(r"^segment-(\d+)$")
@@ -40,10 +41,12 @@ def discover_segments(wal_root: str) -> list[tuple[int, str]]:
 
 def tail_once(table: LakeTable, wal_root: str, *, mode: str = "delta",
               compact_after: int | None = 8, extract: bool = True) -> list[int]:
-    """Apply all committed-but-unapplied segments; returns applied seqs."""
+    """Apply all committed-but-unapplied segments; returns applied seqs.
+    A segment overtaken by a concurrent commit (``StaleManifest``) is
+    re-run once, exact under LWW; a second refusal raises."""
     import ray.data as rd
 
-    done = set(table.committed_epochs())
+    done = set(table.manifest(refresh=True)["epochs"])
     applied = []
     for seq, path in discover_segments(wal_root):
         if seq in done:
@@ -53,8 +56,12 @@ def tail_once(table: LakeTable, wal_root: str, *, mode: str = "delta",
         )
         if not files:
             continue
-        apply_events(table, rd.read_parquet(files), epoch=seq, mode=mode,
-                     compact_after=compact_after, extract=extract)
+        events = rd.read_parquet(files)
+        kw = dict(epoch=seq, mode=mode, compact_after=compact_after, extract=extract)
+        try:
+            apply_events(table, events, **kw)
+        except StaleManifest:
+            apply_events(table, events, **kw)
         applied.append(seq)
     return applied
 

@@ -36,6 +36,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _MERSENNE = (1 << 61) - 1
 
@@ -309,8 +310,6 @@ def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
     gets the signatures routed to it by ``_sig_est_join``."""
     if not isinstance(pairs, pa.Table):
         return _sig_est_join(pairs, sig_ds, id_col, thr).materialize()
-    import pyarrow.compute as pc
-
     from .joins import _ds_arrow_schema_lazy
     from .util_ray import closure_broadcast, collect_small
 
@@ -329,8 +328,6 @@ def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
     get_need = closure_broadcast(need_np)
 
     def pick_sigs(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         need = get_need()
         # drop null ids FIRST: a None inside an object array makes
         # searchsorted raise, and a null in an int64 column degrades
@@ -420,7 +417,6 @@ def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
     same Dataset) fetches exactly the pair-touched texts; more get their
     texts routed to them by two keyed-shuffle hash joins (no corpus
     structure on the driver) and are verified in one map."""
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from .joins import _ds_arrow_schema_lazy, hash_join
@@ -552,23 +548,16 @@ def minhash_candidates(
     return out
 
 
-def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
-                   shingle_k: int, threshold: float, verify: str):
-    """``minhash_candidates``' pairs in the form the last step left them:
-    the estimate verify's driver branch returns its Arrow table, so
-    ``minhash_dedup`` hands it to ``_components`` without a round trip
-    through the object store."""
-    if verify not in ("estimate", "exact"):
-        raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
+def _sig_and_bands(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
+                   shingle_k: int):
+    """Per-doc MinHash signatures as a materialized ``(id, _sig)``
+    Dataset, and its lazy ``(bucket, id)`` LSH band rows -- the one
+    signature and band builder of ``minhash_dedup`` and the incremental
+    MinHash index (``cdc.dedup_index``)."""
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm)
 
-    # stage 1: per-doc signature; band rows carry ONLY (bucket, id) — the
-    # signatures stay a compact materialized side table that verification
-    # reads only for the ids in candidate pairs
     def sig_table(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         # a null id cannot participate in pair identity (band-bucket
         # pair generation sorts/compares ids, and None vs str raises);
         # drop such rows here — same semantics as the pc.is_in
@@ -585,8 +574,6 @@ def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
     sig_ds = ds.map_batches(sig_table, batch_format="pyarrow").materialize()
 
     def band_rows(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         n = batch.num_rows
         if n == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
@@ -601,7 +588,22 @@ def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
                                             rows_per_band)
         return pa.table({"bucket": bucket, id_col: ids_rep})
 
-    banded = sig_ds.map_batches(band_rows, batch_format="pyarrow")
+    return sig_ds, sig_ds.map_batches(band_rows, batch_format="pyarrow")
+
+
+def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
+                   shingle_k: int, threshold: float, verify: str):
+    """``minhash_candidates``' pairs in the form the last step left them:
+    the estimate verify's driver branch returns its Arrow table, so
+    ``minhash_dedup`` hands it to ``_components`` without a round trip
+    through the object store."""
+    if verify not in ("estimate", "exact"):
+        raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
+    # stage 1: per-doc signature; band rows carry ONLY (bucket, id) — the
+    # signatures stay a compact materialized side table that verification
+    # reads only for the ids in candidate pairs
+    sig_ds, banded = _sig_and_bands(ds, text_col, id_col, num_perm=num_perm,
+                                    bands=bands, shingle_k=shingle_k)
 
     # ONE task per hash partition of `bucket` (not per bucket): a
     # per-bucket map_groups pays ~ms pandas overhead per LSH bucket and
@@ -726,7 +728,6 @@ def connected_components_distributed(edges, *, num_partitions: int = 32):
     (``/root/reference/docetl/operations/resolve.py:441-477``) — an
     in-process union-find recast as iterated shuffles.
     """
-    import pyarrow.compute as pc
     import ray.data as rd
 
     from .joins import hash_join
@@ -819,8 +820,6 @@ def _keep_representatives(ds, id_col: str, cmap):
     A ``_components`` dict: its keys are the dropped ids, collected once
     into a vectorized ``pc.is_in`` filter per batch.  A label Dataset: a
     keyed-shuffle anti join against its ``id != label`` rows."""
-    import pyarrow.compute as pc
-
     if not isinstance(cmap, dict):
         from .joins import hash_join
 
@@ -1081,8 +1080,6 @@ def _attach_labels_join(ds, id_col: str, labels, output_col: str):
     (ids without an edge keep themselves) — no driver materialization.
     The labels travel under private names, so an input column called
     ``id`` or ``label`` (or ``id_col == "id"``) survives the join."""
-    import pyarrow.compute as pc
-
     from .joins import hash_join
 
     def private(batch: pa.Table) -> pa.Table:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 #: agg spec: (in_col, fn, out_name); fn ∈ sum,count,min,max,mean
 _PARTIAL_FNS = {"sum", "count", "min", "max", "mean"}
@@ -58,8 +59,6 @@ def _final_exprs(aggs):
 
 def _finish(merged: pa.Table, keys: list[str], aggs) -> pa.Table:
     """``keys + outputs`` from merged partials; the means finish here."""
-    import pyarrow.compute as pc
-
     cols = {k: merged[k] for k in keys}
     for _, fn, out in aggs:
         if fn == "mean":
@@ -90,9 +89,11 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]]):
     packs its buckets into as few reduce tasks as their bytes need, so a
     few-group aggregate costs a few tasks and a high-cardinality one
     stays distributed.  An input without a row gives an empty Dataset,
-    which may report no schema (the partial never runs on an empty
-    block).
+    typed ``keys + outputs`` when Ray knows the input's schema without
+    executing it (a parquet read); otherwise it may report no schema
+    (the partial never runs on an empty block).
     """
+    from .joins import _ds_arrow_schema_lazy
     from .util_ray import bucket_codes, exchange_map_groups
 
     for _, fn, _ in aggs:
@@ -118,15 +119,16 @@ def grouped_aggregate(ds, keys: list[str], aggs: list[tuple[str, str, str]]):
         return _finish(merged, keys, aggs)
 
     merge.__name__ = "grouped_aggregate"
-    return exchange_map_groups(ds, "_abucket", 16, merge, map_fn=partial_bucket)
+    # the partials' wire schema types the splits that see no row
+    schema = _ds_arrow_schema_lazy(ds)
+    wire = partial_bucket(schema.empty_table()).schema if schema is not None else None
+    return exchange_map_groups(ds, "_abucket", 16, merge, schema=wire, map_fn=partial_bucket)
 
 
 def global_aggregate(ds, aggs: list[tuple[str, str, str]]) -> dict:
     """Global (``reduce_key: "_all"``) aggregate -> one dict on the driver.
 
     Decomposes the same way (per-batch partials, tiny final merge)."""
-    import pyarrow.compute as pc
-
     def partial(batch: pa.Table) -> pa.Table:
         row = {}
         for in_col, fn, out in aggs:

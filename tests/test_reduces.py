@@ -136,3 +136,21 @@ def test_exchange_path_output_columns():
     names = ["j", "k", "z", "a", "n"]
     assert out.schema().names == names
     assert collect(out).column_names == names
+
+
+def test_empty_parquet_read_gives_typed_keys_and_outputs(tmp_path):
+    """An empty parquet read: Ray knows its schema without executing it,
+    so the result is typed ``keys + outputs`` with the types a non-empty
+    input gives (sum and mean of a double are doubles, a count int64)."""
+    import pyarrow.parquet as pq
+
+    t = pa.table({"g": pa.array([], pa.string()), "x": pa.array([], pa.float64()),
+                  "n": pa.array([], pa.int64())})
+    pq.write_table(t, tmp_path / "e.parquet")
+    aggs = [("x", "sum", "s"), ("x", "mean", "m"), ("n", "count", "c"), ("n", "max", "hi")]
+    want = pa.schema([("g", pa.string()), ("s", pa.float64()), ("m", pa.float64()),
+                      ("c", pa.int64()), ("hi", pa.int64())])
+    got = collect(grouped_aggregate(rd.read_parquet(str(tmp_path / "e.parquet")), ["g"], aggs))
+    assert got.num_rows == 0 and got.schema == want
+    full = pa.table({"g": ["a", "b", "a"], "x": [1.0, 2.0, 3.0], "n": [1, 2, 3]})
+    assert collect(grouped_aggregate(rd.from_arrow(full), ["g"], aggs)).schema == want

@@ -211,25 +211,6 @@ def test_metadata_free_schema_bounded_footer_scan(tmp_path):
     assert s is not None and s.metadata is None
 
 
-def test_cli_compact_after_parses_auto_none_int():
-    """The CLI mirrors the library's compact_after="auto" default — an
-    int-typed None default silently disabled auto-compaction for every
-    CLI delta ingest; "none" restores manual compact().  Guards the
-    PARSED namespace (not just the type fn), so reverting the default
-    back to None fails here."""
-    from docetl_ray.cli import _compact_after, build_parser
-
-    assert _compact_after("auto") == "auto"
-    assert _compact_after("none") is None
-    assert _compact_after("3") == 3
-
-    base = ["apply", "--wal", "w", "--table", "t", "--epoch", "0"]
-    parse = build_parser().parse_args
-    assert parse(base).compact_after == "auto"
-    assert parse(base + ["--compact-after", "none"]).compact_after is None
-    assert parse(base + ["--compact-after", "7"]).compact_after == 7
-
-
 def test_correctness_window_rotation_policy():
     """Every queries() entry must have a green driver row within the
     last two rounds: entries green in neither of the two newest

@@ -52,3 +52,37 @@ def test_tail_resume_skips_applied(tmp_path):
 def test_tail_once_empty_root(tmp_path):
     table = LakeTable(str(tmp_path / "lake"))
     assert tail_once(table, str(tmp_path / "missing")) == []
+
+
+def test_tail_reruns_an_epoch_a_concurrent_compaction_overtook(tmp_path, monkeypatch):
+    """A second handle commits a compaction between the tailer's read and
+    its epoch commit: the commit is refused, ``tail_once`` re-reads and
+    re-runs the epoch once, and the state equals the replay oracle."""
+    from docetl_ray.cdc import compact
+
+    wal = str(tmp_path / "wal")
+    os.makedirs(wal)
+    segs = [synth.events_table(i * 1000, 1000) for i in range(3)]
+    for i, seg in enumerate(segs[:2]):
+        write_segment(wal, i, seg)
+    root = str(tmp_path / "lake")
+    table = LakeTable(root, num_partitions=4)
+    assert tail_once(table, wal) == [0, 1]
+    write_segment(wal, 2, segs[2])
+    real, calls = table.commit, []
+
+    def racing(epoch, records, metrics=None):
+        calls.append(epoch)
+        if len(calls) == 1:
+            compact(LakeTable(root), tag="racer", policy="full")
+        return real(epoch, records, metrics=metrics)
+
+    monkeypatch.setattr(table, "commit", racing)
+    assert tail_once(table, wal) == [2]
+    assert calls == [2, 2]
+    m = LakeTable(root).manifest()
+    assert m["epochs"] == [0, 1, 2] and m["compactions"] == ["racer"]
+    oracle = replay_oracle(pa.concat_tables(segs))
+    eng = _state(table)
+    assert eng["lsn"].to_pylist() == oracle["lsn"].to_pylist()
+    assert eng["text"].to_pylist() == oracle["text"].to_pylist()
