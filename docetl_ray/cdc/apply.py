@@ -68,7 +68,7 @@ import pyarrow.parquet as pq
 
 from ..html_text import extract_text_batch
 from ..schemas import OP_DELETE, unify_tables
-from .manifest import StaleManifest, fsync_path
+from .manifest import StaleManifest, fsync_path, run_dir
 from .table import LakeTable
 
 _LWW_KEYS = [("url", "ascending"), ("warc_ts", "ascending"), ("lsn", "ascending")]
@@ -291,11 +291,12 @@ class _ApplyPartition:
 
     The reduce ``fn`` of ``util_ray.exchange_refs`` for the apply and
     ``resplit``; it writes under ``out_dir`` (relative to the table
-    root: the epoch's ``epochs/epoch-N`` or the resplit's
-    ``resplits/<tag>``).  The partition->files map of the current
-    manifest is broadcast once via ``ray.put`` and read zero-copy in
-    each task (no per-batch reshipping); ``resplit`` passes ``{}``, as
-    it sends every partition its whole state.  Returns the partition's
+    root: the run's ``epochs/epoch-N/<run id>`` or
+    ``resplits/<tag>/<run id>``, ``manifest.run_dir``).  The
+    partition->files map of the current manifest is broadcast once via
+    ``ray.put`` and read zero-copy in each task (no per-batch
+    reshipping); ``resplit`` passes ``{}``, as it sends every partition
+    its whole state.  Returns the partition's
     lineage rows as plain dicts — one, or none for an empty partition,
     which writes no file.  (Dicts, not an Arrow table: Ray's per-table
     serialization measured ~30 ms per 16-partition epoch on one CPU, a
@@ -377,7 +378,7 @@ def apply_events(
     t0 = time.perf_counter()
     combine = functools.partial(partial_apply, num_partitions=nparts, extract=extract)
     applier = _ApplyPartition(
-        ref, table.root, os.path.join("epochs", f"epoch-{epoch:07d}"), mode)
+        ref, table.root, run_dir(os.path.join("epochs", f"epoch-{epoch:07d}")), mode)
     # the pre-combine runs inside the split tasks (map_fn): as a Ray Data
     # map operator in front of the exchange it cost more in scheduling
     # than in work (BASELINE.md round 8).  The lineage rows come straight
@@ -418,7 +419,7 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
     must survive the move) re-routes by ``url_partition`` mod M through
     the same keyed exchange and the same reduce (``_ApplyPartition``,
     with no base) as the apply path; each new partition writes one file
-    under ``resplits/<tag>/``, and
+    under ``resplits/<tag>/<run id>/``, and
     ``commit_resplit`` swaps the whole partition map + partition count in
     one atomic manifest write.  Subsequent ``apply_events`` calls pick up
     the new count from the manifest (``LakeTable.manifest`` syncs
@@ -441,7 +442,7 @@ def resplit(table: LakeTable, new_num_partitions: int, *, tag: str) -> dict:
             .append_column("_lsn_hi", batch["lsn"]) \
             .append_column("part", pa.array(part, pa.int32()))
 
-    writer = _ApplyPartition({}, table.root, os.path.join("resplits", tag))
+    writer = _ApplyPartition({}, table.root, run_dir(os.path.join("resplits", tag)))
     out = exchange_refs(ds, "part", new_num_partitions, writer, map_fn=add_part)
     recs = [r for rows in ray.get(out) for r in rows]
     return table.commit_resplit(tag, new_num_partitions, recs)
@@ -500,15 +501,12 @@ def compact(
     row in an untouched level), so a watermark forces full folds.
     Idempotent per ``tag``.  The folds run as packed plain tasks
     (``_packed_tasks``), each folding its range in pid order and writing
-    each fold atomically under ``compactions/<tag>/``."""
+    each fold atomically under ``compactions/<tag>/<run id>/``."""
     import ray
 
-    # committed-tag re-runs must return BEFORE any file IO: a fold
-    # writes into compactions/<tag>/, and after the first commit those
-    # paths are live manifest levels — a re-run that re-merged (now with
-    # freshly stacked deltas) would overwrite a live file while
-    # commit_compaction's replay guard discards the new records, leaving
-    # the manifest checksum pointing at content that no longer exists.
+    # committed-tag re-runs return before any work: their commit would be
+    # a no-op.  A stale run that passed this check writes into its own
+    # run directory, never over the committed one's files.
     if tag in table.manifest(refresh=True).get("compactions", []):
         return table.manifest()
 
@@ -528,16 +526,17 @@ def compact(
     if not todo:
         return table.manifest()
 
-    refs = _packed_tasks(_fold_partitions, todo, table.root, tag, policy,
+    refs = _packed_tasks(_fold_partitions, todo, table.root,
+                         run_dir(os.path.join("compactions", tag)), policy,
                          drop_tombstones_below_lsn)
     return table.commit_compaction(tag, [r for recs in ray.get(refs) for r in recs])
 
 
-def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
+def _fold_partitions(root: str, out_dir: str, policy: str, gc_lsn: int | None,
                      todo: list) -> list[dict]:
     """One compaction task: fold each ``(pid, paths)`` of ``todo`` into
-    ``compactions/<tag>/part-<pid>.parquet`` and return their lineage
-    records, in order (``compact``)."""
+    ``<out_dir>/part-<pid>.parquet`` (``out_dir`` relative to ``root``)
+    and return their lineage records, in order (``compact``)."""
     out_rows = []
     for pid, paths in todo:
         kept: list[str] = []
@@ -562,7 +561,7 @@ def _fold_partitions(root: str, tag: str, policy: str, gc_lsn: int | None,
         # the record's checksum is the new level's: the newest-level
         # contract delta-mode commits already use for multi-level
         # partitions (table.py), deterministic per fold schedule
-        rec = _write_partition(root, os.path.join("compactions", tag), pid, merged)
+        rec = _write_partition(root, out_dir, pid, merged)
         # kept-base contribution from the parquet footer only (no
         # column scan — tiered exists to keep each trigger O(recent
         # deltas)): physical rows bound live rows, and a base row

@@ -13,8 +13,12 @@ epoch is a no-op and returns the identical survivor set).
 Cost: step (1) exchanges every prior segment's keys again, so an epoch
 costs O(epoch + index), not O(epoch): on one CPU, an exact index's epoch
 of 20,000 new docs took a median 693 ms at 60-120k index rows and
-1,118 ms at 420-480k (about 1 ms more per 1,000 index rows).  The
-documents themselves are never rescanned.
+1,118 ms at 420-480k (about 1 ms more per 1,000 index rows).  A MinHash
+epoch runs ``minhash_dedup``'s steps on its one signature pass: with a
+prior segment, three keyed exchanges at default bounds (the bands join,
+the band pairs, the survivors' semi join); 2,200 synth docs against a
+1.8-5.4k-doc index took 2.1-2.3 s on one CPU.  The documents themselves
+are never rescanned.
 
 Reference analogue: DocETL's resolve/dedup is one-shot over a fully
 materialized corpus (``/root/reference/docetl/operations/resolve.py:
@@ -25,8 +29,11 @@ continuous ingest.
 Layout under ``root/``::
 
     manifest.json
-    segments/epoch-0000001-keys/   (exact: (h, id) | minhash: (bucket, id))
-    segments/epoch-0000001-sigs/   (minhash only: (id, _sig list<int64>))
+    segments/epoch-0000001-keys/<run id>/   (exact: (h, id) | minhash: (bucket, id))
+    segments/epoch-0000001-sigs/<run id>/   (minhash only: (id, _sig list<int64>))
+
+Each run of an epoch stages under a fresh run id (``manifest.run_dir``),
+so a stale run of a committed epoch never touches the committed files.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .manifest import Store, fsync_path
+from .manifest import Store, fsync_path, run_dir
 
 _EMPTY = {"version": 1, "kind": None, "params": {}, "epochs": [], "segments": {}}
 
@@ -90,8 +97,10 @@ class DedupIndex(Store):
         return sorted(out)
 
     def staging_dir(self, epoch: int, part: str) -> str:
-        d = os.path.join(self.root, "segments", f"epoch-{epoch:07d}-{part}")
-        os.makedirs(d, exist_ok=True)
+        """A fresh directory for one run's ``part`` segment of ``epoch``:
+        ``segments/epoch-N-<part>/<run id>``, the run id new per call."""
+        d = os.path.join(self.root, run_dir(os.path.join("segments", f"epoch-{epoch:07d}-{part}")))
+        os.makedirs(d)
         return d
 
     def commit_epoch(self, epoch: int, parts: dict[str, str], rows: int) -> dict:
@@ -119,12 +128,12 @@ def _seal_segment(out_dir: str, schema: pa.Schema) -> int:
 
 
 def _stage_segment(index: DedupIndex, epoch: int, part: str, ds, schema: pa.Schema):
-    """Write ``ds`` as the epoch's ``part`` segment and seal it; returns
-    its directory (relative to the index root) and rows.  Staging: a
-    retry may rewrite it, as nothing references it until the commit."""
+    """Write ``ds`` as the epoch's ``part`` segment, in a directory of
+    its own run, and seal it; returns that directory (relative to the
+    index root) and rows.  Nothing references it until the commit, and
+    a stale run of a committed epoch writes beside, never over, the
+    committed segment."""
     d = index.staging_dir(epoch, part)
-    for f in os.listdir(d):
-        os.unlink(os.path.join(d, f))
     ds.write_parquet(d)
     return os.path.relpath(d, index.root), _seal_segment(d, schema)
 
@@ -215,9 +224,11 @@ def incremental_minhash_dedup(
 
     1. band-bucket join of the epoch's docs against the index's committed
        ``(bucket, id)`` segments (keyed shuffle — only colliding buckets
-       move), signature-estimated Jaccard >= ``threshold`` drops the doc;
-    2. surviving docs near-dedup among themselves via
-       :func:`stages.dedup.minhash_dedup` (min-id representative);
+       move); a doc whose signature-estimated Jaccard with an indexed doc
+       is >= ``threshold`` drops;
+    2. the rest near-dedup among themselves through the steps of
+       :func:`stages.dedup.minhash_dedup`, on the signatures already
+       computed (min-id representative);
     3. final survivors' ``(bucket, id)`` + ``(id, _sig)`` commit as the
        epoch's segments (atomic manifest swap, idempotent replay).
 
@@ -226,9 +237,10 @@ def incremental_minhash_dedup(
     """
     import ray.data as rd
 
-    from ..stages.dedup import _sig_and_bands, minhash_dedup
-    from ..stages.joins import hash_join
-    from ..stages.reduces import grouped_aggregate
+    from ..stages.dedup import (_band_rows, _components, _distinct_pairs, _drop_ids,
+                                _est_pairs, _est_prefilter, _keep_representatives,
+                                _sig_and_bands)
+    from ..stages.joins import _ds_arrow_schema_lazy, hash_join
 
     if index.kind != "minhash":
         raise ValueError("incremental_minhash_dedup needs a minhash-kind index")
@@ -238,99 +250,48 @@ def incremental_minhash_dedup(
     if m["params"] and m["params"] != want:
         raise ValueError(f"index params {m['params']} != requested {want}")
     index.params = want  # commit_epoch pins it into the manifest
-    committed = epoch in m["epochs"]
-    if not committed:
-        from ..stages.joins import _ds_arrow_schema_lazy
-
+    if epoch not in m["epochs"]:
         sig_ds, band_ds = _sig_and_bands(
             ds, text_col, id_col, num_perm=num_perm, bands=bands, shingle_k=shingle_k
         )
         sig_schema = _ds_arrow_schema_lazy(sig_ds)  # materialized -> cheap
         idt = sig_schema.field(id_col).type
-        sigt = sig_schema.field("_sig").type
-        new_ids_dropped = None
+        band_schema = pa.schema([("bucket", pa.int64()), (id_col, idt)])
         prior_keys = index.segment_files("keys")
         if prior_keys:
-            old_bands = rd.read_parquet(prior_keys).map_batches(
-                lambda t: t.rename_columns(["bucket", "_oid"]), batch_format="pyarrow"
-            )
-            # candidate (new, old) pairs: bucket-keyed shuffle join, then
-            # per-pair dedup (a pair can collide in several bands)
+            # candidate (epoch, index) pairs: the bucket-keyed join moves
+            # only the colliding buckets' rows to each other
             cand = hash_join(
-                band_ds, old_bands, on="bucket",
-                left_schema=pa.schema([("bucket", pa.int64()), (id_col, idt)]),
-                right_schema=pa.schema([("bucket", pa.int64()), ("_oid", idt)]),
-            ).select_columns([id_col, "_oid"])
-            cand = grouped_aggregate(
-                cand.map_batches(
-                    lambda t: t.append_column("_one", pa.array(np.ones(t.num_rows, np.int8))),
-                    batch_format="pyarrow",
-                ),
-                [id_col, "_oid"], [("_one", "count", "_n")],
+                band_ds.map_batches(lambda t: t.rename_columns(["bucket", "id_a"]),
+                                    batch_format="pyarrow"),
+                rd.read_parquet(prior_keys).map_batches(
+                    lambda t: t.rename_columns(["bucket", "id_b"]), batch_format="pyarrow"),
+                on="bucket",
+                left_schema=pa.schema([("bucket", pa.int64()), ("id_a", idt)]),
+                right_schema=pa.schema([("bucket", pa.int64()), ("id_b", idt)]),
+            ).select_columns(["id_a", "id_b"])
+            # each side's signatures are fetched from its own table: an
+            # epoch id equal to an index id still compares its own
+            # signature with the index's
+            hits = _est_prefilter(
+                _distinct_pairs(cand), (sig_ds, id_col),
+                (rd.read_parquet(index.segment_files("sigs")), id_col),
+                num_perm, threshold,
             )
-            old_sigs = rd.read_parquet(index.segment_files("sigs"))
-            old_sigs = old_sigs.map_batches(
-                lambda t: t.rename_columns(["_oid", "_osig"]), batch_format="pyarrow"
-            )
-            pair_schema = pa.schema([(id_col, idt), ("_oid", idt), ("_n", pa.int64())])
-            with_new = hash_join(
-                cand, sig_ds.map_batches(
-                    lambda t: t.rename_columns(["_nid", "_nsig"]), batch_format="pyarrow"
-                ),
-                on=id_col, right_on="_nid", num_buckets=8,
-                left_schema=pair_schema,
-                right_schema=pa.schema([("_nid", idt), ("_nsig", sigt)]),
-            )
-            # with_new keeps its right key column (_nid) — the wire schema
-            # must carry it or the bucketize pad drops rows' columns
-            with_both = hash_join(
-                with_new, old_sigs, on="_oid", right_on="_oid", num_buckets=8,
-                left_schema=pa.schema(
-                    list(pair_schema)
-                    + [pa.field("_nid", idt), pa.field("_nsig", sigt)]
-                ),
-                right_schema=pa.schema([("_oid", idt), ("_osig", sigt)]),
-            )
-
-            def est(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0:
-                    return pa.table({id_col: pa.array([], idt)})
-                sn = np.asarray(batch["_nsig"].to_pylist(), dtype=np.int64)
-                so = np.asarray(batch["_osig"].to_pylist(), dtype=np.int64)
-                m = (sn == so).mean(axis=1) >= threshold
-                return pa.table({id_col: batch[id_col].filter(pa.array(m))})
-
-            est.__name__ = "vs_index_estimate"
-            new_ids_dropped = grouped_aggregate(
-                with_both.map_batches(est, batch_format="pyarrow").map_batches(
-                    lambda t: t.append_column("_one", pa.array(np.ones(t.num_rows, np.int8))),
-                    batch_format="pyarrow",
-                ),
-                [id_col], [("_one", "count", "_n")],
-            ).select_columns([id_col])
-        stage1 = ds
-        if new_ids_dropped is not None:
-            # right_schema pinned: an all-kept epoch makes the dropped set
-            # EMPTY, and lazy inference on an empty join chain returns no
-            # schema (which would crash the anti join's key rename)
-            stage1 = hash_join(
-                ds, new_ids_dropped, on=id_col, how="anti",
-                right_schema=pa.schema([(id_col, idt)]),
-            )
-        # within-epoch near-dedup among the index-survivors
-        stage2, _cmap = minhash_dedup(
-            stage1, text_col, id_col,
-            num_perm=num_perm, bands=bands, shingle_k=shingle_k, threshold=threshold,
-        )
-        surv_ids = stage2.select_columns([id_col])
-        kept_sigs = hash_join(sig_ds, surv_ids, on=id_col, how="semi")
-        kept_bands = hash_join(
-            band_ds, surv_ids, on=id_col, how="semi",
-            left_schema=pa.schema([("bucket", pa.int64()), (id_col, idt)]),
-        )
-        sigs, n_kept = _stage_segment(index, epoch, "sigs", kept_sigs,
-                                      pa.schema([(id_col, idt), ("_sig", sigt)]))
-        keys, _ = _stage_segment(index, epoch, "keys", kept_bands,
-                                 pa.schema([("bucket", pa.int64()), (id_col, idt)]))
+            if isinstance(hits, pa.Table):
+                dropped = pc.unique(hits["id_a"])
+            else:
+                dropped = hits.map_batches(lambda t: pa.table({"id": t["id_a"]}),
+                                           batch_format="pyarrow")
+            sig_ds = _drop_ids(sig_ds, id_col, dropped).materialize()
+            band_ds = _band_rows(sig_ds, id_col, num_perm=num_perm, bands=bands)
+        # within-epoch near-dedup among the index survivors, on the
+        # signatures already computed; min-id representative per cluster
+        cmap = _components(_est_pairs(sig_ds, band_ds, id_col, num_perm, threshold))
+        kept_sigs = _keep_representatives(sig_ds, id_col, cmap).materialize()
+        sigs, n_kept = _stage_segment(index, epoch, "sigs", kept_sigs, sig_schema)
+        keys, _ = _stage_segment(index, epoch, "keys",
+                                 _band_rows(kept_sigs, id_col, num_perm=num_perm, bands=bands),
+                                 band_schema)
         index.commit_epoch(epoch, {"keys": keys, "sigs": sigs}, n_kept)
     return _kept(index, ds, id_col, epoch, "sigs")

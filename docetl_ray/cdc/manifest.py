@@ -14,8 +14,9 @@ to the manifest on disk, under an exclusive ``flock`` on
 3. a ``generation`` other than the one the caller read raises
    ``StaleManifest`` and writes nothing: writing back a manifest read
    before another commit landed would silently drop that commit;
-4. fsync the directories the new records point into, write
-   ``manifest.json.tmp``, fsync it, ``os.replace`` it and fsync ``root``.
+4. fsync the directories the new records point into and those above
+   them, write ``manifest.json.tmp``, fsync it, ``os.replace`` it and
+   fsync ``root``.
 
 The tasks that stage data files fsync each before its rename, so the
 new manifest names only files on disk.  A crash before the rename
@@ -28,6 +29,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import uuid
 from typing import Any, Callable, Iterable
 
 MANIFEST = "manifest.json"
@@ -46,6 +48,20 @@ def fsync_path(path: str) -> None:
         os.close(fd)
 
 
+def _ancestors(d: str):
+    """``d`` and each directory above it, below the root."""
+    while d:
+        yield d
+        d = os.path.dirname(d)
+
+
+def run_dir(prefix: str) -> str:
+    """``prefix/<run id>``, a new run id per call: one run's staging
+    directory, so a stale run of a committed epoch or tag writes beside
+    the committed files, never over them (its commit is step 2's no-op)."""
+    return os.path.join(prefix, uuid.uuid4().hex[:16])
+
+
 def load(root: str) -> dict[str, Any] | None:
     """The committed manifest under ``root``; None before the first commit."""
     try:
@@ -59,8 +75,8 @@ def commit(root: str, seen: dict, log: str, tag, change: Callable[[dict], None],
            dirs: Iterable[str]) -> dict[str, Any]:
     """Commit ``change`` (it edits a manifest in place) as ``tag`` of
     ``log``, against ``seen``, the manifest the caller read; ``dirs``
-    (relative to ``root``, one level below it) hold the new records'
-    files.  Returns the manifest now committed."""
+    (relative to ``root``) hold the new records' files.  Returns the
+    manifest now committed."""
     os.makedirs(root, exist_ok=True)
     with open(os.path.join(root, "manifest.lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
@@ -77,8 +93,9 @@ def commit(root: str, seen: dict, log: str, tag, change: Callable[[dict], None],
         if log == "epochs":
             m[log].sort()  # WAL positions, whatever order they land in
         m["generation"] = m.get("generation", 0) + 1
-        # each directory, then its entry in its parent
-        for d in sorted({p for d in dirs for p in (d, os.path.dirname(d)) if p}, reverse=True):
+        # each directory, then its entry in its parent, up to the root
+        # (a run directory is new, and so may be its epoch's or tag's)
+        for d in sorted({p for d in dirs for p in _ancestors(d)}, reverse=True):
             fsync_path(os.path.join(root, d))
         path = os.path.join(root, MANIFEST)
         with open(path + ".tmp", "w") as f:

@@ -4,15 +4,17 @@ epoch-keyed commit manifest (the exactly-once sink).
 Layout under ``root/``::
 
     manifest.json                  <- atomic pointer to current state
-    epochs/epoch-0000042/part-00013.parquet
-    compactions/<tag>/part-00013.parquet
-    resplits/<tag>/part-00013.parquet
+    epochs/epoch-0000042/<run id>/part-00013.parquet
+    compactions/<tag>/<run id>/part-00013.parquet
+    resplits/<tag>/<run id>/part-00013.parquet
 
 Commit protocol: ``cdc/manifest.py``.  Partition tasks stage (and
-fsync) their files in the epoch's, compaction's or resplit's own
-directory, unreferenced until the driver commits their lineage records;
-a crash before that leaves the previous manifest, and a re-run
-overwrites the staged files and commits once.
+fsync) their files in their run's own directory (a fresh run id per
+``apply_events`` / ``compact`` / ``resplit`` call, ``manifest.run_dir``),
+unreferenced until the driver commits their lineage records; a crash
+before that leaves the previous manifest, and a re-run stages beside the
+dead run's files and commits once.  A stale run of a committed epoch or
+tag cannot overwrite the files the manifest names.
 
 Replaying an epoch that is already in ``manifest["epochs"]`` is a no-op,
 and the LWW merge itself is idempotent, so retries / duplicate WAL

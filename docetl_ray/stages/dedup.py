@@ -6,18 +6,24 @@ reference's LLM ``resolve``; same role as its embedding blocking,
 ``/root/reference/docetl/operations/resolve.py:296-340``) built
 shuffle-consciously:
 
-  shingle/minhash per batch (vectorized numpy)
-    -> explode to (band bucket, id) rows
-    -> ONE keyed exchange on the band bucket (``partitioned_map``)
+  shingle/minhash per batch (vectorized numpy; ``_sig_and_bands``)
+    -> explode to (band bucket, id) rows (``_band_rows``)
+    -> ONE keyed exchange on the band bucket (``_est_pairs``)
        -> candidate pairs per bucket
     -> verify: ``_distinct_pairs`` -> ``_est_prefilter`` (signature-
        estimated Jaccard over the pair-touched signatures only); at the
        threshold that is the answer (``verify="estimate"``), and at
        threshold - margin it prefilters ``_verify_text_pairs`` (true
        char-k-gram Jaccard, ``_pair_jaccard``; ``verify="exact"``, the
-       pipeline shared with ``fuzzy_join``).  Each step runs on the
-       driver under its size bound and through keyed exchanges above it
+       pipeline shared with ``fuzzy_join``).  Both scores go through one
+       pair-value step, ``_scored_pairs``: on the driver under its size
+       bound, two keyed-shuffle joins above it
     -> connected components (``_components``) -> canonical id per cluster
+
+The incremental MinHash index (``cdc.dedup_index``) runs the same steps
+on its epoch's signatures: the estimate against the index's signatures
+for the epoch-vs-index pairs, then ``_est_pairs`` and ``_components``
+within the epoch.
 
 Connected components follow the same rule: thresholded edges are a tiny
 fraction of the corpus, so up to ``_DRIVER_PAIRS`` of them run through
@@ -180,74 +186,23 @@ def _bucket_pair_indices(
     return np.concatenate(xs), np.concatenate(ys), n_capped
 
 
-def _sig_est_join(pairs_ds, sig_ds, id_col: str, thr: float):
-    """Signature-estimated Jaccard per pair with the signatures routed
-    TO the pairs by two keyed-shuffle hash joins — no driver-side
-    id->signature map, so the path has no corpus-size ceiling.  Returns
-    ``(id_a, id_b, est_jaccard)`` filtered to ``est_jaccard >= thr``:
-    ``_est_prefilter``'s branch above ``_DRIVER_PAIRS``."""
-    from .joins import _ds_arrow_schema_lazy, hash_join
-
-    def ren(suffix):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {f"_sid{suffix}": batch[id_col], f"_sig{suffix}": batch["_sig"]}
-            )
-
-        fn.__name__ = f"sig{suffix}"
-        return fn
-
-    sig_schema = _ds_arrow_schema_lazy(sig_ds)  # materialized -> cheap
-    idt = sig_schema.field(id_col).type
-    sigt = sig_schema.field("_sig").type
-    left_schema = pa.schema([("id_a", idt), ("id_b", idt)])
-    with_a = hash_join(
-        pairs_ds, sig_ds.map_batches(ren("a"), batch_format="pyarrow"),
-        on="id_a", right_on="_sida",
-        left_schema=left_schema,
-        right_schema=pa.schema([("_sida", idt), ("_siga", sigt)]),
-    )
-    with_ab = hash_join(
-        with_a, sig_ds.map_batches(ren("b"), batch_format="pyarrow"),
-        on="id_b", right_on="_sidb",
-        left_schema=pa.schema(
-            list(left_schema) + [pa.field("_sida", idt), pa.field("_siga", sigt)]
-        ),
-        right_schema=pa.schema([("_sidb", idt), ("_sigb", sigt)]),
-    )
-
-    def est_pair(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [("id_a", idt), ("id_b", idt), ("est_jaccard", pa.float64())]
-            ).empty_table()
-        sa = np.asarray(batch["_siga"].to_pylist(), dtype=np.int64)
-        sb = np.asarray(batch["_sigb"].to_pylist(), dtype=np.int64)
-        est = (sa == sb).mean(axis=1)
-        out = pa.table(
-            {"id_a": batch["id_a"], "id_b": batch["id_b"],
-             "est_jaccard": pa.array(est, pa.float64())}
-        )
-        return out.filter(pa.compute.greater_equal(out["est_jaccard"], thr))
-
-    est_pair.__name__ = "minhash_est_join"
-    return with_ab.map_batches(est_pair, batch_format="pyarrow")
-
-
-# Candidate-pair verification, shared by ``minhash_candidates`` and
-# ``fuzzy_join``: the distinct pairs, their signature estimate, then (for
-# ``verify="exact"``) the exact shingle Jaccard of their texts.  Under
-# each bound the step runs on the driver (only pair ids, then the
-# pair-touched signatures or texts, are collected); above it, through
-# keyed exchanges.  ``_components`` puts connected components on the
-# same pair bound, and there too it is driver memory, not a speed
-# crossover: on one CPU the union-find beat min-label propagation at every
-# size measured (1M pair edges: 1.9 s vs 5.1 s; 2M: 3.1 s vs 8.3 s) while
-# its dict grew the driver by ~190 MB per 1M edges.  The text bound is
-# driver memory as well: up to twice as many texts as pairs are
-# collected, so it assumes ~KB texts.
-_DRIVER_PAIRS = 2_000_000  # raw pairs deduplicated / edges unioned on the driver
-_SPARSE_TEXT_PAIRS = 100_000  # distinct pairs verified on the driver
+# Candidate-pair verification, shared by ``minhash_candidates``, the
+# incremental MinHash index (``cdc.dedup_index``) and ``fuzzy_join``: the
+# distinct pairs, their signature estimate, then (for ``verify="exact"``)
+# the exact shingle Jaccard of their texts.  Both scores go through one
+# pair-value step, ``_scored_pairs``: up to its bound it runs on the
+# driver (only pair ids, then the pair-touched signatures or texts, are
+# collected); above it two keyed-shuffle hash joins route the values to
+# the pairs.  The estimate's bound is ``_DRIVER_PAIRS``, the text
+# verify's ``_SPARSE_TEXT_PAIRS``; both are driver memory.
+# ``_components`` puts connected components on the pair bound too, and
+# there too it is driver memory, not a speed crossover: on one CPU the
+# union-find beat min-label propagation at every size measured (1M pair
+# edges: 1.9 s vs 5.1 s; 2M: 3.1 s vs 8.3 s) while its dict grew the
+# driver by ~190 MB per 1M edges.  The text bound assumes ~KB texts: up
+# to twice as many texts as pairs are collected.
+_DRIVER_PAIRS = 2_000_000  # raw pairs deduplicated / scored / edges unioned on the driver
+_SPARSE_TEXT_PAIRS = 100_000  # distinct pairs text-verified on the driver
 
 
 def _pair_jaccard(ids_a, ids_b, texts_a, texts_b, k: int, *,
@@ -301,96 +256,6 @@ def _distinct_pairs(cand):
     return partitioned_map(cand, ["id_a", "id_b"], _drop_duplicate_pairs).materialize()
 
 
-def _est_prefilter(pairs, sig_ds, id_col: str, num_perm: int, thr: float):
-    """The distinct pairs whose signature-estimated Jaccard is at least
-    ``thr``, as ``(id_a, id_b, est_jaccard)`` in the form
-    ``_distinct_pairs`` returned them.  A driver table is filtered on the
-    driver against the signatures of exactly the ids it touches (one
-    map-only pass fetches them: O(pairs), never O(corpus)); a Dataset
-    gets the signatures routed to it by ``_sig_est_join``."""
-    if not isinstance(pairs, pa.Table):
-        return _sig_est_join(pairs, sig_ds, id_col, thr).materialize()
-    from .joins import _ds_arrow_schema_lazy
-    from .util_ray import closure_broadcast, collect_small
-
-    if pairs.num_rows == 0:
-        idt = _ds_arrow_schema_lazy(sig_ds).field(id_col).type
-        return pa.schema([("id_a", idt), ("id_b", idt),
-                          ("est_jaccard", pa.float64())]).empty_table()
-
-    # sorted once so per-batch membership below is a searchsorted —
-    # pc.is_in would rebuild its hash set from the value_set on EVERY
-    # corpus batch, and a bare closure over a multi-MB array would ship
-    # per task instead of once per worker
-    need_np = np.sort(pc.unique(pa.chunked_array(
-        pairs["id_a"].chunks + pairs["id_b"].chunks
-    )).to_numpy(zero_copy_only=False))
-    get_need = closure_broadcast(need_np)
-
-    def pick_sigs(batch: pa.Table) -> pa.Table:
-        need = get_need()
-        # drop null ids FIRST: a None inside an object array makes
-        # searchsorted raise, and a null in an int64 column degrades
-        # to_numpy to float64, breaking bit-exact id comparison past 2^53
-        batch = batch.filter(pc.is_valid(batch[id_col]))
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        if not len(ids):
-            t = batch
-        else:
-            ix = np.minimum(np.searchsorted(need, ids), len(need) - 1)
-            t = batch.filter(pa.array(np.asarray(need[ix] == ids, dtype=bool)))
-        return pa.table({"_pid": t[id_col], "_psig": t["_sig"]})
-
-    pick_sigs.__name__ = "minhash_pick_pair_sigs"
-    small_sig = collect_small(sig_ds.map_batches(pick_sigs, batch_format="pyarrow"))
-    sig_mat = (
-        pc.list_flatten(small_sig["_psig"].combine_chunks())
-        .to_numpy(zero_copy_only=False)
-        .reshape(small_sig.num_rows, num_perm)
-    )
-    # id -> sig_mat row, LAST-wins on duplicate ids (the corpus id_col
-    # isn't guaranteed unique; a plain pd.Index would raise
-    # InvalidIndexError from get_indexer on duplicates)
-    pos = pd.Series(np.arange(small_sig.num_rows),
-                    index=small_sig["_pid"].to_pylist())
-    pos = pos[~pos.index.duplicated(keep="last")]
-    row_of, row_map = pos.index, pos.to_numpy()
-    ids_a = pairs["id_a"].to_numpy(zero_copy_only=False)
-    ids_b = pairs["id_b"].to_numpy(zero_copy_only=False)
-    est = np.empty(pairs.num_rows, dtype=np.float64)
-    # column-wise accumulation into PREALLOCATED buffers: a full (pairs,
-    # num_perm) fancy-index gather allocates O(pairs x num_perm x 8 B) of
-    # fresh pages, and first-touch page-fault cost dominated the
-    # vectorized compare by 30-50x (2.4-4.5 s vs 0.09 s for 155k pairs on
-    # one host); per-perm int64 ``np.take(..., out=)`` keeps the working
-    # set at O(pairs) whatever num_perm is, and chunking bounds that too
-    for lo in range(0, len(ids_a), 1_000_000):
-        ch_a, ch_b = ids_a[lo:lo + 1_000_000], ids_b[lo:lo + 1_000_000]
-        ra, rb = row_of.get_indexer(ch_a), row_of.get_indexer(ch_b)
-        if (ra < 0).any() or (rb < 0).any():
-            # -1 would silently np.take the LAST row's signature
-            missing = set(ch_a[ra < 0]) | set(ch_b[rb < 0])
-            raise KeyError(
-                f"minhash exact prefilter: pair ids missing from "
-                f"signature table: {sorted(missing)[:5]}"
-            )
-        ra, rb = row_map[ra], row_map[rb]
-        n_ch = len(ra)
-        acc = np.zeros(n_ch, dtype=np.int32)
-        eq = np.empty(n_ch, dtype=bool)
-        ca = np.empty(n_ch, dtype=np.int64)
-        cb = np.empty(n_ch, dtype=np.int64)
-        for j in range(num_perm):
-            col = sig_mat[:, j]
-            np.take(col, ra, out=ca)
-            np.take(col, rb, out=cb)
-            np.equal(ca, cb, out=eq)
-            acc += eq
-        est[lo:lo + n_ch] = acc / num_perm  # == _sig_est_join's mean
-    out = pairs.append_column("est_jaccard", pa.array(est, pa.float64()))
-    return out.filter(pc.greater_equal(out["est_jaccard"], thr))
-
-
 def _id_type(ds, col: str, schema=None) -> pa.DataType:
     """``ds``'s ``col`` type, to type an empty result: read from the
     upstream when Ray knows no lazy schema (an empty ``from_arrow``)."""
@@ -400,101 +265,146 @@ def _id_type(ds, col: str, schema=None) -> pa.DataType:
     return s.field(col).type if col in s.names else pa.int64()
 
 
-def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
-                       names, schemas=(None, None)):
-    """The distinct candidate pairs whose texts' exact char-k-gram
-    Jaccard is at least ``threshold``, as a Dataset with columns
-    ``names`` = (id_a, id_b, Jaccard) — ``id_a`` naming a ``left`` row
-    and ``id_b`` a ``right`` row.
+def _pick(side, need: pa.Array) -> pa.Table:
+    """``(_pid, _pval)``: the id and value of every row of ``side`` =
+    ``(Dataset, id column, value column)`` whose id is in ``need``, from
+    one map-only pass collected on the driver."""
+    from .util_ray import closure_broadcast, collect_small
 
-    ``left`` / ``right`` are ``(Dataset, id column, text column)`` and
-    ``schemas`` their wire schemas (None: inferred lazily when Ray can;
-    an empty result is typed by ``_id_type``).  ``pairs`` is an Arrow
-    table or a materialized Dataset of ``(id_a, id_b)`` (other columns
-    are ignored).  Up to
-    ``_SPARSE_TEXT_PAIRS`` pairs are verified on the driver after one
-    map-only ``is_in`` pass per side (one pass when both sides are the
-    same Dataset) fetches exactly the pair-touched texts; more get their
-    texts routed to them by two keyed-shuffle hash joins (no corpus
-    structure on the driver) and are verified in one map."""
+    ds, id_col, val_col = side
+    # sorted once so per-batch membership below is a searchsorted —
+    # pc.is_in would rebuild its hash set from the value_set on EVERY
+    # batch, and a bare closure over a multi-MB array would ship per
+    # task instead of once per worker
+    get_need = closure_broadcast(np.sort(need.to_numpy(zero_copy_only=False)))
+    need_type = need.type
+
+    def pick(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col]
+        if pa.types.is_null(ids.type):
+            # an all-null-id block (e.g. a one-row from_items block)
+            # types its column as null; null ids are non-members
+            return pa.table({"_pid": pa.array([], need_type),
+                             "_pval": batch[val_col].slice(0, 0)})
+        # drop null ids FIRST: a None inside an object array makes
+        # searchsorted raise, and a null in an int64 column degrades
+        # to_numpy to float64, breaking bit-exact id comparison past 2^53
+        if ids.null_count:
+            batch = batch.filter(pc.is_valid(ids))
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        if len(ids):
+            need = get_need()
+            ix = np.minimum(np.searchsorted(need, ids), len(need) - 1)
+            batch = batch.filter(pa.array(np.asarray(need[ix] == ids, dtype=bool)))
+        return pa.table({"_pid": batch[id_col], "_pval": batch[val_col]})
+
+    pick.__name__ = "pick_pair_values"
+    return collect_small(ds.map_batches(pick, batch_format="pyarrow"))
+
+
+def _matches(ids, pid) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, r)`` with ``ids[i] == pid[r]``, and ``(i, -1)`` for an
+    ``ids[i]`` that ``pid`` does not hold: one Arrow hash join, so an id
+    picked more than once matches each of its rows."""
+    j = pa.table({"_k": ids, "_i": pa.array(np.arange(len(ids)))}).join(
+        pa.table({"_k": pid.cast(ids.type), "_r": pa.array(np.arange(len(pid)))}),
+        "_k", join_type="left outer", use_threads=False,
+    )
+    return j["_i"].to_numpy(), j["_r"].fill_null(-1).to_numpy()
+
+
+def _scored_pairs(pairs, left, right, *, bound: int, score, threshold: float,
+                  names, schemas=(None, None)):
+    """The one pair-value step: the pairs of ``pairs`` whose ``score`` is
+    at least ``threshold``, as columns ``names`` = (id_a, id_b, score) —
+    ``id_a`` naming a ``left`` row and ``id_b`` a ``right`` row.
+
+    ``pairs`` is an Arrow table or a materialized Dataset of distinct
+    ``(id_a, id_b)`` (other columns are ignored).  ``left`` / ``right``
+    are ``(Dataset, id column, value column)`` and ``schemas`` their wire
+    schemas (None: inferred lazily when Ray can; an empty result is typed
+    by ``_id_type``).  ``score(ids_a, ids_b, va, ra, vb, rb)`` returns one
+    float per pair: ``va`` is an Arrow array of ``left`` values and ``ra``
+    each pair's position in it, -1 for an id ``left`` does not hold (``vb``
+    / ``rb`` likewise; ``vb is va`` when both sides are the same Dataset).
+
+    Up to ``bound`` pairs are scored on the driver, in one call, and come
+    back as an Arrow table: one ``_pick`` pass per side (one when both
+    sides are the same Dataset) fetches the values of exactly the
+    pair-touched ids, and a pair whose id a side holds twice scores its
+    best combination.  More get the values routed to them by two
+    keyed-shuffle hash joins (no corpus structure on the driver), are
+    scored per batch on aligned rows and come back as a lazy Dataset."""
     import ray.data as rd
 
     from .joins import _ds_arrow_schema_lazy, hash_join
     from .util_ray import collect_small
 
     same = left == right
-    (lds, lid, ltext), (rds, rid, rtext) = left, right
+    (lds, lid, _), (rds, rid, _) = left, right
     ls = schemas[0] or _ds_arrow_schema_lazy(lds)
     rs = schemas[1] or _ds_arrow_schema_lazy(rds)
 
-    def verified(ids_a, ids_b, jac) -> pa.Table:
+    def scored(ids_a, ids_b, s) -> pa.Table:
         out = pa.table({names[0]: ids_a, names[1]: ids_b,
-                        names[2]: pa.array(jac, pa.float64())})
+                        names[2]: pa.array(s, pa.float64())})
         return out.filter(pc.greater_equal(out[names[2]], threshold))
 
     n = pairs.num_rows if isinstance(pairs, pa.Table) else pairs.count()
     if n == 0:
-        return rd.from_arrow(pa.schema([
+        return pa.schema([
             (names[0], _id_type(lds, lid, ls)), (names[1], _id_type(rds, rid, rs)),
             (names[2], pa.float64()),
-        ]).empty_table())
+        ]).empty_table()
 
-    if n <= _SPARSE_TEXT_PAIRS:
+    if n <= bound:
         if not isinstance(pairs, pa.Table):
             pairs = collect_small(pairs)
-
-        def pick(side, need: pa.Array) -> dict:
-            ds, id_col, text_col = side
-
-            def fn(batch: pa.Table) -> pa.Table:
-                ids = batch[id_col]
-                if pa.types.is_null(ids.type):
-                    # an all-null-id block (e.g. a one-row from_items
-                    # block) types its column as null, and is_in raises on
-                    # the type mismatch; null ids are non-members anyway
-                    return pa.table({"_pid": pa.array([], need.type),
-                                     "_ptxt": batch[text_col].slice(0, 0)})
-                t = batch.filter(pc.is_in(ids, value_set=need))
-                return pa.table({"_pid": t[id_col], "_ptxt": t[text_col]})
-
-            fn.__name__ = "pick_pair_texts"
-            t = collect_small(ds.map_batches(fn, batch_format="pyarrow"))
-            return dict(zip(t["_pid"].to_pylist(), t["_ptxt"].to_pylist()))
-
+        ia, ib = pairs["id_a"], pairs["id_b"]
         if same:
-            ta = tb = pick(left, pc.unique(pa.chunked_array(
-                pairs["id_a"].chunks + pairs["id_b"].chunks)))
+            ta = tb = _pick(left, pc.unique(pa.chunked_array(ia.chunks + ib.chunks)))
         else:
-            ta = pick(left, pc.unique(pairs["id_a"]))
-            tb = pick(right, pc.unique(pairs["id_b"]))
-        ia, ib = pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()
-        jac = _pair_jaccard(ia, ib, [ta.get(i) for i in ia],
-                            [tb.get(i) for i in ib], shingle_k, same=same)
-        return rd.from_arrow(verified(pairs["id_a"], pairs["id_b"], jac))
+            ta, tb = _pick(left, pc.unique(ia)), _pick(right, pc.unique(ib))
+        va = ta["_pval"]
+        vb = va if same else tb["_pval"]
+        # each (pair, a row, b row): a side may hold an id more than once
+        # (the corpus id column is not guaranteed unique, and an index
+        # holds an id once per epoch that kept it), and a pair then
+        # scores its best combination, as the joins above the bound do
+        i, ra = _matches(ia, ta["_pid"])
+        k, rb = _matches(ib.take(i), tb["_pid"])
+        i, ra = i[k], ra[k]
+        s = score(ia.take(i), ib.take(i), va, ra, vb, rb)
+        best = np.full(n, -np.inf)
+        if len(i) == n:
+            best[i] = s
+        else:
+            np.maximum.at(best, i, s)
+        return scored(ia, ib, best)
 
     if isinstance(pairs, pa.Table):
         pairs = rd.from_arrow(pairs)
 
     def proj(side, tag):
-        ds, id_col, text_col = side
+        ds, id_col, val_col = side
 
         def fn(batch: pa.Table) -> pa.Table:
-            return pa.table({f"_id{tag}": batch[id_col], f"_t{tag}": batch[text_col]})
+            return pa.table({f"_id{tag}": batch[id_col], f"_v{tag}": batch[val_col]})
 
-        fn.__name__ = f"project_texts_{tag}"
+        fn.__name__ = f"project_values_{tag}"
         return ds.map_batches(fn, batch_format="pyarrow")
 
-    def wire(s, id_col, text_col, tag):
+    def wire(s, side, tag):
         if s is None:  # hash_join materializes the projection for it
             return None
-        return pa.schema([(f"_id{tag}", s.field(id_col).type),
-                          (f"_t{tag}", s.field(text_col).type)])
+        return pa.schema([(f"_id{tag}", s.field(side[1]).type),
+                          (f"_v{tag}", s.field(side[2]).type)])
 
     # explicit wire schemas keep both joins streaming: the pairs are
     # materialized (schema known for free) and the side schemas were
     # given or inferred without executing anything
     pair_schema = _ds_arrow_schema_lazy(pairs)
-    wa, wb = wire(ls, lid, ltext, "a"), wire(rs, rid, rtext, "b")
+    wa, wb = wire(ls, left, "a"), wire(rs, right, "b")
     with_a = hash_join(pairs, proj(left, "a"), on="id_a", right_on="_ida",
                        left_schema=pair_schema, right_schema=wa)
     with_ab = hash_join(
@@ -503,15 +413,91 @@ def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
         right_schema=wb,
     )
 
-    def verify_text_pairs(batch: pa.Table) -> pa.Table:
-        jac = _pair_jaccard(
-            batch["id_a"].to_pylist(), batch["id_b"].to_pylist(),
-            batch["_ta"].to_pylist(), batch["_tb"].to_pylist(), shingle_k,
-            same=same,
-        )
-        return verified(batch["id_a"], batch["id_b"], jac)
+    def score_rows(batch: pa.Table) -> pa.Table:
+        rows = np.arange(batch.num_rows)
+        ia, ib = batch["id_a"], batch["id_b"]
+        return scored(ia, ib, score(ia, ib, batch["_va"], rows, batch["_vb"], rows))
 
-    return with_ab.map_batches(verify_text_pairs, batch_format="pyarrow")
+    score_rows.__name__ = "score_pairs"
+    return with_ab.map_batches(score_rows, batch_format="pyarrow")
+
+
+def _sig_matrix(sigs, num_perm: int) -> np.ndarray:
+    """A ``list<int64>`` signature column as a zero-copy ``(n, num_perm)``
+    view."""
+    if isinstance(sigs, pa.ChunkedArray):
+        sigs = sigs.combine_chunks()
+    return pc.list_flatten(sigs).to_numpy(zero_copy_only=False).reshape(len(sigs), num_perm)
+
+
+def _est_prefilter(pairs, left, right, num_perm: int, thr: float):
+    """The distinct pairs whose signature-estimated Jaccard is at least
+    ``thr``, as ``(id_a, id_b, est_jaccard)``: ``_scored_pairs`` under
+    ``_DRIVER_PAIRS`` over the two sides' signatures, ``left`` / ``right``
+    = ``(Dataset of (id, _sig), id column)`` (the same pair twice for one
+    corpus).  An Arrow table from the driver, else a materialized
+    Dataset; O(pairs) on the driver either way, never O(corpus)."""
+
+    def est(ids_a, ids_b, va, ra, vb, rb) -> np.ndarray:
+        if (ra < 0).any() or (rb < 0).any():
+            # -1 would silently np.take the LAST row's signature
+            missing = (set(ids_a.to_numpy(zero_copy_only=False)[ra < 0])
+                       | set(ids_b.to_numpy(zero_copy_only=False)[rb < 0]))
+            raise KeyError(f"minhash prefilter: pair ids missing from "
+                           f"signature table: {sorted(missing)[:5]}")
+        ma = _sig_matrix(va, num_perm)
+        mb = ma if vb is va else _sig_matrix(vb, num_perm)
+        out = np.empty(len(ra), dtype=np.float64)
+        # column-wise accumulation into PREALLOCATED buffers: a full
+        # (pairs, num_perm) fancy-index gather allocates O(pairs x
+        # num_perm x 8 B) of fresh pages, and first-touch page-fault cost
+        # dominated the vectorized compare by 30-50x (2.4-4.5 s vs 0.09 s
+        # for 155k pairs on one host); per-perm int64 ``np.take(...,
+        # out=)`` keeps the working set at O(pairs) whatever num_perm is,
+        # and chunking bounds that too
+        for lo in range(0, len(ra), 1_000_000):
+            ch_a, ch_b = ra[lo:lo + 1_000_000], rb[lo:lo + 1_000_000]
+            n_ch = len(ch_a)
+            acc = np.zeros(n_ch, dtype=np.int32)
+            eq = np.empty(n_ch, dtype=bool)
+            ca = np.empty(n_ch, dtype=np.int64)
+            cb = np.empty(n_ch, dtype=np.int64)
+            for j in range(num_perm):
+                np.take(ma[:, j], ch_a, out=ca)
+                np.take(mb[:, j], ch_b, out=cb)
+                np.equal(ca, cb, out=eq)
+                acc += eq
+            out[lo:lo + n_ch] = acc / num_perm
+        return out
+
+    out = _scored_pairs(pairs, (*left, "_sig"), (*right, "_sig"), bound=_DRIVER_PAIRS,
+                        score=est, threshold=thr, names=("id_a", "id_b", "est_jaccard"))
+    return out if isinstance(out, pa.Table) else out.materialize()
+
+
+def _verify_text_pairs(pairs, left, right, *, threshold: float, shingle_k: int,
+                       names, schemas=(None, None)):
+    """The distinct candidate pairs whose texts' exact char-k-gram
+    Jaccard is at least ``threshold``, as a Dataset with columns
+    ``names`` = (id_a, id_b, Jaccard): ``_scored_pairs`` under
+    ``_SPARSE_TEXT_PAIRS``, ``left`` / ``right`` being ``(Dataset, id
+    column, text column)``."""
+    import ray.data as rd
+
+    same = left == right
+
+    def jaccard(ids_a, ids_b, va, ra, vb, rb) -> np.ndarray:
+        ta = va.to_pylist()
+        tb = ta if vb is va else vb.to_pylist()
+        return _pair_jaccard(
+            ids_a.to_pylist(), ids_b.to_pylist(),
+            [ta[r] if r >= 0 else None for r in ra.tolist()],
+            [tb[r] if r >= 0 else None for r in rb.tolist()], shingle_k, same=same,
+        )
+
+    out = _scored_pairs(pairs, left, right, bound=_SPARSE_TEXT_PAIRS, score=jaccard,
+                        threshold=threshold, names=names, schemas=schemas)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
 
 
 def minhash_candidates(
@@ -552,16 +538,15 @@ def _sig_and_bands(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
                    shingle_k: int):
     """Per-doc MinHash signatures as a materialized ``(id, _sig)``
     Dataset, and its lazy ``(bucket, id)`` LSH band rows -- the one
-    signature and band builder of ``minhash_dedup`` and the incremental
-    MinHash index (``cdc.dedup_index``)."""
-    rows_per_band = num_perm // bands
+    signature pass of ``minhash_dedup`` and of an incremental MinHash
+    index epoch (``cdc.dedup_index``)."""
     a, b = _perm_params(num_perm)
 
     def sig_table(batch: pa.Table) -> pa.Table:
         # a null id cannot participate in pair identity (band-bucket
         # pair generation sorts/compares ids, and None vs str raises);
-        # drop such rows here — same semantics as the pc.is_in
-        # membership filters downstream, which treat null as non-member
+        # drop such rows here — same semantics as the membership
+        # filters downstream, which treat null as non-member
         batch = batch.filter(pc.is_valid(batch[id_col]))
         texts = batch[text_col].to_pylist()
         sigs = minhash_signatures_batch(texts, a, b, shingle_k).astype(np.int64)
@@ -572,44 +557,38 @@ def _sig_and_bands(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
         return pa.table({id_col: batch[id_col], "_sig": col})
 
     sig_ds = ds.map_batches(sig_table, batch_format="pyarrow").materialize()
+    return sig_ds, _band_rows(sig_ds, id_col, num_perm=num_perm, bands=bands)
+
+
+def _band_rows(sig_ds, id_col: str, *, num_perm: int, bands: int):
+    """The lazy ``(bucket, id)`` LSH band rows of any ``(id, _sig)``
+    signature Dataset."""
+    rows_per_band = num_perm // bands
 
     def band_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
+        if batch.num_rows == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
                              id_col: batch[id_col]})
-        # zero-copy list<int64> -> (n, num_perm) view
-        sigs = (
-            pc.list_flatten(batch["_sig"].combine_chunks())
-            .to_numpy(zero_copy_only=False)
-            .reshape(n, num_perm)
-        )
-        bucket, ids_rep = _band_buckets_vec(sigs, batch[id_col], bands,
-                                            rows_per_band)
+        bucket, ids_rep = _band_buckets_vec(_sig_matrix(batch["_sig"], num_perm),
+                                            batch[id_col], bands, rows_per_band)
         return pa.table({"bucket": bucket, id_col: ids_rep})
 
-    return sig_ds, sig_ds.map_batches(band_rows, batch_format="pyarrow")
+    return sig_ds.map_batches(band_rows, batch_format="pyarrow")
 
 
-def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
-                   shingle_k: int, threshold: float, verify: str):
-    """``minhash_candidates``' pairs in the form the last step left them:
-    the estimate verify's driver branch returns its Arrow table, so
-    ``minhash_dedup`` hands it to ``_components`` without a round trip
-    through the object store."""
-    if verify not in ("estimate", "exact"):
-        raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
-    # stage 1: per-doc signature; band rows carry ONLY (bucket, id) — the
-    # signatures stay a compact materialized side table that verification
-    # reads only for the ids in candidate pairs
-    sig_ds, banded = _sig_and_bands(ds, text_col, id_col, num_perm=num_perm,
-                                    bands=bands, shingle_k=shingle_k)
+def _est_pairs(sig_ds, banded, id_col: str, num_perm: int, thr: float):
+    """The near-dup pairs of one signature table and its ``(bucket, id)``
+    band rows: each LSH bucket's ``(id_a, id_b)`` pairs (id_a < id_b),
+    the distinct ones (a pair surfaces once per band it collides in),
+    then their signature estimate at ``thr`` over the pair-touched
+    signatures only (``_est_prefilter``'s form).
 
-    # ONE task per hash partition of `bucket` (not per bucket): a
-    # per-bucket map_groups pays ~ms pandas overhead per LSH bucket and
-    # there are ~#docs × bands buckets; partitioned_map keeps whole
-    # buckets co-located through the take()-based exchange while the
-    # pair generation runs vectorized across buckets inside the task.
+    ONE task per hash partition of ``bucket`` (not per bucket): a
+    per-bucket map_groups pays ~ms pandas overhead per LSH bucket and
+    there are ~#docs × bands buckets; partitioned_map keeps whole
+    buckets co-located through the take()-based exchange while the pair
+    generation runs vectorized across buckets inside the task."""
+
     def pairs(group: pd.DataFrame) -> pd.DataFrame:
         # FULLY vectorized across all buckets in the partition: generate
         # each bucket's full n x n cross product via index arithmetic and
@@ -641,13 +620,25 @@ def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
     from .grouped import partitioned_map
 
     cand = partitioned_map(banded, "bucket", pairs, num_partitions=32)
+    side = (sig_ds, id_col)
+    return _est_prefilter(_distinct_pairs(cand), side, side, num_perm, thr)
 
-    # stage 2: the distinct pairs (a pair surfaces once per band it
-    # collides in), then their signature estimate over the pair-touched
-    # signatures only.  At the threshold that is the answer.
-    pairs = _distinct_pairs(cand)
+
+def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
+                   shingle_k: int, threshold: float, verify: str):
+    """``minhash_candidates``' pairs in the form the last step left them:
+    the estimate verify's driver branch returns its Arrow table, so
+    ``minhash_dedup`` hands it to ``_components`` without a round trip
+    through the object store."""
+    if verify not in ("estimate", "exact"):
+        raise ValueError(f"verify must be 'estimate' or 'exact', got {verify!r}")
+    # band rows carry ONLY (bucket, id) — the signatures stay a compact
+    # materialized side table that verification reads only for the ids
+    # in candidate pairs
+    sig_ds, banded = _sig_and_bands(ds, text_col, id_col, num_perm=num_perm,
+                                    bands=bands, shingle_k=shingle_k)
     if verify == "estimate":
-        return _est_prefilter(pairs, sig_ds, id_col, num_perm, threshold)
+        return _est_pairs(sig_ds, banded, id_col, num_perm, threshold)
 
     # exact-Jaccard verify: the estimate as a PREFILTER at (threshold -
     # margin) kills the ~99% of band-collision pairs that are nowhere
@@ -666,8 +657,7 @@ def _minhash_pairs(ds, text_col: str, id_col: str, *, num_perm: int, bands: int,
     # id type from the (already-materialized) signature table
     wire = pa.schema([_ds_arrow_schema_lazy(sig_ds).field(id_col),
                       pa.field(text_col, text_t)])
-    pairs = _est_prefilter(pairs, sig_ds, id_col, num_perm,
-                           max(0.0, threshold - 0.25))
+    pairs = _est_pairs(sig_ds, banded, id_col, num_perm, max(0.0, threshold - 0.25))
     side = (ds, id_col, text_col)
     return _verify_text_pairs(
         pairs, side, side, threshold=threshold, shingle_k=shingle_k,
@@ -814,30 +804,33 @@ def _components(edges):
     return connected_components(edges)
 
 
-def _keep_representatives(ds, id_col: str, cmap):
-    """Drop every row of ``ds`` that is not its component's minimum id.
-
-    A ``_components`` dict: its keys are the dropped ids, collected once
-    into a vectorized ``pc.is_in`` filter per batch.  A label Dataset: a
-    keyed-shuffle anti join against its ``id != label`` rows."""
-    if not isinstance(cmap, dict):
+def _drop_ids(ds, id_col: str, ids):
+    """``ds`` without the rows whose id is in ``ids``: an Arrow array is
+    one vectorized ``pc.is_in`` filter per batch; a Dataset of one ``id``
+    column is a keyed-shuffle anti join."""
+    if not isinstance(ids, (pa.Array, pa.ChunkedArray)):
         from .joins import hash_join
 
-        dups = cmap.map_batches(
-            lambda t: t.filter(pc.not_equal(t["id"], t["label"])).select(["id"]),
-            batch_format="pyarrow",
-        )
-        return hash_join(ds, dups, on=id_col, right_on="id", how="anti")
-
-    value_set = pa.array(sorted(cmap))
+        return hash_join(ds, ids, on=id_col, right_on="id", how="anti")
 
     def keep(batch: pa.Table) -> pa.Table:
-        if len(value_set) == 0:
+        if len(ids) == 0:
             return batch
-        mask = pc.invert(pc.is_in(batch[id_col], value_set=value_set))
-        return batch.filter(mask)
+        return batch.filter(pc.invert(pc.is_in(batch[id_col], value_set=ids)))
 
     return ds.map_batches(keep, batch_format="pyarrow")
+
+
+def _keep_representatives(ds, id_col: str, cmap):
+    """Drop every row of ``ds`` that is not its component's minimum id:
+    the keys of a ``_components`` dict, or the ``id != label`` rows of a
+    label Dataset (``_drop_ids``)."""
+    if isinstance(cmap, dict):
+        return _drop_ids(ds, id_col, pa.array(sorted(cmap)))
+    return _drop_ids(ds, id_col, cmap.map_batches(
+        lambda t: t.filter(pc.not_equal(t["id"], t["label"])).select(["id"]),
+        batch_format="pyarrow",
+    ))
 
 
 def minhash_dedup(

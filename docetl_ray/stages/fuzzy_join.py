@@ -14,10 +14,12 @@ Jaccard ≥ threshold — deterministic and scalable:
          -> cross-side candidate pairs of the buckets on both sides
       -> distinct pairs + exact-Jaccard verify, the pipeline shared with
          the MinHash exact dedup (``dedup._distinct_pairs`` /
-         ``dedup._verify_text_pairs``): on the driver while the pair set
-         is sparse (only pair ids and the pair-touched texts are
-         collected), else through keyed exchanges, the texts routed TO
-         the pairs by two hash joins (never a whole-side broadcast)
+         ``dedup._verify_text_pairs``, which scores through
+         ``dedup._scored_pairs``, MinHash's one pair-value step): on the
+         driver up to ``_SPARSE_TEXT_PAIRS`` distinct pairs (only pair
+         ids and the pair-touched texts are collected, one pick pass per
+         side), else the texts routed TO the pairs by two hash joins
+         (never a whole-side broadcast)
       -> per-side match ``limits``
 
 ``embedding_blocked_join`` blocks on the same two-input exchange.  Per-side

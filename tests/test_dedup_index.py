@@ -63,7 +63,7 @@ def test_exact_crash_before_commit_is_invisible(tmp_path):
                            os.path.join(d, "part-junk.parquet"))
     assert idx.committed_epochs() == [0]
     assert idx.segment_files("keys") and "epoch-0000001" not in idx.segment_files("keys")[0]
-    # running epoch 1 for real overwrites staging and commits once
+    # running epoch 1 for real stages beside the leftovers and commits once
     kept, _ = incremental_exact_dedup(idx, _docs([5], ["x"]), "text", "doc_id", 1)
     assert _ids(kept) == []  # 'x' already in the corpus
 
@@ -132,3 +132,80 @@ def test_index_param_pinning(tmp_path):
                                   "text", "doc_id", 1, num_perm=32)
     with pytest.raises(ValueError):
         DedupIndex(str(tmp_path / "idx"), kind="exact").manifest()
+
+
+def _three_minhash_epochs():
+    """Three epochs with planted near-dups, and each epoch's survivors.
+
+    Within an epoch, every ``i % 10 == 1`` doc of ``synth.docs_for_indices``
+    near-dups doc ``i - 1``.  Across epochs, a doc near-dups an indexed
+    one.  Epochs 1 and 2 each hold a doc whose id the index already
+    holds, with unrelated text: it survives, so the index then holds
+    doc 7 twice, and epoch 2's near-dup of either copy drops."""
+    from docetl_ray import synth
+
+    def text(i):
+        return synth.docs_for_indices(np.array([i]))["text"][0].as_py()
+
+    def epoch(idx, extra):
+        t = synth.docs_for_indices(np.asarray(idx))
+        ids = t["doc_id"].to_pylist() + [i for i, _ in extra]
+        return _docs(ids, t["text"].to_pylist() + [x for _, x in extra])
+
+    unrelated_7, unrelated_100 = text(5000), text(6000)
+    return [
+        (epoch(range(40), []), sorted(set(range(40)) - {1, 11, 21, 31})),
+        (epoch(range(100, 140), [(150, text(5) + " cross"), (151, text(0) + " cross"),
+                                 (7, unrelated_7)]),
+         sorted(set(range(100, 140)) - {101, 111, 121, 131}) + [7]),
+        (epoch(range(200, 220), [(250, text(105) + " cross"), (251, unrelated_7 + " again"),
+                                 (252, text(7) + " again"), (100, unrelated_100)]),
+         [100] + sorted(set(range(200, 220)) - {201, 211})),
+    ]
+
+
+@pytest.mark.parametrize("bound", [None, "_DRIVER_PAIRS", "_SPARSE_TEXT_PAIRS"])
+def test_minhash_three_epochs_same_survivors_on_every_branch(tmp_path, monkeypatch, bound):
+    """The planted within- and cross-epoch near-dups drop, and an epoch
+    id equal to an index id is compared by its own signature, at default
+    bounds and with each bound set to 0 (every exchange branch of the
+    estimate, the drops and the components)."""
+    import docetl_ray.stages.dedup as dedup
+    from docetl_ray.cdc import DedupIndex, incremental_minhash_dedup
+
+    if bound:
+        monkeypatch.setattr(dedup, bound, 0)
+    idx = DedupIndex(str(tmp_path / "idx"), kind="minhash")
+    for epoch, (ds, want) in enumerate(_three_minhash_epochs()):
+        kept, n = incremental_minhash_dedup(idx, ds, "text", "doc_id", epoch)
+        assert _ids(kept) == sorted(want) and n == len(want)
+
+
+def test_minhash_epoch_runs_one_signature_pass_and_three_exchanges(tmp_path, monkeypatch):
+    """An epoch computes its signatures once; with a prior segment it
+    runs three keyed exchanges at default bounds (the bands join against
+    the index, the band pairs, the committed-survivor semi join), two
+    without one."""
+    import docetl_ray.stages.dedup as dedup
+    import docetl_ray.stages.util_ray as util_ray
+    from docetl_ray.cdc import DedupIndex, incremental_minhash_dedup
+
+    calls = {"_sig_and_bands": 0, "_split_phase": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def fn(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+
+        monkeypatch.setattr(module, name, fn)
+
+    spy(dedup, "_sig_and_bands")
+    spy(util_ray, "_split_phase")
+    idx = DedupIndex(str(tmp_path / "idx"), kind="minhash")
+    for epoch, (ds, _) in enumerate(_three_minhash_epochs()):
+        ds = ds.materialize()
+        calls.update(_sig_and_bands=0, _split_phase=0)
+        incremental_minhash_dedup(idx, ds, "text", "doc_id", epoch)
+        assert calls == {"_sig_and_bands": 1, "_split_phase": 3 if epoch else 2}

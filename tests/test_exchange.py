@@ -1030,14 +1030,16 @@ def test_apply_empty_partitions_write_no_file(tmp_path):
     hit = {int(p) for p in url_partition(urls, 8)}
     assert len(hit) < 8
     assert {int(p) for p in m["partitions"]} == hit
-    files = os.listdir(os.path.join(table.root, "epochs", "epoch-0000000"))
+    run, = os.listdir(os.path.join(table.root, "epochs", "epoch-0000000"))
+    files = os.listdir(os.path.join(table.root, "epochs", "epoch-0000000", run))
     assert sorted(files) == sorted(f"part-{p:05d}.parquet" for p in hit)
     _assert_matches_oracle(table, ev)
 
     m = resplit(table, 32, tag="wide")
     hit = {int(p) for p in url_partition(urls, 32)}
     assert {int(p) for p in m["partitions"]} == hit
-    files = os.listdir(os.path.join(table.root, "resplits", "wide"))
+    run, = os.listdir(os.path.join(table.root, "resplits", "wide"))
+    files = os.listdir(os.path.join(table.root, "resplits", "wide", run))
     assert sorted(files) == sorted(f"part-{p:05d}.parquet" for p in hit)
     _assert_matches_oracle(table, ev)
 

@@ -314,3 +314,77 @@ def test_embedding_self_join_with_equal_id_names():
     assert sorted(zip(out["id_left"].to_pylist(), out["id_right"].to_pylist(),
                       out["name_right"].to_pylist())) == [
         ("x", "y", "why"), ("y", "x", "ex")]
+
+
+def test_llm_equijoin_compare_merge_limits(ray_session):
+    import ray.data as rd
+
+    from docetl_ray.stages.fuzzy_join import llm_equijoin
+    from docetl_ray.stages.util_ray import collect_small
+
+    left = rd.from_arrow(pa.table({
+        "lid": pa.array([1, 2], pa.int64()),
+        "name": pa.array(["acme inc", "globex"]),
+    }))
+    right = rd.from_arrow(pa.table({
+        "rid": pa.array([10, 11, 12], pa.int64()),
+        "name": pa.array(["acme incorporated", "acme", "initech"]),
+    }))
+    pairs = rd.from_arrow(pa.table({
+        "lid": pa.array([1, 1, 2], pa.int64()),
+        "rid": pa.array([10, 11, 12], pa.int64()),
+    }))
+
+    class Scripted:
+        model = "scripted"
+
+        def complete(self, prompt, schema):
+            import re
+
+            names = re.findall(r"'name': '([^']+)'", prompt)
+            return {"is_match": len(names) == 2
+                    and all(n.startswith("acme") for n in names)}
+
+    out = collect_small(llm_equijoin(
+        left, right, pairs, left_id="lid", right_id="rid",
+        comparison_prompt="{{ input1 }} vs {{ input2 }}",
+        client_factory=Scripted,
+    ))
+    # both acme pairs match; shared key "name" gets _left/_right suffixes
+    assert out.num_rows == 2
+    assert {"lid", "rid", "name_left", "name_right"} <= set(out.column_names)
+    assert set(out["rid"].to_pylist()) == {10, 11}
+
+    capped = collect_small(llm_equijoin(
+        left, right, pairs, left_id="lid", right_id="rid",
+        comparison_prompt="{{ input1 }} vs {{ input2 }}",
+        client_factory=Scripted, limits=(1, None),
+    ))
+    # left limit 1: lid=1 keeps only its first match in (lid, rid) order
+    assert capped.num_rows == 1 and capped["rid"].to_pylist() == [10]
+
+
+def test_condition_blocked_pairs(ray_session):
+    import ray.data as rd
+
+    from docetl_ray.stages.fuzzy_join import condition_blocked_pairs
+
+    left = rd.from_items([{"lid": i, "k": i % 3} for i in range(6)])
+    right = rd.from_items([{"rid": 10 + j, "rk": j} for j in range(3)])
+    pairs = _collect(condition_blocked_pairs(
+        left, right, ['left["k"] == right["rk"]'],
+        left_id="lid", right_id="rid",
+    ))
+    got = sorted(zip(pairs["lid"].to_pylist(), pairs["rid"].to_pylist()))
+    assert got == [(0, 10), (1, 11), (2, 12), (3, 10), (4, 11), (5, 12)]
+
+
+def test_condition_blocked_pairs_same_id_name_raises(ray_session):
+    import ray.data as rd
+
+    from docetl_ray.stages.fuzzy_join import condition_blocked_pairs
+
+    left = rd.from_items([{"id": 1}])
+    with pytest.raises(ValueError, match="distinct"):
+        condition_blocked_pairs(left, left, ["True"], left_id="id",
+                                right_id="id")

@@ -14,6 +14,7 @@ from docetl_ray import synth
 from docetl_ray.cdc import DedupIndex, LakeTable, StaleManifest
 from docetl_ray.cdc.apply import _atomic_write_parquet
 from docetl_ray.cdc.dedup_index import _seal_segment
+from docetl_ray.cdc.manifest import run_dir
 
 STORES = ["table", "index"]
 
@@ -27,7 +28,8 @@ def _commit_one(store, epoch: int) -> dict:
     """Stage one data file for ``epoch`` as the store's writers do, then
     commit it."""
     if isinstance(store, LakeTable):
-        rel = os.path.join("epochs", f"epoch-{epoch:07d}", "part-00000.parquet")
+        rel = os.path.join(run_dir(os.path.join("epochs", f"epoch-{epoch:07d}")),
+                           "part-00000.parquet")
         os.makedirs(os.path.dirname(os.path.join(store.root, rel)), exist_ok=True)
         _atomic_write_parquet(pa.table({"url": ["u"], "text": ["t"]}),
                               os.path.join(store.root, rel))
@@ -67,8 +69,9 @@ def test_leftover_tmp_keeps_the_previous_manifest_live(tmp_path, kind):
 def test_commit_fsyncs_data_then_dirs_then_manifest(tmp_path, kind, monkeypatch):
     """The order of every fsync and rename from staging to commit: the
     data file, its rename (the table's atomic write; the index's
-    segment files are written in place), the directories the new record
-    points into, the manifest tmp, its rename, then the root."""
+    segment files are written in place), the run directory the new
+    record points into and each directory above it, the manifest tmp,
+    its rename, then the root."""
     root = os.path.realpath(str(tmp_path / kind))
     store = _open(kind, root)
     calls = []
@@ -84,17 +87,20 @@ def test_commit_fsyncs_data_then_dirs_then_manifest(tmp_path, kind, monkeypatch)
 
     monkeypatch.setattr(os, "fsync", spy_fsync)
     monkeypatch.setattr(os, "replace", spy_replace)
-    _commit_one(store, 0)
+    m = _commit_one(store, 0)
     if kind == "table":
-        d = os.path.join(root, "epochs", "epoch-0000000")
-        data = os.path.join(d, "part-00000.parquet")
+        data = os.path.join(root, m["partitions"]["0"]["paths"][-1])
+        d = os.path.dirname(data)
+        assert os.path.dirname(d) == os.path.join(root, "epochs", "epoch-0000000")
         staged = [("fsync", f"{data}.tmp-{os.getpid()}"), ("replace", data)]
     else:
-        d = os.path.join(root, "segments", "epoch-0000000-keys")
+        d = os.path.join(root, m["segments"]["0"]["keys"])
+        assert os.path.dirname(d) == os.path.join(root, "segments", "epoch-0000000-keys")
         staged = [("fsync", os.path.join(d, "part-0.parquet"))]
     manifest = os.path.join(root, "manifest.json")
     assert calls == staged + [
         ("fsync", d), ("fsync", os.path.dirname(d)),
+        ("fsync", os.path.dirname(os.path.dirname(d))),
         ("fsync", manifest + ".tmp"), ("replace", manifest), ("fsync", root),
     ]
 
@@ -239,3 +245,92 @@ def test_stale_dedup_index_commit_is_refused(tmp_path):
     kept, n = incremental_exact_dedup(a, docs([3, 4], ["y", "z"]), "text", "doc_id", 1)
     assert sorted(collect(kept)["doc_id"].to_pylist()) == [4] and n == 1
     assert DedupIndex(root, kind="exact").committed_epochs() == [0, 1]
+
+
+def _race_before_reduce(monkeypatch, module, name: str, other):
+    """Run ``other()`` once, right before the next call of ``module.name``
+    (``other``'s own calls go straight through)."""
+    real = getattr(module, name)
+    ran = []
+
+    def racing(*a, **kw):
+        if not ran:
+            ran.append(True)
+            other()
+        return real(*a, **kw)
+
+    monkeypatch.setattr(module, name, racing)
+
+
+def test_stale_apply_run_of_a_committed_epoch_writes_beside_it(tmp_path, monkeypatch):
+    """Handle A reads the manifest for epoch 2; before its reduce runs,
+    handle B applies epochs 1 and 2.  A's run stages in a directory of
+    its own, so it cannot overwrite the files B's commit names, and its
+    commit is the idempotent no-op: the table equals the replay oracle
+    of all three epochs."""
+    import ray.data as rd
+
+    import docetl_ray.stages.util_ray as util_ray
+    from docetl_ray.cdc import apply_events
+
+    root = str(tmp_path / "lake")
+    ev = [synth.events_table(i * 1500, 1500) for i in range(3)]
+    a = LakeTable(root, num_partitions=4)
+    apply_events(a, rd.from_arrow(ev[0]), epoch=0)
+
+    def other():
+        for e in (1, 2):
+            apply_events(LakeTable(root), rd.from_arrow(ev[e]), epoch=e)
+
+    _race_before_reduce(monkeypatch, util_ray, "exchange_refs", other)
+    apply_events(a, rd.from_arrow(ev[2]), epoch=2)
+    m = LakeTable(root).manifest()
+    assert m["epochs"] == [0, 1, 2] and m["generation"] == 3
+    _assert_replays(LakeTable(root), pa.concat_tables(ev))
+
+
+def test_stale_index_run_of_a_committed_epoch_keeps_its_survivors(tmp_path, monkeypatch):
+    """Handle A reads the index for epoch 2 (only epoch 0 committed);
+    before it computes anything, handle B runs epochs 1 and 2, and B's
+    epoch 2 drops a near-dup of an epoch-1 doc that A cannot see.  A's
+    run stages beside B's committed segments instead of over them: the
+    committed survivors stay B's, and A returns them."""
+    import ray.data as rd
+
+    import docetl_ray.stages.dedup as dedup
+    from docetl_ray.cdc import incremental_minhash_dedup
+    from docetl_ray.util import collect
+
+    def docs(ids, texts):
+        return rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()),
+                                       "text": pa.array(texts)}))
+
+    a_text = "the quick brown fox jumps over the lazy dog " * 20
+    b_text = "completely different content about ray data pipelines " * 20
+    c_text = "fresh unseen text with many unique tokens " * 20
+    d_text = "a third corpus slice about parquet levels and manifests " * 20
+    root = str(tmp_path / "idx")
+    epochs = [docs([1], [a_text]), docs([10], [b_text]),
+              docs([20, 21], [b_text + " near", c_text])]
+
+    def survivors(index):
+        m = index.manifest(refresh=True)
+        return sorted(collect(rd.read_parquet(os.path.join(
+            root, m["segments"]["2"]["sigs"]), columns=["doc_id"]))["doc_id"].to_pylist())
+
+    a = DedupIndex(root, kind="minhash")
+    incremental_minhash_dedup(a, epochs[0], "text", "doc_id", 0)
+
+    def other():
+        b = DedupIndex(root, kind="minhash")
+        for e in (1, 2):
+            incremental_minhash_dedup(b, epochs[e], "text", "doc_id", e)
+
+    _race_before_reduce(monkeypatch, dedup, "_sig_and_bands", other)
+    # A's own epoch 2 differs from B's: it holds d_text, and cannot see
+    # that doc 20 near-dups the epoch-1 doc 10
+    kept, n = incremental_minhash_dedup(a, docs([20, 21, 22], [b_text + " near", c_text,
+                                                               d_text]),
+                                        "text", "doc_id", 2)
+    assert survivors(DedupIndex(root, kind="minhash")) == [21]
+    assert sorted(collect(kept)["doc_id"].to_pylist()) == [21] and n == 1

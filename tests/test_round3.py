@@ -269,54 +269,6 @@ def test_runner_dispatch_round3_surfaces(ray_session):
     assert sorted(out4["_rank"].to_pylist()) == [1, 2, 3]
 
 
-def test_llm_equijoin_compare_merge_limits(ray_session):
-    import ray.data as rd
-
-    from docetl_ray.stages.fuzzy_join import llm_equijoin
-    from docetl_ray.stages.util_ray import collect_small
-
-    left = rd.from_arrow(pa.table({
-        "lid": pa.array([1, 2], pa.int64()),
-        "name": pa.array(["acme inc", "globex"]),
-    }))
-    right = rd.from_arrow(pa.table({
-        "rid": pa.array([10, 11, 12], pa.int64()),
-        "name": pa.array(["acme incorporated", "acme", "initech"]),
-    }))
-    pairs = rd.from_arrow(pa.table({
-        "lid": pa.array([1, 1, 2], pa.int64()),
-        "rid": pa.array([10, 11, 12], pa.int64()),
-    }))
-
-    class Scripted:
-        model = "scripted"
-
-        def complete(self, prompt, schema):
-            import re
-
-            names = re.findall(r"'name': '([^']+)'", prompt)
-            return {"is_match": len(names) == 2
-                    and all(n.startswith("acme") for n in names)}
-
-    out = collect_small(llm_equijoin(
-        left, right, pairs, left_id="lid", right_id="rid",
-        comparison_prompt="{{ input1 }} vs {{ input2 }}",
-        client_factory=Scripted,
-    ))
-    # both acme pairs match; shared key "name" gets _left/_right suffixes
-    assert out.num_rows == 2
-    assert {"lid", "rid", "name_left", "name_right"} <= set(out.column_names)
-    assert set(out["rid"].to_pylist()) == {10, 11}
-
-    capped = collect_small(llm_equijoin(
-        left, right, pairs, left_id="lid", right_id="rid",
-        comparison_prompt="{{ input1 }} vs {{ input2 }}",
-        client_factory=Scripted, limits=(1, None),
-    ))
-    # left limit 1: lid=1 keeps only its first match in (lid, rid) order
-    assert capped.num_rows == 1 and capped["rid"].to_pylist() == [10]
-
-
 # ---------------------------------------------------------------------------
 # gather reference-parity rendering (gather.py:113-327)
 # ---------------------------------------------------------------------------

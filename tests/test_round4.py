@@ -119,30 +119,6 @@ def test_llm_resolve_blocked_pairs_do_not_consume_budget(ray_session):
     assert canon == {1: 1, 3: 1, 2: 2, 4: 2}
 
 
-def test_condition_blocked_pairs(ray_session):
-    from docetl_ray.stages.fuzzy_join import condition_blocked_pairs
-
-    left = rd.from_items([{"lid": i, "k": i % 3} for i in range(6)])
-    right = rd.from_items([{"rid": 10 + j, "rk": j} for j in range(3)])
-    pairs = _collect(condition_blocked_pairs(
-        left, right, ['left["k"] == right["rk"]'],
-        left_id="lid", right_id="rid",
-    ))
-    got = sorted(zip(pairs["lid"].to_pylist(), pairs["rid"].to_pylist()))
-    assert got == [(0, 10), (1, 11), (2, 12), (3, 10), (4, 11), (5, 12)]
-
-
-def test_condition_blocked_pairs_same_id_name_raises(ray_session):
-    import pytest as _pytest
-
-    from docetl_ray.stages.fuzzy_join import condition_blocked_pairs
-
-    left = rd.from_items([{"id": 1}])
-    with _pytest.raises(ValueError, match="distinct"):
-        condition_blocked_pairs(left, left, ["True"], left_id="id",
-                                right_id="id")
-
-
 def test_runner_equijoin_blocking_conditions(tmp_path, ray_session):
     """YAML equijoin with blocking_conditions + comparison_prompt routes
     through condition_blocked_pairs -> llm_equijoin."""

@@ -156,9 +156,10 @@ def test_minhash_exact_sparse_matches_dense(monkeypatch):
 
 def test_minhash_exact_distributed_pair_dedup_matches_driver(monkeypatch):
     """Above ``_DRIVER_PAIRS`` raw candidates the pairs are deduplicated
-    by a keyed exchange and prefiltered by ``_sig_est_join`` instead of
-    on the driver; the verified pairs are the same, including when every
-    candidate fails verification."""
+    by a keyed exchange and prefiltered with their signatures routed to
+    them by two hash joins (``_scored_pairs``' exchange branch) instead
+    of on the driver; the verified pairs are the same, including when
+    every candidate fails verification."""
     import ray.data as rd
 
     from docetl_ray import synth
